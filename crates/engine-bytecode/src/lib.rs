@@ -266,6 +266,15 @@ mod tests {
     }
 
     #[test]
+    fn zero_fuel_traps_at_the_first_instruction() {
+        let mut e = engine("fn f() -> int { return 1; }", &[]);
+        e.set_fuel(Some(0));
+        let err = e.invoke("f", &[]).unwrap_err();
+        assert_eq!(err.as_trap(), Some(&Trap::FuelExhausted));
+        assert_eq!(e.fuel_used(), Some(0));
+    }
+
+    #[test]
     fn agrees_with_native_engine_on_shared_program() {
         let src = r#"
             var seed = 1;

@@ -58,7 +58,9 @@ pub fn call(
     }
 
     loop {
-        st.fuel = st.fuel.wrapping_sub(1);
+        // Saturating: an empty budget traps at once instead of wrapping
+        // to an unlimited one.
+        st.fuel = st.fuel.saturating_sub(1);
         if st.fuel == 0 {
             return Err(Trap::FuelExhausted.into());
         }

@@ -24,11 +24,13 @@
 //!   verifier ([`sfi::verify_sfi`]) then proves every arena access is
 //!   masked, mirroring Wahbe et al.'s load-time check.
 //!
-//! All three modes execute on the same pre-decoded dispatch loop in
-//! [`interp`], so the *only* difference between technologies is the
-//! checking work — which is the property that makes the paper's
-//! normalized comparisons meaningful.
+//! All three modes execute the same op stream, decoded once at load
+//! time ([`decode`]), on one dispatch loop in [`interp`] specialised per
+//! mode, so the *only* difference between technologies is the checking
+//! work — which is the property that makes the paper's normalized
+//! comparisons meaningful.
 
+mod decode;
 pub mod interp;
 pub mod memory;
 pub mod sfi;
@@ -104,15 +106,21 @@ pub(crate) struct SfiTally {
 /// A graft module loaded under one of the compiled technologies.
 pub struct CompiledEngine {
     module: Arc<Module>,
+    /// The module's op stream, shared by every fork.
+    decoded: Arc<decode::Decoded>,
     mode: SafetyMode,
-    pub(crate) memory: memory::Memory,
-    pub(crate) globals: Vec<i64>,
+    memory: memory::Memory,
+    globals: Vec<i64>,
     region_ids: HashMap<String, u16>,
-    pub(crate) fuel: u64,
+    fuel: u64,
     metered: bool,
     fuel_limit: u64,
     last_fuel_used: u64,
-    pub(crate) sfi_tally: SfiTally,
+    sfi_tally: SfiTally,
+    /// Register frames of the running call chain.
+    stack: Vec<i64>,
+    /// Return addresses of the running call chain.
+    calls: Vec<interp::Return>,
 }
 
 impl CompiledEngine {
@@ -120,7 +128,8 @@ impl CompiledEngine {
     ///
     /// Runs the structural IR verifier; under SFI additionally
     /// instruments the code and runs the SFI verifier. Rejected modules
-    /// never execute.
+    /// never execute. The verified code is then decoded once into the
+    /// dispatch loop's op stream.
     pub fn load(module: Module, mode: SafetyMode) -> Result<Self, GraftError> {
         graft_ir::verify(&module)?;
         let (module, memory) = match mode {
@@ -137,6 +146,7 @@ impl CompiledEngine {
                 (module, memory::Memory::Plain(plain))
             }
         };
+        let decoded = decode::decode(&module)?;
         let globals = module.globals.clone();
         let region_ids = module
             .regions
@@ -146,6 +156,7 @@ impl CompiledEngine {
             .collect();
         Ok(CompiledEngine {
             module: Arc::new(module),
+            decoded: Arc::new(decoded),
             mode,
             memory,
             globals,
@@ -155,6 +166,8 @@ impl CompiledEngine {
             fuel_limit: 0,
             last_fuel_used: 0,
             sfi_tally: SfiTally::default(),
+            stack: Vec::new(),
+            calls: Vec::new(),
         })
     }
 
@@ -200,9 +213,8 @@ impl ExtensionEngine for CompiledEngine {
     }
 
     fn invoke_id(&mut self, entry: EntryId, args: &[i64]) -> Result<i64, GraftError> {
-        let module = Arc::clone(&self.module);
         let func = entry.index();
-        let Some(decl) = module.funcs.get(func) else {
+        let Some(decl) = self.module.funcs.get(func) else {
             return Err(GraftError::bad_handle("entry", entry.0));
         };
         if decl.arity != args.len() {
@@ -217,7 +229,16 @@ impl ExtensionEngine for CompiledEngine {
         let metered = self.metered && self.mode != SafetyMode::Unchecked;
         self.fuel = if metered { self.fuel_limit } else { u64::MAX };
         self.sfi_tally = SfiTally::default();
-        let result = interp::run(self, &module, func, args);
+        let result = match self.mode {
+            SafetyMode::Unchecked => interp::run::<interp::Unchecked>(self, func, args),
+            SafetyMode::Safe { nil_checks: true } => {
+                interp::run::<interp::Safe<true>>(self, func, args)
+            }
+            SafetyMode::Safe { nil_checks: false } => {
+                interp::run::<interp::Safe<false>>(self, func, args)
+            }
+            SafetyMode::Sfi { .. } => interp::run::<interp::Sfi>(self, func, args),
+        };
         self.last_fuel_used = if metered {
             self.fuel_limit - self.fuel
         } else {
@@ -323,11 +344,13 @@ impl ExtensionEngine for CompiledEngine {
 
     fn fork_for_shard(&self, _shard: usize) -> Result<Box<dyn ExtensionEngine>, GraftError> {
         // Share the translated (and, under SFI, instrumented + verified)
-        // module via its `Arc`; re-running `load` here would instrument
-        // twice. Memory and globals are snapshotted so install-time
-        // marshalling propagates; fuel accounting starts fresh.
+        // module and its decoded ops via their `Arc`s; re-running `load`
+        // here would instrument and decode twice. Memory and globals are
+        // snapshotted so install-time marshalling propagates; fuel
+        // accounting starts fresh.
         Ok(Box::new(CompiledEngine {
             module: Arc::clone(&self.module),
+            decoded: Arc::clone(&self.decoded),
             mode: self.mode,
             memory: self.memory.clone(),
             globals: self.globals.clone(),
@@ -337,6 +360,8 @@ impl ExtensionEngine for CompiledEngine {
             fuel_limit: 0,
             last_fuel_used: 0,
             sfi_tally: SfiTally::default(),
+            stack: Vec::new(),
+            calls: Vec::new(),
         }))
     }
 }
@@ -498,6 +523,21 @@ mod tests {
     }
 
     #[test]
+    fn zero_fuel_traps_at_the_first_metered_event() {
+        let src = "fn f() -> int { return 1; } fn g() -> int { return f(); }";
+        for mode in [SafetyMode::Safe { nil_checks: true }, MODES[2], MODES[3]] {
+            let mut e = load_grail(src, &[], mode).unwrap();
+            e.set_fuel(Some(0));
+            // Nothing metered: no backward branch, no call.
+            assert_eq!(e.invoke("f", &[]).unwrap(), 1, "{mode:?}");
+            assert_eq!(e.fuel_used(), Some(0));
+            let err = e.invoke("g", &[]).unwrap_err();
+            assert_eq!(err.as_trap(), Some(&Trap::FuelExhausted), "{mode:?}");
+            assert_eq!(e.fuel_used(), Some(0), "{mode:?}");
+        }
+    }
+
+    #[test]
     fn kernel_marshalling_round_trips_through_every_mode() {
         let src = "fn sum(n: int) -> int { let s = 0; let i = 0; while i < n { s = s + buf[i]; i = i + 1; } return s; }";
         let regions = [RegionSpec::data("buf", 8)];
@@ -510,6 +550,22 @@ mod tests {
             let mut out = [0i64; 2];
             e.read_region_slice("buf", 3, &mut out).unwrap();
             assert_eq!(out, [4, 10]);
+        }
+    }
+
+    #[test]
+    fn calls_pass_more_than_twelve_arguments() {
+        let src = r#"
+            fn g(a: int, b: int, c: int, d: int, e: int, f: int, h: int,
+                 i: int, j: int, k: int, l: int, m: int, n: int) -> int {
+                return a + 2 * b + 3 * c + 4 * d + 5 * e + 6 * f + 7 * h
+                    + 8 * i + 9 * j + 10 * k + 11 * l + 12 * m + 13 * n;
+            }
+            fn top() -> int { return g(1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13); }
+        "#;
+        for &mode in &MODES {
+            let mut e = load_grail(src, &[], mode).unwrap();
+            assert_eq!(e.invoke("top", &[]).unwrap(), 819, "{mode:?}");
         }
     }
 

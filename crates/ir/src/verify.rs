@@ -40,8 +40,10 @@ fn verify_func(module: &Module, func: &IrFunc, allow_masked: bool) -> Result<(),
             func.arity, func.regs
         ));
     }
-    if func.code.is_empty() {
-        return Err("empty code".into());
+    match func.code.last() {
+        None => return Err("empty code".into()),
+        Some(Inst::Jmp { .. } | Inst::Br { .. } | Inst::Ret { .. } | Inst::Abort { .. }) => {}
+        Some(last) => return Err(format!("falls off the end after {last:?}")),
     }
     let len = func.code.len() as u32;
     let reg_ok = |r: u16| (r as usize) < func.regs;
@@ -187,6 +189,13 @@ mod tests {
     fn rejects_register_out_of_range() {
         let m = module_with(vec![Inst::Const { dst: 9, value: 0 }, Inst::Ret { src: None }], 2);
         assert!(verify(&m).is_err());
+    }
+
+    #[test]
+    fn rejects_code_that_falls_off_the_end() {
+        let m = module_with(vec![Inst::Const { dst: 0, value: 1 }], 1);
+        let err = verify(&m).unwrap_err().to_string();
+        assert!(err.contains("falls off the end"), "{err}");
     }
 
     #[test]

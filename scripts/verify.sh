@@ -3,7 +3,8 @@
 #   build (offline), test, emit a quick run artifact, self-diff it.
 #
 # Usage: scripts/verify.sh [--full] [--threads]
-#   --full     use paper-scale iteration counts for the artifact run
+#   --full     use paper-scale iteration counts for the artifact run,
+#              and run the generated-program differential at 200 seeds
 #   --threads  long conformance pass: replay the threaded server
 #              against the deterministic reference for 200 seeds and
 #              run the wire fuzzer at 200 seeds (release)
@@ -62,6 +63,16 @@ if [ "$THREADS" = 1 ]; then
     echo "==> wire fuzz, 200 seeds (release)"
     GRAFT_FUZZ_SEEDS=200 cargo test -q --offline --release \
         -p graft-server --test wire_fuzz
+fi
+
+# Generated-program differential: every technology agrees on value or
+# trap kind for seeded programs with loops, region traffic, calls and
+# traps. The 32-seed version already ran in the workspace test step;
+# --full buys the long pass.
+if [ "$MODE" = --full ]; then
+    echo "==> generated-program differential, 200 seeds (release)"
+    GRAFT_DIFF_SEEDS=200 cargo test -q --offline --release \
+        --test differential engines_agree_on_generated_programs
 fi
 
 echo "==> regenerate all tables ($MODE --offline) with run artifact"

@@ -5,7 +5,7 @@
 //! workloads from a seeded RNG and require every engine to agree bit for
 //! bit with a Rust evaluator.
 
-use graft_rng::{Rng, SmallRng};
+use graft_rng::{Rng, SliceRandom, SmallRng};
 
 use graftbench::api::{ExtensionEngine, RegionSpec};
 use graftbench::bytecode::BytecodeEngine;
@@ -188,6 +188,493 @@ fn region_semantics_match_a_flat_array() {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------
+// Generated programs: loops, region traffic, nested calls, globals and
+// traps. Expressions alone never exercise branches, frames or memory
+// checks; these programs do, so a mistake in how an engine decodes or
+// dispatches code shows up as a disagreement between technologies.
+// ---------------------------------------------------------------------
+
+/// `buf`: a data region; indexes are masked into it unless hostile.
+const BUF_LEN: usize = 16;
+/// `lst`: a linked region, whose word 0 is the NIL sentinel.
+const LST_LEN: usize = 8;
+/// `K`: the constant pool.
+const K_LEN: usize = 8;
+const GLOBALS: usize = 3;
+const CMPS: [&str; 6] = ["<", "<=", ">", ">=", "==", "!="];
+
+/// Generated-program seeds per run: 32 by default, `GRAFT_DIFF_SEEDS`
+/// overrides (the full verification gate runs 200).
+fn diff_seeds() -> u64 {
+    std::env::var("GRAFT_DIFF_SEEDS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(32)
+}
+
+/// Writes random Grail programs. A *hostile* program may index past a
+/// region or constant pool, read a linked region at its NIL word 0, and
+/// recurse without bound; any other program keeps every access in
+/// range, so every technology must compute the same thing.
+struct ProgramGen {
+    rng: SmallRng,
+    hostile: bool,
+    /// Names in scope, innermost scope last; `true` marks a `let` local
+    /// statements may assign (parameters and loop counters are not).
+    scopes: Vec<Vec<(String, bool)>>,
+    fresh: usize,
+    loop_depth: usize,
+    max_loops: usize,
+    /// Functions the body being written may call.
+    callable: &'static [&'static str],
+}
+
+impl ProgramGen {
+    fn new(seed: u64) -> Self {
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let hostile = rng.gen_bool(0.4);
+        ProgramGen {
+            rng,
+            hostile,
+            scopes: Vec::new(),
+            fresh: 0,
+            loop_depth: 0,
+            max_loops: 0,
+            callable: &[],
+        }
+    }
+
+    fn chance(&mut self, p: f64) -> bool {
+        self.rng.gen_bool(p)
+    }
+
+    fn lit(&mut self) -> String {
+        let v: i64 = match self.rng.gen_range(0u32..4) {
+            0 => self.rng.gen_range(0i64..4),
+            1 => self.rng.gen_range(-100_000i64..100_000),
+            2 => *[1, 31, 63, 64, 0xFFFF_FFFF].choose(&mut self.rng).unwrap(),
+            _ => self.rng.next_u64() as u32 as i32 as i64,
+        };
+        if v < 0 {
+            format!("(0 - {})", v.unsigned_abs())
+        } else {
+            v.to_string()
+        }
+    }
+
+    fn name(&mut self, assignable_only: bool) -> Option<String> {
+        let names: Vec<&String> = self
+            .scopes
+            .iter()
+            .flatten()
+            .filter(|(_, assignable)| *assignable || !assignable_only)
+            .map(|(name, _)| name)
+            .collect();
+        names.choose(&mut self.rng).map(|n| n.to_string())
+    }
+
+    fn atom(&mut self) -> String {
+        match self.rng.gen_range(0u32..4) {
+            0 => self.lit(),
+            1 | 2 => self.name(false).unwrap_or_else(|| self.lit()),
+            _ => format!("g{}", self.rng.gen_range(0..GLOBALS)),
+        }
+    }
+
+    fn expr(&mut self, depth: u32) -> String {
+        if depth == 0 || self.chance(0.25) {
+            return self.atom();
+        }
+        let d = depth - 1;
+        match self.rng.gen_range(0u32..11) {
+            0..=2 => {
+                let op = ["+", "-", "*", "&", "|", "^", "<<", ">>"]
+                    .choose(&mut self.rng)
+                    .unwrap();
+                format!("({} {op} {})", self.expr(d), self.expr(d))
+            }
+            3 | 4 => {
+                let op = ["+", "-", "*", "&", "|", "^", "<<", ">>"]
+                    .choose(&mut self.rng)
+                    .unwrap();
+                format!("({} {op} {})", self.expr(d), self.lit())
+            }
+            5 => {
+                let op = if self.chance(0.5) { "/" } else { "%" };
+                let (a, b) = (self.expr(d), self.expr(d));
+                // Mostly non-zero divisors; `& 3` is zero a quarter of
+                // the time it is drawn, which must trap alike everywhere.
+                let divisor = if self.chance(0.95) {
+                    format!("({b} | 1)")
+                } else {
+                    format!("({b} & 3)")
+                };
+                format!("({a} {op} {divisor})")
+            }
+            6 => format!("(-{})", self.expr(d)),
+            7 => format!("(~{})", self.expr(d)),
+            8 | 9 => self.load(d),
+            _ => self.call(d),
+        }
+    }
+
+    /// An index into a region or pool of `len` words.
+    fn index(&mut self, len: usize, depth: u32) -> String {
+        let e = self.expr(depth);
+        if self.hostile && self.chance(0.08) {
+            match self.rng.gen_range(0u32..3) {
+                0 => e,
+                1 => format!("({e} & {})", 2 * len - 1),
+                _ => (len + self.rng.gen_range(0usize..3)).to_string(),
+            }
+        } else {
+            format!("({e} & {})", len - 1)
+        }
+    }
+
+    /// An index into the linked region: never the NIL word 0 unless
+    /// hostile.
+    fn link(&mut self, depth: u32) -> String {
+        if self.hostile && self.chance(0.08) {
+            if self.chance(0.5) {
+                "0".to_string()
+            } else {
+                self.index(LST_LEN, depth)
+            }
+        } else {
+            format!("({} | 1)", self.index(LST_LEN, depth))
+        }
+    }
+
+    fn load(&mut self, depth: u32) -> String {
+        match self.rng.gen_range(0u32..3) {
+            0 => format!("buf[{}]", self.index(BUF_LEN, depth)),
+            1 => format!("K[{}]", self.index(K_LEN, depth)),
+            _ => format!("lst[{}]", self.link(depth)),
+        }
+    }
+
+    fn call(&mut self, depth: u32) -> String {
+        let Some(&callee) = self.callable.choose(&mut self.rng) else {
+            return self.atom();
+        };
+        let args: Vec<String> = match callee {
+            "rec" => {
+                let e = self.expr(depth);
+                // Unbounded recursion depth only in hostile programs.
+                let n = if self.hostile && self.chance(0.2) {
+                    e
+                } else {
+                    format!("({e} & 7)")
+                };
+                vec![n, self.expr(depth)]
+            }
+            "wide" => (0..13).map(|_| self.expr(depth.min(1))).collect(),
+            "mid" => (0..3).map(|_| self.expr(depth)).collect(),
+            _ => (0..2).map(|_| self.expr(depth)).collect(),
+        };
+        format!("{callee}({})", args.join(", "))
+    }
+
+    fn cond(&mut self, depth: u32) -> String {
+        if depth == 0 || self.chance(0.6) {
+            let cmp = CMPS.choose(&mut self.rng).unwrap();
+            let rhs = if self.chance(0.5) {
+                self.lit()
+            } else {
+                self.expr(1)
+            };
+            return format!("{} {cmp} {rhs}", self.expr(1));
+        }
+        let d = depth - 1;
+        match self.rng.gen_range(0u32..3) {
+            0 => format!("!({})", self.cond(d)),
+            1 => format!("({}) && ({})", self.cond(d), self.cond(d)),
+            _ => format!("({}) || ({})", self.cond(d), self.cond(d)),
+        }
+    }
+
+    fn declare(&mut self, prefix: &str, assignable: bool) -> String {
+        self.fresh += 1;
+        let name = format!("{prefix}{}", self.fresh);
+        self.scopes
+            .last_mut()
+            .unwrap()
+            .push((name.clone(), assignable));
+        name
+    }
+
+    fn block(&mut self, stmts: std::ops::Range<usize>, depth: u32) -> String {
+        self.scopes.push(Vec::new());
+        let n = self.rng.gen_range(stmts);
+        let body: Vec<String> = (0..n).map(|_| self.stmt(depth)).collect();
+        self.scopes.pop();
+        body.join(" ")
+    }
+
+    fn stmt(&mut self, depth: u32) -> String {
+        match self.rng.gen_range(0u32..13) {
+            2 | 3 => {
+                if let Some(name) = self.name(true) {
+                    return format!("{name} = {};", self.expr(3));
+                }
+                let e = self.expr(3);
+                format!("let {} = {e};", self.declare("v", true))
+            }
+            4 => format!("g{} = {};", self.rng.gen_range(0..GLOBALS), self.expr(3)),
+            5 => format!("buf[{}] = {};", self.index(BUF_LEN, 2), self.expr(3)),
+            6 => format!("lst[{}] = {};", self.link(2), self.expr(3)),
+            7 if depth > 0 => {
+                let c = self.cond(2);
+                let then = self.block(1..4, depth - 1);
+                if self.chance(0.5) {
+                    let els = self.block(1..4, depth - 1);
+                    format!("if {c} {{ {then} }} else {{ {els} }}")
+                } else {
+                    format!("if {c} {{ {then} }}")
+                }
+            }
+            8 if depth > 0 && self.loop_depth < self.max_loops => {
+                // The counter steps first, so `continue` cannot spin.
+                let bound = self.rng.gen_range(0i64..5);
+                let i = self.declare("i", false);
+                self.loop_depth += 1;
+                let body = self.block(1..4, depth - 1);
+                self.loop_depth -= 1;
+                format!("let {i} = 0; while {i} < {bound} {{ {i} = {i} + 1; {body} }}")
+            }
+            9 if self.loop_depth > 0 => {
+                let jump = if self.chance(0.5) {
+                    "break"
+                } else {
+                    "continue"
+                };
+                format!("if {} {{ {jump}; }}", self.cond(1))
+            }
+            10 => format!("if {} {{ return {}; }}", self.cond(1), self.expr(2)),
+            11 if self.chance(0.1) => format!("if {} {{ abort({}); }}", self.cond(1), self.expr(1)),
+            _ => {
+                let e = self.expr(3);
+                if self.chance(0.3) {
+                    // A copy of another local: the pattern a register
+                    // coalescer must not fold while the source is live.
+                    if let Some(src) = self.name(false) {
+                        let first = self.declare("v", true);
+                        let second = self.declare("v", true);
+                        let sum = self.declare("v", true);
+                        return format!(
+                            "let {first} = {src}; let {second} = {first}; \
+                             let {sum} = {e} + {first} + {second};"
+                        );
+                    }
+                }
+                format!("let {} = {e};", self.declare("v", true))
+            }
+        }
+    }
+
+    fn function(
+        &mut self,
+        name: &str,
+        params: &[&str],
+        callable: &'static [&'static str],
+        max_loops: usize,
+        stmts: usize,
+    ) -> String {
+        self.callable = callable;
+        self.max_loops = max_loops;
+        self.scopes = vec![params.iter().map(|p| (p.to_string(), false)).collect()];
+        let body = self.block(stmts..stmts + 1, 2);
+        let ret = self.expr(3);
+        let sig: Vec<String> = params.iter().map(|p| format!("{p}: int")).collect();
+        format!(
+            "fn {name}({}) -> int {{ {body} return {ret}; }}\n",
+            sig.join(", ")
+        )
+    }
+
+    /// The program's source. Entry points: `main(a, b, c)` and
+    /// `digest()`, a hash of every global and region word.
+    fn program(&mut self) -> String {
+        let mut src = String::new();
+        for g in 0..GLOBALS {
+            src += &format!("var g{g} = {};\n", self.lit());
+        }
+        let pool: Vec<String> = (0..K_LEN).map(|_| self.lit()).collect();
+        src += &format!("const K[{K_LEN}] = {{ {} }};\n", pool.join(", "));
+        src += &self.function("leaf", &["x", "y"], &[], 1, 4);
+        // Bounded recursion: the only cycle in the call graph.
+        self.callable = &["leaf"];
+        self.max_loops = 0;
+        self.scopes = vec![vec![("n".into(), false), ("acc".into(), false)]];
+        let body = self.block(2..3, 1);
+        let step = self.expr(2);
+        src += &format!(
+            "fn rec(n: int, acc: int) -> int {{ if n <= 0 {{ return acc; }} {body} return rec(n - 1, acc ^ {step}); }}\n"
+        );
+        // Thirteen parameters: one more than a fixed argument buffer of
+        // twelve would hold; the weights catch a misordered argument.
+        let params: Vec<String> = (0..13).map(|i| format!("p{i}: int")).collect();
+        let sum: Vec<String> = (0..13).map(|i| format!("p{i} * {}", i + 1)).collect();
+        src += &format!(
+            "fn wide({}) -> int {{ return {}; }}\n",
+            params.join(", "),
+            sum.join(" + ")
+        );
+        src += &self.function("mid", &["x", "y", "z"], &["leaf", "rec", "wide"], 1, 5);
+        let main = self.function(
+            "main",
+            &["a", "b", "c"],
+            &["leaf", "rec", "wide", "mid"],
+            2,
+            6,
+        );
+        // Every program makes at least one 13-argument call.
+        let wide: Vec<String> = (0..13)
+            .map(|i| ["a", "b", "c"][i % 3].to_string())
+            .collect();
+        src += &main.replacen('{', &format!("{{ g0 = g0 ^ wide({});", wide.join(", ")), 1);
+        src += &format!(
+            "fn digest() -> int {{ let s = g0 * 31 + g1 * 7 + g2; let i = 0; \
+             while i < {BUF_LEN} {{ s = s * 31 + buf[i]; i = i + 1; }} i = 1; \
+             while i < {LST_LEN} {{ s = s * 31 + lst[i]; i = i + 1; }} return s; }}\n"
+        );
+        src
+    }
+}
+
+/// A run's outcome: a value, or the kind of trap (payloads such as the
+/// offending index are compared by the dedicated trap tests).
+#[derive(Debug, PartialEq)]
+enum Outcome {
+    Value(i64),
+    Trap(std::mem::Discriminant<Trap>),
+}
+
+fn outcome(result: Result<i64, GraftError>) -> Outcome {
+    match result {
+        Ok(v) => Outcome::Value(v),
+        Err(err) => match err.as_trap() {
+            Some(trap) => Outcome::Trap(std::mem::discriminant(trap)),
+            None => panic!("engine failed without a trap: {err}"),
+        },
+    }
+}
+
+/// Property: on generated programs, the Modula-3 analogue and the
+/// bytecode engine agree on every value or trap kind and on the state
+/// they leave behind. On programs whose accesses stay in range, unsafe
+/// C and both SFI configurations agree too, and the two metered
+/// compiled technologies burn the same fuel, with a roomy budget and
+/// with a budget small enough to preempt them.
+#[test]
+fn engines_agree_on_generated_programs() {
+    let regions = [
+        RegionSpec::data("buf", BUF_LEN),
+        RegionSpec::linked("lst", LST_LEN),
+    ];
+    // The first three are the metered technologies; the first is the
+    // reference every other engine is held to.
+    let modes = [
+        SafetyMode::Safe { nil_checks: true },
+        SafetyMode::Sfi {
+            read_protect: false,
+        },
+        SafetyMode::Sfi { read_protect: true },
+        SafetyMode::Safe { nil_checks: false },
+        SafetyMode::Unchecked,
+    ];
+    const METERED: usize = 3;
+    const ROOMY: u64 = 1 << 40;
+    let mut hostile = 0;
+    for seed in 0..diff_seeds() {
+        let mut gen = ProgramGen::new(0x6E4E_0000 + seed);
+        let src = gen.program();
+        let ctx = format!("seed {seed}, hostile {}:\n{src}", gen.hostile);
+        hostile += gen.hostile as u32;
+        let mut bytecode =
+            BytecodeEngine::load_grail(&src, &regions).unwrap_or_else(|e| panic!("{e}\n{ctx}"));
+        let mut compiled: Vec<_> = modes
+            .iter()
+            .map(|&mode| {
+                load_grail(&src, &regions, mode).unwrap_or_else(|e| panic!("{mode:?}: {e}\n{ctx}"))
+            })
+            .collect();
+        for round in 0..4 {
+            let args = [
+                gen.rng.gen_range(-50i64..50),
+                gen.rng.next_u64() as u32 as i32 as i64,
+                gen.rng.gen_range(0i64..20),
+            ];
+            // The last round runs on a budget small enough to preempt.
+            let budget = if round == 3 {
+                gen.rng.gen_range(0u64..64)
+            } else {
+                ROOMY
+            };
+            // Out-of-range programs: only the checked technologies agree.
+            let agreeing = match (gen.hostile, round) {
+                (true, _) => 1,
+                (false, 3) => METERED,
+                (false, _) => compiled.len(),
+            };
+            for e in &mut compiled[..METERED] {
+                e.set_fuel(Some(budget));
+            }
+            let want = outcome(compiled[0].invoke("main", &args));
+            for (mode, e) in modes.iter().zip(&mut compiled).take(agreeing).skip(1) {
+                assert_eq!(
+                    outcome(e.invoke("main", &args)),
+                    want,
+                    "{mode:?} main{args:?}, {ctx}"
+                );
+            }
+            for e in &mut compiled[agreeing..] {
+                // Confined or garbage, but never a host panic.
+                let _ = e.invoke("main", &args);
+            }
+            if !gen.hostile {
+                let fuel: Vec<_> = compiled[..METERED].iter().map(|e| e.fuel_used()).collect();
+                assert!(
+                    fuel.windows(2).all(|w| w[0] == w[1]),
+                    "fuel {fuel:?}, {ctx}"
+                );
+            }
+            for e in &mut compiled[..METERED] {
+                e.set_fuel(Some(ROOMY));
+            }
+            if round < 3 {
+                // Unmetered, so its loop bounds alone decide.
+                assert_eq!(
+                    outcome(bytecode.invoke("main", &args)),
+                    want,
+                    "bytecode main{args:?}, {ctx}"
+                );
+            }
+            let digest = compiled[0].invoke("digest", &[]).unwrap();
+            for (mode, e) in modes.iter().zip(&mut compiled).take(agreeing) {
+                assert_eq!(
+                    e.invoke("digest", &[]).unwrap(),
+                    digest,
+                    "{mode:?} state, {ctx}"
+                );
+            }
+            if round < 3 {
+                assert_eq!(
+                    bytecode.invoke("digest", &[]).unwrap(),
+                    digest,
+                    "bytecode state, {ctx}"
+                );
+            }
+        }
+    }
+    assert!(
+        hostile > 0 || diff_seeds() < 8,
+        "no hostile program generated"
+    );
 }
 
 // ---------------------------------------------------------------------
