@@ -218,11 +218,12 @@ fn summarize_durable(a: &RunArtifact) -> String {
     );
     let _ = writeln!(
         out,
-        "    retention: merges {merges}  merged segments {}  pruned entries {}  retained {} entries / {} segments",
+        "    retention: merges {merges}  merged segments {}  pruned entries {}  retained {} entries / {} segments  refused {}",
         a.counter("ld.merge.merged_segments"),
         a.counter("ld.merge.pruned_entries"),
         a.counter("ld.retained_entries"),
         a.counter("ld.retained_segments"),
+        a.counter("ld.merge.refused"),
     );
     if failures > 0 && a.counter("disk.faults.bitrot") == 0 {
         out.push_str(
@@ -1003,6 +1004,7 @@ mod tests {
                 .set("ld.merge.passes", 3u64)
                 .set("ld.merge.merged_segments", 900u64)
                 .set("ld.merge.pruned_entries", 26_381u64)
+                .set("ld.merge.refused", 1u64)
                 .set("ld.retained_entries", 41_699u64)
                 .set("ld.retained_segments", 2081u64)
                 .set("disk.faults.bitrot", bitrot);
@@ -1026,7 +1028,7 @@ mod tests {
         );
         assert!(
             text.contains(
-                "retention: merges 3  merged segments 900  pruned entries 26381  retained 41699 entries / 2081 segments"
+                "retention: merges 3  merged segments 900  pruned entries 26381  retained 41699 entries / 2081 segments  refused 1"
             ),
             "{text}"
         );

@@ -707,6 +707,7 @@ pub fn table14_json(t: &Table14) -> Json {
         .set("writes", t.writes)
         .set("blocks", t.blocks)
         .set("retention_window", t.retention_window)
+        .set("retention_pass", sample_json(&t.retention_pass))
         .set("pruned_entries", t.pruned_entries)
         .set("retained_entries", t.retained_entries)
         .set("restore_divergence", t.restore_divergence)

@@ -11,7 +11,9 @@
 //!    progressively older LSNs; each [`restore_to_lsn`] audits the full
 //!    retained history and replays the prefix idempotently.
 //! 2. **Scrub throughput** — a full checksum audit of the retained
-//!    history, reported in million entries per second.
+//!    history, reported in million entries per second — and the cost
+//!    of one retention pass (audit, fold and seal), timed over every
+//!    pass the history disk's cleaner ran.
 //! 3. **Bit-rot detection drills** — one drill per seed: the write
 //!    stream runs over a [`FaultyDisk`] armed with `bitrot_permille`;
 //!    every drawn [`Bitrot`] flips one stored bit in a persisted
@@ -163,6 +165,9 @@ pub struct Table14 {
     pub blocks: usize,
     /// Retention window (LSNs behind the durable head kept restorable).
     pub retention_window: u64,
+    /// One retention pass on the history disk (audit, fold and seal),
+    /// over every pass its cleaner ran.
+    pub retention_pass: Sample,
     /// History entries pruned by retention merging.
     pub pruned_entries: u64,
     /// History entries retained after merging.
@@ -489,6 +494,7 @@ pub fn table14(cfg: &RunConfig) -> Result<Table14, GraftError> {
     let mut history = history_disk(writes, blocks, window);
     let restore_curve = restore_curve(&mut history, runs);
     let scrub = scrub_bench(&history, runs);
+    let retention_pass = Sample::from_runs(history.retention_passes());
     let pruned_entries = history.disk().stats().pruned_entries;
     let retained_entries = history.disk().retained_entries();
     drop(history);
@@ -563,6 +569,7 @@ pub fn table14(cfg: &RunConfig) -> Result<Table14, GraftError> {
         writes,
         blocks,
         retention_window: window,
+        retention_pass,
         pruned_entries,
         retained_entries,
         restore_divergence,
@@ -643,6 +650,8 @@ mod tests {
     fn the_history_disk_is_merged_and_scrubbable() {
         let t = table14(&tiny()).unwrap();
         assert!(t.pruned_entries > 0, "retention merging must prune");
+        assert!(t.retention_pass.runs > 0);
+        assert!(t.retention_pass.best_ns() > 0.0);
         assert!(t.retained_entries > 0);
         assert!(t.scrub.entries > 0);
         assert!(t.scrub.segments > 0);

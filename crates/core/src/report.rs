@@ -432,6 +432,12 @@ pub fn render_table14(t: &Table14) -> String {
         t.scrub.scrub.robust_style(),
         t.scrub.throughput_m
     );
+    let _ = writeln!(
+        out,
+        "  retention: {} passes, {} each (audit, fold and seal)",
+        t.retention_pass.runs,
+        t.retention_pass.robust_style()
+    );
     out.push_str("  bit-rot drills (quiet plan + latent rot, one bit per strike):\n");
     let dwidths = [6, 9, 10, 9, 11, 7, 13, 10];
     line(

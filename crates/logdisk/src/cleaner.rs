@@ -4,6 +4,8 @@
 //! Logical Disk can run indefinitely; the `ablation_ld_cleaner` bench
 //! measures what it would have cost.
 
+use std::time::{Duration, Instant};
+
 use crate::{LdConfig, LogicalDisk, SegmentFlush, UNMAPPED};
 
 /// Statistics from cleaning activity.
@@ -19,6 +21,9 @@ pub struct CleanerStats {
     pub retention_merges: u64,
     /// History entries pruned by those merges.
     pub retention_pruned: u64,
+    /// Retention passes refused because history they read had rotted
+    /// (the disk counts the mismatches; quarantine is left to scrub).
+    pub retention_refused: u64,
 }
 
 /// A Logical Disk with a greedy cleaner layered on top.
@@ -40,6 +45,8 @@ pub struct CleaningDisk {
     /// than `durable_lsn - window` (multi-version merge), bounding how
     /// much restore history the disk retains.
     retention_window: Option<u64>,
+    /// Wall-clock time of every retention pass run, refused ones too.
+    retention_passes: Vec<Duration>,
     stats: CleanerStats,
 }
 
@@ -69,6 +76,7 @@ impl CleaningDisk {
             free_segments: config.segments(),
             reserve_segments,
             retention_window,
+            retention_passes: Vec::new(),
             stats: CleanerStats::default(),
         }
     }
@@ -76,6 +84,12 @@ impl CleaningDisk {
     /// Accumulated cleaner statistics.
     pub fn stats(&self) -> CleanerStats {
         self.stats
+    }
+
+    /// Wall-clock time of each retention pass the cleaner has run, in
+    /// order (empty without a retention window).
+    pub fn retention_passes(&self) -> &[Duration] {
+        &self.retention_passes
     }
 
     /// The underlying Logical Disk.
@@ -160,9 +174,15 @@ impl CleaningDisk {
         if let Some(window) = self.retention_window {
             let watermark = self.ld.durable_lsn().saturating_sub(window);
             if watermark > self.ld.retention_floor() {
+                let t0 = Instant::now();
                 let report = self.ld.merge_below_watermark(watermark);
-                self.stats.retention_merges += 1;
-                self.stats.retention_pruned += report.pruned_entries;
+                self.retention_passes.push(t0.elapsed());
+                if report.refused() {
+                    self.stats.retention_refused += 1;
+                } else {
+                    self.stats.retention_merges += 1;
+                    self.stats.retention_pruned += report.pruned_entries;
+                }
             }
         }
     }
@@ -193,6 +213,7 @@ impl Drop for CleaningDisk {
         graft_telemetry::counter!("cleaner.segments_reclaimed").add(s.segments_reclaimed);
         graft_telemetry::counter!("cleaner.retention_merges").add(s.retention_merges);
         graft_telemetry::counter!("cleaner.retention_pruned").add(s.retention_pruned);
+        graft_telemetry::counter!("cleaner.retention_refused").add(s.retention_refused);
     }
 }
 
@@ -260,6 +281,11 @@ mod tests {
         for l in 0..config.blocks as u64 {
             assert_eq!(bounded.disk().read(l), unbounded.disk().read(l));
         }
+        assert_eq!(bounded.stats().retention_refused, 0);
+        assert_eq!(
+            bounded.retention_passes().len() as u64,
+            bounded.stats().retention_merges
+        );
         // Restores inside the window still work and stay exact.
         let head = bounded.disk().durable_lsn();
         let floor = bounded.disk().retention_floor();
@@ -274,5 +300,48 @@ mod tests {
                 assert_eq!(p, bounded.disk().map()[l], "block {l}");
             }
         }
+    }
+
+    #[test]
+    fn rotted_history_refuses_retention_until_scrub_quarantines_it() {
+        let config = LdConfig {
+            blocks: 256,
+            segment_blocks: 16,
+        };
+        let stream: Vec<u64> =
+            workload::trace(config.blocks, 12 * config.blocks as u64, 17, 900, 100).collect();
+        let (first, rest) = stream.split_at(2 * config.blocks);
+        let mut d = CleaningDisk::with_retention(config, 2, Some(128));
+        for &l in first {
+            d.write(l);
+        }
+        // Rot the oldest fresh record: every later pass would fold it.
+        let index = usize::from(d.disk().segments()[0].merged);
+        d.disk_mut().corrupt_segment(index, false, 0x0901).unwrap();
+        let (floor, merges) = (d.disk().retention_floor(), d.stats().retention_merges);
+        let (half, tail) = rest.split_at(rest.len() / 2);
+        for &l in half {
+            d.write(l);
+        }
+        let s = d.stats();
+        assert!(s.retention_refused > 0, "passes must have been refused");
+        assert_eq!(s.retention_merges, merges, "nothing folded past the rot");
+        assert_eq!(d.disk().retention_floor(), floor);
+        assert_eq!(d.disk().stats().merge_refusals, s.retention_refused);
+        assert_eq!(d.disk().stats().checksum_failures, s.retention_refused);
+        let quarantined = d.disk().stats().quarantined_segments;
+        assert_eq!(quarantined, 0, "quarantine is scrub's job");
+        assert_eq!(
+            d.retention_passes().len() as u64,
+            s.retention_merges + s.retention_refused
+        );
+        // Scrub quarantines the rot; retention resumes.
+        assert_eq!(d.disk_mut().scrub().failures, 1);
+        for &l in tail {
+            d.write(l);
+        }
+        assert!(d.stats().retention_merges > merges);
+        assert!(d.disk().retention_floor() > floor);
+        assert_eq!(d.stats().retention_refused, s.retention_refused);
     }
 }

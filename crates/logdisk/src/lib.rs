@@ -176,12 +176,15 @@ pub struct LdStats {
     pub restores: u64,
     /// Mapping entries materialized across all restores.
     pub restored_mappings: u64,
-    /// Multi-version merge passes ([`LogicalDisk::merge_below_watermark`]).
+    /// Multi-version merge passes ([`LogicalDisk::merge_below_watermark`]),
+    /// refused ones included.
     pub merge_passes: u64,
     /// Segments consumed by merges.
     pub merged_segments: u64,
     /// History entries pruned by merges (superseded below the watermark).
     pub pruned_entries: u64,
+    /// Merge passes refused because a record they read failed its audit.
+    pub merge_refusals: u64,
 }
 
 /// Result of one integrity audit over the retained segment history
@@ -635,6 +638,7 @@ impl Drop for LogicalDisk {
         graft_telemetry::counter!("ld.merge.passes").add(s.merge_passes);
         graft_telemetry::counter!("ld.merge.merged_segments").add(s.merged_segments);
         graft_telemetry::counter!("ld.merge.pruned_entries").add(s.pruned_entries);
+        graft_telemetry::counter!("ld.merge.refused").add(s.merge_refusals);
         graft_telemetry::counter!("ld.retained_segments").add(self.segments.len() as u64);
         graft_telemetry::counter!("ld.retained_entries")
             .add(self.segments.iter().map(|s| s.entries.len() as u64).sum());

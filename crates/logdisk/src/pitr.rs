@@ -20,6 +20,13 @@
 //! ([`CleaningDisk::with_retention`]), making retention pressure part
 //! of the measured workload rather than a free lunch.
 //!
+//! The retention pass is audited like every other reader of the
+//! history: it verifies each record before believing any of its LSNs,
+//! and refuses to fold rot (sealing it under a fresh checksum would
+//! launder it past every later audit). It is also linear: one sweep
+//! against a per-block bitmap, no hashing, no sorting, and its output
+//! is exactly the newest-entry-per-block record in LSN order.
+//!
 //! [`CleaningDisk::with_retention`]: crate::cleaner::CleaningDisk::with_retention
 
 use crate::{LogicalDisk, MapEntry, SealedSegment, UNMAPPED};
@@ -77,6 +84,17 @@ pub struct MergeReport {
     pub pruned_entries: u64,
     /// Mapping entries retained across the whole history after the pass.
     pub retained_entries: u64,
+    /// Records that failed their audit during the pass. Nonzero means
+    /// the pass was refused: nothing was folded or sealed, and the
+    /// history and the retention floor are as they were.
+    pub checksum_failures: u64,
+}
+
+impl MergeReport {
+    /// Whether the pass was refused because history it read had rotted.
+    pub fn refused(&self) -> bool {
+        self.checksum_failures > 0
+    }
 }
 
 /// An idempotent mapping replayer: entries can arrive in any order, any
@@ -240,56 +258,118 @@ impl LogicalDisk {
     /// merge; restores below it now refuse with
     /// [`RestoreError::BelowRetention`].
     ///
-    /// The merged segment is sealed under the same checksum family as
-    /// fresh ones and participates in later merges, so repeated passes
-    /// compound instead of stacking.
+    /// The pass audits before it believes: it walks the history from
+    /// the front, verifying each record's checksum before reading any
+    /// of its LSNs, and folds the verified prefix whose records end at
+    /// or below the watermark; it stops at the first verified record
+    /// past it. If any record it reads fails its audit, the pass is
+    /// **refused**: nothing is sealed, the history and the floor stay
+    /// as they were, and the mismatches are counted in
+    /// [`LdStats::checksum_failures`](crate::LdStats::checksum_failures)
+    /// and reported in [`MergeReport::checksum_failures`]. Quarantine
+    /// stays [`scrub`](LogicalDisk::scrub)'s job, so the redo spans it
+    /// reports are the same with or without a refused pass in between.
+    ///
+    /// The fold is one linear sweep: candidates newest-first against a
+    /// per-block bitmap, keeping each block's first sighting. Segments
+    /// hold disjoint, ordered LSN ranges, so the survivors come out in
+    /// LSN order with no hashing or sorting. The merged segment is
+    /// sealed under the same checksum family as fresh ones and
+    /// participates in later merges, so repeated passes compound
+    /// instead of stacking.
     pub fn merge_below_watermark(&mut self, watermark: u64) -> MergeReport {
         let watermark = watermark.min(self.durable_lsn);
-        self.retention_floor = self.retention_floor.max(watermark);
-        let (candidates, keep): (Vec<SealedSegment>, Vec<SealedSegment>) = self
-            .segments
-            .drain(..)
-            .partition(|s| s.end_lsn() <= watermark);
         self.stats.merge_passes += 1;
-        if candidates.is_empty() {
-            self.segments = keep;
+        let seed = self.checksum_seed;
+        let mut candidates = 0;
+        let mut corrupt = 0u64;
+        for (i, s) in self.segments.iter().enumerate() {
+            if !s.verify(seed) {
+                corrupt += 1;
+            } else if s.end_lsn() > watermark {
+                break;
+            } else {
+                candidates = i + 1;
+            }
+        }
+        if corrupt > 0 {
+            self.stats.checksum_failures += corrupt;
+            self.stats.merge_refusals += 1;
+            return MergeReport {
+                checksum_failures: corrupt,
+                retained_entries: self.retained_entries(),
+                ..MergeReport::default()
+            };
+        }
+        self.retention_floor = self.retention_floor.max(watermark);
+        if candidates == 0 {
             return MergeReport {
                 retained_entries: self.retained_entries(),
                 ..MergeReport::default()
             };
         }
-        // Newest entry per logical block among the candidates survives.
-        let mut newest: std::collections::HashMap<u64, MapEntry> = std::collections::HashMap::new();
-        let mut total = 0u64;
-        for seg in &candidates {
-            total += seg.entries.len() as u64;
-            for &e in &seg.entries {
-                let slot = newest.entry(e.logical).or_insert(e);
-                if e.lsn > slot.lsn {
-                    *slot = e;
+        let total: usize = self.segments[..candidates]
+            .iter()
+            .map(|s| s.entries.len())
+            .sum();
+        // One bit per logical block: set once the fold has kept it.
+        let mut seen = vec![0u64; self.config.blocks.div_ceil(64)];
+        let bit = |logical: u64| (logical as usize / 64, 1u64 << (logical % 64));
+        let mut physical_start = u64::MAX;
+        // Fresh records newest-first, so each block's first sighting is
+        // its newest entry; reversed, the survivors are in LSN order.
+        let base_merged = self.segments[0].merged;
+        let fresh_records = &self.segments[usize::from(base_merged)..candidates];
+        let mut fresh = Vec::new();
+        for seg in fresh_records.iter().rev() {
+            for e in seg.entries.iter().rev() {
+                let (word, mask) = bit(e.logical);
+                if seen[word] & mask == 0 {
+                    seen[word] |= mask;
+                    physical_start = physical_start.min(e.physical);
+                    fresh.push(*e);
                 }
             }
         }
-        let mut survivors: Vec<MapEntry> = newest.into_values().collect();
-        survivors.sort_by_key(|e| e.lsn);
-        let pruned = total - survivors.len() as u64;
+        fresh.reverse();
+        // A merged base holds one entry per block, all older than any
+        // fresh entry: its unseen entries survive in place, in order.
+        let mut survivors = if base_merged {
+            std::mem::take(&mut self.segments[0].entries)
+        } else {
+            Vec::new()
+        };
+        survivors.retain(|e| {
+            let (word, mask) = bit(e.logical);
+            let unseen = seen[word] & mask == 0;
+            if unseen {
+                physical_start = physical_start.min(e.physical);
+            }
+            unseen
+        });
+        survivors.append(&mut fresh);
+        let pruned = (total - survivors.len()) as u64;
+        let physical_start = if survivors.is_empty() {
+            0
+        } else {
+            physical_start
+        };
         let mut merged = SealedSegment {
             base_lsn: survivors.first().map(|e| e.lsn).unwrap_or(watermark),
-            physical_start: survivors.iter().map(|e| e.physical).min().unwrap_or(0),
+            physical_start,
             merged: true,
             entries: survivors,
             checksum: 0,
         };
-        merged.seal(self.checksum_seed);
-        self.segments = Vec::with_capacity(1 + keep.len());
-        self.segments.push(merged);
-        self.segments.extend(keep);
-        self.stats.merged_segments += candidates.len() as u64;
+        merged.seal(seed);
+        self.segments.splice(..candidates, [merged]);
+        self.stats.merged_segments += candidates as u64;
         self.stats.pruned_entries += pruned;
         MergeReport {
-            merged_segments: candidates.len() as u64,
+            merged_segments: candidates as u64,
             pruned_entries: pruned,
             retained_entries: self.retained_entries(),
+            checksum_failures: 0,
         }
     }
 }
@@ -454,6 +534,81 @@ mod tests {
         assert_eq!(d.segments().iter().filter(|s| s.merged).count(), 1);
         assert!(d.segments().len() < after_first);
         assert_eq!(d.retention_floor(), 400);
+    }
+
+    /// A retention pass over rotted history must not launder it: rot a
+    /// fresh segment below the watermark (a payload word or a summary
+    /// field, at index 1 or at the last candidate), run the pass, and
+    /// the rot must still be reported — with the redo span scrub gives
+    /// without the pass — and no restore may answer with a wrong map.
+    #[test]
+    fn a_merge_never_launders_rot_below_the_watermark() {
+        let cfg = config();
+        let stream: Vec<u64> = workload::skewed(cfg.blocks, 400, 31).collect();
+        let watermark = 200;
+        let mut intact = LogicalDisk::new(cfg);
+        for &l in &stream {
+            intact.write(l);
+        }
+        let last_candidate = intact
+            .segments()
+            .iter()
+            .rposition(|s| s.end_lsn() <= watermark)
+            .unwrap();
+        assert!(last_candidate > 1);
+        for index in [1, last_candidate] {
+            // Payload flips of lsn / logical / physical, then summary
+            // flips of checksum / base_lsn / physical_start.
+            for (summary, entropy) in [
+                (false, 0x0300),
+                (false, 0x0901),
+                (false, 0x1402),
+                (true, 0x0300),
+                (true, 0x0901),
+                (true, 0x1402),
+            ] {
+                let mut d = intact.clone();
+                d.corrupt_segment(index, summary, entropy).unwrap();
+                let without_pass = d.clone().scrub();
+                assert_eq!(without_pass.failures, 1);
+
+                let report = d.merge_below_watermark(watermark);
+                let what = format!("segment {index}, summary {summary}, entropy {entropy:#x}");
+                assert!(report.refused(), "{what}: the pass folded rot");
+                assert_eq!(report.checksum_failures, 1, "{what}");
+                assert_eq!(report.merged_segments, 0, "{what}");
+                assert_eq!(d.retention_floor(), 0, "{what}: refusal moved the floor");
+                assert_eq!(d.stats().checksum_failures, 1, "{what}");
+                assert_eq!(d.stats().merge_refusals, 1, "{what}");
+                assert!(d.segments().iter().all(|s| !s.merged), "{what}");
+
+                let floor = d.retention_floor();
+                if let Ok(map) = d.restore_to_lsn(floor) {
+                    assert_eq!(map, oracle_prefix(cfg, &stream, floor), "{what}");
+                }
+                let after_pass = d.scrub();
+                assert_eq!(after_pass.failures, 1, "{what}: rot laundered");
+                assert_eq!(after_pass.redo_spans, without_pass.redo_spans, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn rot_past_the_folded_prefix_does_not_refuse_the_pass() {
+        let cfg = config();
+        let mut d = LogicalDisk::new(cfg);
+        for l in workload::skewed(cfg.blocks, 400, 31) {
+            d.write(l);
+        }
+        // 50 segments of 8; the pass reads through segment 25 (the
+        // first intact record past LSN 200) and never reaches 40.
+        d.corrupt_segment(40, false, 0x0901).unwrap();
+        let report = d.merge_below_watermark(200);
+        assert!(!report.refused());
+        assert_eq!(report.merged_segments, 25);
+        assert_eq!(d.retention_floor(), 200);
+        assert_eq!(d.stats().checksum_failures, 0);
+        assert_eq!(d.scrub().failures, 1, "scrub still finds the rot");
     }
 
     #[test]

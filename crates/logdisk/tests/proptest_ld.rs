@@ -4,7 +4,10 @@
 use std::collections::HashMap;
 
 use graft_rng::{Rng, SmallRng};
-use logdisk::{cleaner::CleaningDisk, workload, LdConfig, LogicalDisk, Replayer, UNMAPPED};
+use logdisk::{
+    cleaner::CleaningDisk, workload, LdConfig, LogicalDisk, MapEntry, Replayer, SealedSegment,
+    UNMAPPED,
+};
 
 /// The map always reflects the most recent write of each block, and
 /// physical addresses are handed out sequentially.
@@ -204,6 +207,200 @@ fn restore_is_exact_at_every_retained_lsn_across_random_merges() {
                 oracle.write(l);
             }
             assert_eq!(restored.as_slice(), oracle.map(), "restore to LSN {lsn} diverged");
+        }
+    }
+}
+
+/// Seeds for the retention-pass differential: 64 by default,
+/// `GRAFT_LD_MERGE_SEEDS` overrides (the full verification gate runs
+/// 200).
+fn merge_seeds() -> u64 {
+    std::env::var("GRAFT_LD_MERGE_SEEDS")
+        .ok()
+        .and_then(|s| s.parse().ok())
+        .unwrap_or(64)
+}
+
+/// What the disk documents about its history, modelled from the write
+/// stream alone: a write takes the next LSN (the clock never rewinds)
+/// and the next physical block; every `segment_blocks` writes seal a
+/// segment; a crash loses the open segment plus the last `k` sealed
+/// records, and rebuild resumes the physical cursor just past what
+/// survived; a retention pass folds the prefix of records that end at
+/// or below the watermark into one record holding the newest write
+/// per block.
+struct StreamModel {
+    config: LdConfig,
+    seed: u64,
+    /// Every sealed write still durable, in LSN order — including the
+    /// superseded ones a fold dropped from the disk.
+    durable: Vec<MapEntry>,
+    /// Writes in the open segment.
+    open: Vec<MapEntry>,
+    /// One past the newest LSN folded into the merged record, if any.
+    fold_end: Option<u64>,
+    floor: u64,
+    next_lsn: u64,
+    next_physical: u64,
+}
+
+impl StreamModel {
+    fn new(config: LdConfig, seed: u64) -> Self {
+        StreamModel {
+            config,
+            seed,
+            durable: Vec::new(),
+            open: Vec::new(),
+            fold_end: None,
+            floor: 0,
+            next_lsn: 0,
+            next_physical: 0,
+        }
+    }
+
+    fn write(&mut self, logical: u64) {
+        self.open.push(MapEntry {
+            lsn: self.next_lsn,
+            logical,
+            physical: self.next_physical,
+        });
+        self.next_lsn += 1;
+        self.next_physical += 1;
+        if self.open.len() == self.config.segment_blocks {
+            self.durable.append(&mut self.open);
+        }
+    }
+
+    /// The newest write per block with an LSN below `end`, in LSN
+    /// order, sealed as a merged record.
+    fn merged_record(&self, end: u64) -> SealedSegment {
+        let below = self.durable.iter().take_while(|e| e.lsn < end);
+        let mut newest = vec![None; self.config.blocks];
+        for e in below {
+            newest[e.logical as usize] = Some(*e);
+        }
+        let mut entries: Vec<MapEntry> = newest.into_iter().flatten().collect();
+        entries.sort_by_key(|e| e.lsn);
+        let mut s = SealedSegment {
+            base_lsn: entries.first().map_or(end, |e| e.lsn),
+            physical_start: entries.iter().map(|e| e.physical).min().unwrap_or(0),
+            merged: true,
+            entries,
+            checksum: 0,
+        };
+        s.seal(self.seed);
+        s
+    }
+
+    /// The sealed fresh records after the fold, in order.
+    fn fresh_records(&self) -> Vec<SealedSegment> {
+        let end = self.fold_end.unwrap_or(0);
+        let start = self.durable.partition_point(|e| e.lsn < end);
+        self.durable[start..]
+            .chunks(self.config.segment_blocks)
+            .map(|chunk| {
+                let mut s = SealedSegment {
+                    base_lsn: chunk[0].lsn,
+                    physical_start: chunk[0].physical,
+                    merged: false,
+                    entries: chunk.to_vec(),
+                    checksum: 0,
+                };
+                s.seal(self.seed);
+                s
+            })
+            .collect()
+    }
+
+    /// The whole retained history the disk should hold.
+    fn history(&self) -> Vec<SealedSegment> {
+        let merged = self.fold_end.map(|end| self.merged_record(end));
+        merged.into_iter().chain(self.fresh_records()).collect()
+    }
+
+    fn durable_lsn(&self) -> u64 {
+        self.durable.last().map_or(self.floor, |e| e.lsn + 1)
+    }
+
+    /// A retention pass; returns how many records it folds.
+    fn merge(&mut self, watermark: u64) -> u64 {
+        let watermark = watermark.min(self.durable_lsn());
+        self.floor = self.floor.max(watermark);
+        let ends: Vec<u64> = self
+            .history()
+            .iter()
+            .map(|s| s.entries.last().unwrap().lsn + 1)
+            .take_while(|&end| end <= watermark)
+            .collect();
+        if let Some(&end) = ends.last() {
+            self.fold_end = Some(end);
+        }
+        ends.len() as u64
+    }
+
+    /// A crash that loses the open segment and the last `k` records;
+    /// returns the writes to redo, in write order.
+    fn crash(&mut self, k: usize) -> Vec<u64> {
+        let history = self.history();
+        let lost = &history[history.len() - k.min(history.len())..];
+        let mut redo: Vec<u64> = lost
+            .iter()
+            .flat_map(|s| s.entries.iter().map(|e| e.logical))
+            .collect();
+        redo.extend(self.open.drain(..).map(|e| e.logical));
+        // Losing the merged record loses every write folded into it.
+        let keep = if lost.iter().any(|s| s.merged) {
+            self.fold_end = None;
+            0
+        } else {
+            self.durable.len() - lost.iter().map(|s| s.entries.len()).sum::<usize>()
+        };
+        self.durable.truncate(keep);
+        self.next_physical = self.durable.last().map_or(0, |e| e.physical + 1);
+        redo
+    }
+}
+
+/// Differential: after every retention pass — at compounding random
+/// watermarks, with crashes that lose sealed records and the redo that
+/// follows between passes — the disk's whole retained history, merged
+/// record first, equals the one [`StreamModel`] builds from the write
+/// stream alone, checksum included.
+#[test]
+fn retention_passes_match_a_reference_built_from_the_write_stream() {
+    for case in 0..merge_seeds() {
+        let mut rng = SmallRng::seed_from_u64(0x3E76_E000 ^ case);
+        let config = LdConfig {
+            blocks: [32, 64, 128][rng.gen_range(0usize..3)],
+            segment_blocks: [4, 8][rng.gen_range(0usize..2)],
+        };
+        let seed = rng.next_u64();
+        let mut ld = LogicalDisk::new(config).with_checksum_seed(seed);
+        let mut model = StreamModel::new(config, seed);
+        for pass in 0..rng.gen_range(1usize..10) {
+            let what = format!("case {case}, pass {pass}");
+            for _ in 0..rng.gen_range(0usize..160) {
+                let l = rng.gen_range(0..config.blocks as u64);
+                ld.write(l);
+                model.write(l);
+            }
+            if rng.gen_bool(0.4) {
+                let k = rng.gen_range(0usize..6);
+                let redo = ld.crash_with_unpersisted(k);
+                assert_eq!(redo, model.crash(k), "{what}: crash redo list");
+                ld.rebuild_map();
+                for &l in &redo {
+                    ld.write(l);
+                    model.write(l);
+                }
+            }
+            let watermark = rng.gen_range(0..ld.durable_lsn() + 2 * config.segment_blocks as u64);
+            let report = ld.merge_below_watermark(watermark);
+            assert!(!report.refused(), "{what}");
+            assert_eq!(report.merged_segments, model.merge(watermark), "{what}");
+            assert_eq!(ld.retention_floor(), model.floor, "{what}");
+            assert_eq!(ld.durable_lsn(), model.durable_lsn(), "{what}");
+            assert_eq!(ld.segments(), model.history().as_slice(), "{what}");
         }
     }
 }

@@ -4,7 +4,8 @@
 #
 # Usage: scripts/verify.sh [--full] [--threads]
 #   --full     use paper-scale iteration counts for the artifact run,
-#              and run the generated-program differential at 200 seeds
+#              and run the generated-program differential and the
+#              logdisk retention-pass differential at 200 seeds
 #   --threads  long conformance pass: replay the threaded server
 #              against the deterministic reference for 200 seeds and
 #              run the wire fuzzer at 200 seeds (release)
@@ -73,6 +74,11 @@ if [ "$MODE" = --full ]; then
     echo "==> generated-program differential, 200 seeds (release)"
     GRAFT_DIFF_SEEDS=200 cargo test -q --offline --release \
         --test differential engines_agree_on_generated_programs
+    # Retention passes vs a reference built from the write stream
+    # alone, across crashes and redo (64 seeds in the workspace step).
+    echo "==> logdisk retention-pass differential, 200 seeds (release)"
+    GRAFT_LD_MERGE_SEEDS=200 cargo test -q --offline --release -p logdisk \
+        --test proptest_ld retention_passes_match_a_reference_built_from_the_write_stream
 fi
 
 echo "==> regenerate all tables ($MODE --offline) with run artifact"
