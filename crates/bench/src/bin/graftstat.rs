@@ -327,30 +327,21 @@ fn summarize_server(a: &RunArtifact) -> String {
     out
 }
 
-/// The sharded-kernel section: per-shard dispatch volume, epoch/mailbox
-/// control-plane traffic, and shard balance from the `kernel.shard.*`
-/// namespace. Empty when the run never used a [`ShardedHost`].
+/// The sharded-kernel section: the counts only a sharded host has —
+/// shard count, epoch/mailbox membership traffic, per-shard load and
+/// balance, and the adaptive plane — from the `kernel.shard.*`
+/// namespace. Dispatch and control-plane totals are in the
+/// `graft-host:` section. Empty when no host published its shards.
 fn summarize_shards(a: &RunArtifact) -> String {
     let mut out = String::new();
-    let dispatches = a.counter("kernel.shard.dispatches");
-    if dispatches == 0 {
+    let shards = a.counter("kernel.shard.count");
+    if shards == 0 {
         return out;
     }
     let _ = writeln!(out, "  graft-host (sharded):");
     let _ = writeln!(
         out,
-        "    shards {}  dispatches {dispatches}  invocations {}  traps {}  detaches {}",
-        a.counter("kernel.shard.count"),
-        a.counter("kernel.shard.invocations"),
-        a.counter("kernel.shard.traps"),
-        a.counter("kernel.shard.detaches"),
-    );
-    let _ = writeln!(
-        out,
-        "    control plane: installs {}  uninstalls {}  readmits {}  epoch {}  epoch syncs {}  mailbox ops {}  flushes {}",
-        a.counter("kernel.shard.installs"),
-        a.counter("kernel.shard.uninstalls"),
-        a.counter("kernel.shard.readmits"),
+        "    shards {shards}  epoch {}  epoch syncs {}  mailbox ops {}  flushes {}",
         a.counter("kernel.shard.epoch"),
         a.counter("kernel.shard.epoch_syncs"),
         a.counter("kernel.shard.mailbox_ops"),
@@ -603,16 +594,13 @@ fn render_postmortem(label: &str, pm: &Json) -> String {
         Some(w) => format!("{w} words"),
         None => "none".into(),
     };
-    let where_ = match pm.get("shard").and_then(Json::as_u64) {
-        Some(shard) => format!("shard {shard}"),
-        None => "scalar host".into(),
-    };
     let _ = writeln!(
         out,
-        "  strikes {}  quarantines {}  backoff remaining {}  salvaged {salvage}  detached on {where_}",
+        "  strikes {}  quarantines {}  backoff remaining {}  salvaged {salvage}  detached on shard {}",
         n("strikes"),
         n("quarantines"),
         n("backoff_remaining"),
+        n("shard"),
     );
     match pm.get("events").and_then(Json::as_arr) {
         Some(events) if !events.is_empty() => {
@@ -632,13 +620,13 @@ fn render_postmortem(label: &str, pm: &Json) -> String {
 }
 
 /// `postmortem` mode: every quarantine report embedded in the
-/// artifact's tables (Table 12's drill carries a scalar/sharded pair).
+/// artifact's tables (Table 12's drill carries a 1-shard/4-shard pair).
 fn render_postmortems(path: &str, a: &RunArtifact) -> String {
     let mut out = String::new();
     let mut found = 0;
     for (table, doc) in &a.tables {
         let Some(drill) = doc.get("drill") else { continue };
-        for side in ["scalar_postmortem", "sharded_postmortem"] {
+        for side in ["one_shard_postmortem", "sharded_postmortem"] {
             let Some(pm) = drill.get(side) else { continue };
             if matches!(pm, Json::Null) {
                 continue;
@@ -878,11 +866,6 @@ mod tests {
         let mut counters = Json::object();
         counters
             .set("kernel.shard.count", 4u64)
-            .set("kernel.shard.dispatches", 400u64)
-            .set("kernel.shard.invocations", 380u64)
-            .set("kernel.shard.traps", 3u64)
-            .set("kernel.shard.detaches", 1u64)
-            .set("kernel.shard.installs", 2u64)
             .set("kernel.shard.epoch", 3u64)
             .set("kernel.shard.epoch_syncs", 12u64)
             .set("kernel.shard.mailbox_ops", 8u64)
@@ -923,10 +906,9 @@ mod tests {
         let text = summarize("x.json", &art);
         assert!(text.contains("graft-host (sharded):"), "{text}");
         assert!(
-            text.contains("shards 4  dispatches 400  invocations 380  traps 3  detaches 1"),
+            text.contains("shards 4  epoch 3  epoch syncs 12  mailbox ops 8  flushes 4"),
             "{text}"
         );
-        assert!(text.contains("epoch syncs 12"), "{text}");
         assert!(text.contains("4 shard lifetimes, mean 100 dispatches"), "{text}");
         assert!(
             text.contains(
@@ -1163,17 +1145,17 @@ mod tests {
             .set("salvaged_words", Json::Null)
             .set("events", vec![trace_event(50, 3, 0, "trap")])
             .set("detached_at_ns", 1000u64)
-            .set("shard", Json::Null);
+            .set("shard", 0u64);
         let mut drill = Json::object();
         drill
-            .set("scalar_postmortem", pm)
+            .set("one_shard_postmortem", pm)
             .set("sharded_postmortem", Json::Null);
         let mut table = Json::object();
         table.set("drill", drill);
         art.tables.insert("table12".into(), table);
 
         let text = render_postmortems("x.json", &art);
-        assert!(text.contains("postmortem table12/scalar_postmortem:"), "{text}");
+        assert!(text.contains("postmortem table12/one_shard_postmortem:"), "{text}");
         assert!(
             text.contains("graft \"saboteur\" (id 2) under Modula-3"),
             "{text}"
@@ -1181,7 +1163,7 @@ mod tests {
         assert!(text.contains("reason div_by_zero"), "{text}");
         assert!(text.contains("trap mix: div_by_zero:3"), "{text}");
         assert!(text.contains("salvaged none"), "{text}");
-        assert!(text.contains("detached on scalar host"), "{text}");
+        assert!(text.contains("detached on shard 0"), "{text}");
         assert!(text.contains("tail (1 events"), "{text}");
 
         // An artifact without any embedded reports says so.
@@ -1193,7 +1175,7 @@ mod tests {
     fn imbalance_warning_fires_at_twenty_percent() {
         let mut art = artifact();
         let mut counters = Json::object();
-        counters.set("kernel.shard.dispatches", 10u64);
+        counters.set("kernel.shard.count", 2u64);
         let mut imb = Json::object();
         imb.set("name", "kernel.shard.imbalance_pct")
             .set("count", 1u64)
@@ -1217,7 +1199,7 @@ mod tests {
         let build = |stealing: bool| {
             let mut art = artifact();
             let mut counters = Json::object();
-            counters.set("kernel.shard.dispatches", 10u64);
+            counters.set("kernel.shard.count", 2u64);
             if stealing {
                 counters.set("kernel.shard.steal_mode", 1u64);
             }

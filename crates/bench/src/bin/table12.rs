@@ -1,6 +1,6 @@
 //! Regenerates Table 12: flight-recorder overhead per technology
 //! (off / gated / recording telemetry on the Table 7 baseline rig)
-//! plus the scalar-vs-sharded quarantine postmortem drill.
+//! plus the 1-shard-vs-4-shard quarantine postmortem drill.
 
 use graft_core::artifact::{self, RunArtifact};
 

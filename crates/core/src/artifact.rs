@@ -751,12 +751,12 @@ pub fn table12_json(t: &Table12) -> Json {
         .set("trap_threshold", d.trap_threshold)
         .set("shards", d.shards)
         .set("traced", d.traced)
-        .set("scalar_trapped", d.scalar_trapped)
+        .set("one_shard_trapped", d.one_shard_trapped)
         .set("sharded_trapped", d.sharded_trapped)
-        .set("scalar_events", d.scalar_events)
+        .set("one_shard_events", d.one_shard_events)
         .set("sharded_events", d.sharded_events)
         .set("tails_match", d.tails_match)
-        .set("scalar_postmortem", pm_json(&d.scalar))
+        .set("one_shard_postmortem", pm_json(&d.one_shard))
         .set("sharded_postmortem", pm_json(&d.sharded));
     let mut obj = Json::object();
     obj.set("rows", rows).set("drill", drill).set("runs", t.runs);

@@ -13,8 +13,9 @@
 //!   fixed-size event to the host's thread-confined ring.
 //!
 //! For every technology row this experiment re-runs Table 7's baseline
-//! rig — a well-behaved eviction graft serving the VM pager through
-//! [`GraftHost`] under the 80/20-skewed workload — once per mode, and
+//! rig — a well-behaved eviction graft serving the VM pager through a
+//! 1-shard [`ShardedHost`] under the 80/20-skewed workload — once per
+//! mode, and
 //! reports ns per pager access plus each mode's overhead over *off*.
 //! Measuring per access (not per bare dispatch) prices the recorder
 //! where it runs in production: on a workload whose hot path the
@@ -22,22 +23,25 @@
 //!
 //! The second half is the **quarantine drill**: a Table 7-style
 //! DivByZero saboteur is installed alone and dispatched until the
-//! supervisor detaches it (trap_threshold strikes), once under the
-//! scalar [`GraftHost`] and once under a 4-shard [`ShardedHost`]
-//! driven through seeded [`VirtualShards`]. Both hosts must emit a
+//! supervisor detaches it (trap_threshold strikes), once on a 1-shard
+//! [`ShardedHost`] and once on a 4-shard one driven through seeded
+//! [`VirtualShards`]. Both hosts must emit a
 //! [`PostmortemReport`] whose event tail reconstructs the exact
 //! trapped invocations — compared via [`TraceEvent::semantics`], which
 //! ignores timestamps and shard placement and keeps what the
 //! supervisor acted on: attach point, technology, verdict, trap kind.
 
 use graft_api::{GraftError, Technology};
-use graft_kernel::{shared, AttachPoint, GraftHost, HostedEviction, PostmortemReport, ShardedHost, VirtualShards};
+use graft_kernel::{
+    AttachPoint, HostConfig, HostedEviction, PostmortemReport, ShardHandle, ShardedHost,
+    VirtualShards,
+};
 use graft_telemetry::TraceEvent;
 use grafts::eviction;
 use kernsim::stats::Sample;
 use kernsim::vm::Pager;
 
-use super::table7::{hostile_spec, FRAMES, HOT_PAGES, PAGES};
+use super::table7::{hostile_spec, one_shard, FRAMES, HOT_PAGES, PAGES};
 use super::tables::ROW_ORDER;
 use super::RunConfig;
 use crate::manager::GraftManager;
@@ -66,7 +70,7 @@ pub struct Table12Row {
     pub recording_overhead_pct: f64,
 }
 
-/// The scalar-vs-sharded postmortem drill.
+/// The 1-shard-vs-4-shard postmortem drill.
 #[derive(Debug, Clone)]
 pub struct Table12Drill {
     /// Technology the saboteur ran under.
@@ -80,17 +84,17 @@ pub struct Table12Drill {
     /// Whether the flight recorder was actually armable (false when
     /// telemetry is compiled out; tails are then empty).
     pub traced: bool,
-    /// The scalar host's postmortem report.
-    pub scalar: Option<PostmortemReport>,
+    /// The 1-shard host's postmortem report.
+    pub one_shard: Option<PostmortemReport>,
     /// The sharded host's postmortem report, with its tail re-adopted
     /// from the merged cross-shard timeline.
     pub sharded: Option<PostmortemReport>,
-    /// Trapped invocations in the scalar report's event tail.
-    pub scalar_trapped: usize,
+    /// Trapped invocations in the 1-shard report's event tail.
+    pub one_shard_trapped: usize,
     /// Trapped invocations in the sharded report's event tail.
     pub sharded_trapped: usize,
-    /// Events the scalar recorder retained over the whole drill.
-    pub scalar_events: usize,
+    /// Events the 1-shard recorder retained over the whole drill.
+    pub one_shard_events: usize,
     /// Events in the merged cross-shard timeline.
     pub sharded_events: usize,
     /// Whether both tails reconstruct the same trapped invocations
@@ -104,7 +108,7 @@ pub struct Table12Drill {
 pub struct Table12 {
     /// Rows, in [`ROW_ORDER`].
     pub rows: Vec<Table12Row>,
-    /// The scalar-vs-sharded postmortem drill.
+    /// The 1-shard-vs-4-shard postmortem drill.
     pub drill: Table12Drill,
     /// Timed repetitions per mode.
     pub runs: usize,
@@ -186,11 +190,9 @@ fn price_row(
     tech: Technology,
 ) -> Result<Table12Row, GraftError> {
     let good = manager.load(&eviction::spec(), tech)?;
-    let host = shared(GraftHost::new());
-    let _tenant = host
-        .borrow_mut()
-        .install(AttachPoint::VmEvict, "tenant", good)?;
-    let mut policy = HostedEviction::new(host.clone());
+    let (host, handle) = one_shard();
+    let _tenant = host.install(AttachPoint::VmEvict, "tenant", good)?;
+    let mut policy = HostedEviction::new(handle);
     policy.set_hot((0..HOT_PAGES).collect());
     let mut pager = Pager::new(FRAMES, policy);
 
@@ -212,7 +214,7 @@ fn price_row(
     // (Measured back-to-back per mode, the robust min still gated a
     // +30% phantom overhead whenever a neighbor ran during one mode's
     // reps.)
-    let one_rep = |pager: &mut Pager<HostedEviction>, idx: &mut usize| {
+    let one_rep = |pager: &mut Pager<HostedEviction<ShardHandle>>, idx: &mut usize| {
         let start = std::time::Instant::now();
         for _ in 0..accesses {
             pager.access(workload[*idx % workload.len()]);
@@ -245,7 +247,6 @@ fn price_row(
     let off = Sample::from_runs(&off_reps);
     let gated = Sample::from_runs(&gated_reps);
     let recording = Sample::from_runs(&recording_reps);
-    host.borrow_mut().flush();
 
     Ok(Table12Row {
         tech,
@@ -263,6 +264,44 @@ fn trapped_semantics(pm: Option<&PostmortemReport>) -> Vec<(u8, u8, u8, i64)> {
         .unwrap_or_default()
 }
 
+/// One half of the drill: the saboteur alone on the eviction chain of
+/// a `shards`-shard host, dispatched through the seeded interleaving
+/// until the supervisor detaches it. Strikes accumulate in the shared
+/// ledger across shards; whichever shard lands the third trap wins the
+/// detach and captures the report, whose tail and ledger are then
+/// re-adopted from the merged timeline and the flushed totals (traps
+/// may have landed on shards the winner never saw). Returns the report
+/// and the number of events the merged timeline retained.
+fn drill_run(
+    manager: &GraftManager,
+    tech: Technology,
+    shards: usize,
+) -> Result<(Option<PostmortemReport>, usize), GraftError> {
+    let mut host = ShardedHost::new(shards);
+    let bad = host.install(
+        AttachPoint::VmEvict,
+        "saboteur",
+        manager.load(&hostile_spec(), tech)?,
+    )?;
+    let bound = 4 * u64::from(host.config().trap_threshold) + 8;
+    let mut vs = VirtualShards::new(&mut host, DRILL_SEED);
+    let mut n = 0u64;
+    while !host.is_quarantined(bad) && n < bound {
+        let _ = vs.dispatch(AttachPoint::VmEvict, |_| Ok(vec![9, 3]));
+        n += 1;
+    }
+    vs.flush_all();
+    let merged = vs.merged_timeline();
+    let mut pm = host.take_postmortems().into_iter().next();
+    if let Some(pm) = pm.as_mut() {
+        pm.adopt_tail(&merged);
+        if let Some(ledger) = host.ledger(bad) {
+            pm.adopt_ledger(ledger);
+        }
+    }
+    Ok((pm, merged.len()))
+}
+
 fn drill(manager: &GraftManager) -> Result<Table12Drill, GraftError> {
     let tech = Technology::SafeCompiled;
     // The drill arms the recorder unconditionally: postmortem tails
@@ -272,60 +311,15 @@ fn drill(manager: &GraftManager) -> Result<Table12Drill, GraftError> {
     graft_telemetry::set_tracing(true);
     let traced = graft_telemetry::tracing();
 
-    // Scalar half: the saboteur alone on the eviction chain.
-    let mut single = GraftHost::new();
-    let threshold = single.config().trap_threshold;
-    let bad = single.install(
-        AttachPoint::VmEvict,
-        "saboteur",
-        manager.load(&hostile_spec(), tech)?,
-    )?;
-    let bound = 4 * u64::from(threshold) + 8;
-    let mut n = 0u64;
-    while !single.is_quarantined(bad) && n < bound {
-        let _ = single.dispatch(AttachPoint::VmEvict, |_| Ok(vec![9, 3]));
-        n += 1;
-    }
-    single.flush();
-    let scalar_events = single.trace_events().len();
-    let scalar = single.take_postmortems().into_iter().next();
-
-    // Sharded half: same saboteur, 4 shards, seeded interleaving. The
-    // strikes accumulate in the shared ledger across shards; whichever
-    // shard lands the third trap wins the detach and captures the
-    // report, whose tail is then re-adopted from the merged timeline
-    // (traps may have landed on shards the winner never saw).
-    let mut sharded = ShardedHost::new(DRILL_SHARDS);
-    let bad2 = sharded.install(
-        AttachPoint::VmEvict,
-        "saboteur",
-        manager.load(&hostile_spec(), tech)?,
-    )?;
-    let mut vs = VirtualShards::new(&mut sharded, DRILL_SEED);
-    let mut n = 0u64;
-    while !sharded.is_quarantined(bad2) && n < bound {
-        let _ = vs.dispatch(AttachPoint::VmEvict, |_| Ok(vec![9, 3]));
-        n += 1;
-    }
-    vs.flush_all();
-    let merged = vs.merged_timeline();
-    let sharded_events = merged.len();
-    let mut sharded_pm = sharded.take_postmortems().into_iter().next();
-    if let Some(pm) = sharded_pm.as_mut() {
-        pm.adopt_tail(&merged);
-        // Likewise for the ledger: traps that struck on shards the
-        // winner never saw reach the shared totals at flush time.
-        if let Some(ledger) = sharded.ledger(bad2) {
-            pm.adopt_ledger(ledger);
-        }
-    }
-
-    let scalar_sem = trapped_semantics(scalar.as_ref());
+    let threshold = HostConfig::default().trap_threshold;
+    let (one_shard, one_shard_events) = drill_run(manager, tech, 1)?;
+    let (sharded_pm, sharded_events) = drill_run(manager, tech, DRILL_SHARDS)?;
+    let one_shard_sem = trapped_semantics(one_shard.as_ref());
     let sharded_sem = trapped_semantics(sharded_pm.as_ref());
-    let tails_match = scalar.is_some()
+    let tails_match = one_shard.is_some()
         && sharded_pm.is_some()
-        && scalar_sem == sharded_sem
-        && (!traced || scalar_sem.len() == threshold as usize);
+        && one_shard_sem == sharded_sem
+        && (!traced || one_shard_sem.len() == threshold as usize);
 
     Ok(Table12Drill {
         tech,
@@ -333,11 +327,11 @@ fn drill(manager: &GraftManager) -> Result<Table12Drill, GraftError> {
         trap_threshold: threshold,
         shards: DRILL_SHARDS,
         traced,
-        scalar_trapped: scalar_sem.len(),
+        one_shard_trapped: one_shard_sem.len(),
         sharded_trapped: sharded_sem.len(),
-        scalar,
+        one_shard,
         sharded: sharded_pm,
-        scalar_events,
+        one_shard_events,
         sharded_events,
         tails_match,
     })
@@ -403,24 +397,24 @@ mod tests {
         let t = table12(&tiny()).unwrap();
         let d = &t.drill;
         assert!(d.tails_match, "{d:?}");
-        let scalar = d.scalar.as_ref().expect("scalar postmortem");
+        let one = d.one_shard.as_ref().expect("1-shard postmortem");
         let sharded = d.sharded.as_ref().expect("sharded postmortem");
-        assert_eq!(scalar.reason, TrapKind::DivByZero);
+        assert_eq!(one.reason, TrapKind::DivByZero);
         assert_eq!(sharded.reason, TrapKind::DivByZero);
-        assert_eq!(scalar.ledger.traps, u64::from(d.trap_threshold));
+        assert_eq!(one.ledger.traps, u64::from(d.trap_threshold));
         assert_eq!(sharded.ledger.traps, u64::from(d.trap_threshold));
-        assert_eq!(scalar.shard, None);
-        assert!(sharded.shard.is_some());
+        assert_eq!(one.shard, 0);
+        assert!((sharded.shard as usize) < d.shards);
         if d.traced {
             // The recorder was armed: the tails carry exactly the
             // trapped invocations, event for event.
-            assert_eq!(d.scalar_trapped, d.trap_threshold as usize);
+            assert_eq!(d.one_shard_trapped, d.trap_threshold as usize);
             assert_eq!(d.sharded_trapped, d.trap_threshold as usize);
-            assert!(d.scalar_events >= d.scalar_trapped);
+            assert!(d.one_shard_events >= d.one_shard_trapped);
             assert!(d.sharded_events >= d.sharded_trapped);
         } else {
             // Telemetry compiled out: reports survive, tails empty.
-            assert_eq!(d.scalar_trapped, 0);
+            assert_eq!(d.one_shard_trapped, 0);
             assert_eq!(d.sharded_trapped, 0);
         }
     }

@@ -6,8 +6,10 @@
 //! technology row:
 //!
 //! 1. **baseline** — a well-behaved eviction graft serves the VM pager
-//!    through [`graft_kernel::GraftHost`] while an 80/20-skewed page
-//!    workload streams through; we record ns per access.
+//!    through a 1-shard [`graft_kernel::ShardedHost`] (the
+//!    single-threaded host: one [`graft_kernel::ShardHandle`]) while an
+//!    80/20-skewed page workload streams through; we record ns per
+//!    access.
 //! 2. **churn** — a hostile graft (its `select_victim` divides by
 //!    zero, the one fault every technology traps) is installed at the
 //!    *front* of the chain mid-run. We record how long the quarantine
@@ -26,7 +28,7 @@ use graft_api::{
     GraftClass, GraftError, GraftSpec, Motivation, RegionSpec, RegionStore, Technology, Trap,
     TrapKind,
 };
-use graft_kernel::{shared, AttachPoint, GraftHost, HostedEviction};
+use graft_kernel::{AttachPoint, HostConfig, HostedEviction, ShardHandle, ShardedHost};
 use grafts::eviction::{self, MAX_HOT, MAX_QUEUE};
 use kernsim::stats::{measure_per_iter, Sample};
 use kernsim::vm::Pager;
@@ -115,6 +117,13 @@ pub(crate) fn hostile_spec() -> GraftSpec {
         }))
 }
 
+/// The single-threaded host: a 1-shard host and its one handle.
+pub(crate) fn one_shard() -> (ShardedHost, ShardHandle) {
+    let mut host = ShardedHost::new(1);
+    let handle = host.take_handle(0).expect("fresh host");
+    (host, handle)
+}
+
 /// Accesses per measured phase for a technology (script and user-level
 /// rows use reduced counts, as in Table 2).
 fn accesses_for(cfg: &RunConfig, tech: Technology) -> usize {
@@ -133,11 +142,9 @@ fn churn_row(
     let good = manager.load(&eviction::spec(), tech)?;
     let saboteur_engine = manager.load(&hostile_spec(), tech)?;
 
-    let host = shared(GraftHost::new());
-    let _tenant = host
-        .borrow_mut()
-        .install(AttachPoint::VmEvict, "tenant", good)?;
-    let mut policy = HostedEviction::new(host.clone());
+    let (host, handle) = one_shard();
+    let _tenant = host.install(AttachPoint::VmEvict, "tenant", good)?;
+    let mut policy = HostedEviction::new(handle);
     policy.set_hot((0..HOT_PAGES).collect());
     let mut pager = Pager::new(FRAMES, policy);
 
@@ -164,24 +171,20 @@ fn churn_row(
     // domain), so every access past frame-fill is a fault that must
     // evict — the dispatch that consults the saboteur first. Detachment
     // is therefore due within `FRAMES + trap_threshold` accesses.
-    let bad = host
-        .borrow_mut()
-        .install_front(AttachPoint::VmEvict, "saboteur", saboteur_engine)?;
+    let bad = host.install_front(AttachPoint::VmEvict, "saboteur", saboteur_engine)?;
     let start = Instant::now();
     let mut churn_accesses = 0u64;
-    let bound = (FRAMES as u64) + 2 * u64::from(host.borrow().config().trap_threshold) + 8;
-    while !host.borrow().is_quarantined(bad) && churn_accesses < bound {
+    let bound = (FRAMES as u64) + 2 * u64::from(host.config().trap_threshold) + 8;
+    while !host.is_quarantined(bad) && churn_accesses < bound {
         pager.access(PAGES as u64 + churn_accesses);
         churn_accesses += 1;
     }
     let quarantine_latency = start.elapsed();
-    let quarantined = host.borrow().is_quarantined(bad);
-    let trapped_invocations = host
-        .borrow()
-        .ledger(bad)
-        .map(|l| l.invocations)
-        .unwrap_or(0);
-    let quarantined_by = match host.borrow().state(bad) {
+    let quarantined = host.is_quarantined(bad);
+    // The winning detach merged the saboteur's ledger into the shared
+    // totals, so this read needs no flush.
+    let trapped_invocations = host.ledger(bad).map(|l| l.invocations).unwrap_or(0);
+    let quarantined_by = match host.state(bad) {
         Some(graft_kernel::GraftState::Quarantined { by }) => Some(by),
         _ => None,
     };
@@ -231,15 +234,15 @@ fn overhead(
     // verdict decoding on top of the identical invocation.
     let mut tenant = manager.load(&spec, Technology::SafeCompiled)?;
     let (lru2, hot2) = scenario.marshal(tenant.as_mut())?;
-    let mut host = GraftHost::new();
+    let (host, mut shard) = one_shard();
     host.install(AttachPoint::VmEvict, "tenant", tenant)?;
     let hosted = measure_per_iter(runs, iters, || {
-        let _ = host.dispatch(AttachPoint::VmEvict, |_| Ok(vec![lru2, hot2]));
+        let _ = shard.dispatch(AttachPoint::VmEvict, |_| Ok(vec![lru2, hot2]));
     });
 
     // An empty chain: the price a substrate pays for having an attach
     // point at all when no graft is installed.
-    let mut empty = GraftHost::new();
+    let (_empty_host, mut empty) = one_shard();
     let empty_chain = measure_per_iter(runs, iters, || {
         let _ = empty.dispatch(AttachPoint::VmEvict, |_| Ok(vec![lru2, hot2]));
     });
@@ -261,7 +264,7 @@ pub fn table7(cfg: &RunConfig) -> Result<Table7, GraftError> {
         direct,
         hosted,
         empty_chain,
-        trap_threshold: GraftHost::new().config().trap_threshold,
+        trap_threshold: HostConfig::default().trap_threshold,
         accesses: cfg.evict_iters.max(64),
     })
 }

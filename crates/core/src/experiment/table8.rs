@@ -14,7 +14,7 @@
 //! 1. A well-behaved eviction graft is installed in a
 //!    [`ShardedHost`], which forks one engine replica per shard.
 //! 2. Each shard runs its own VM pager (the same [`HostedEviction`]
-//!    adapter the scalar kernel uses) over an 80/20-skewed page
+//!    adapter Tables 7 and 12 use) over an 80/20-skewed page
 //!    workload, so every cold miss is an eviction and every eviction is
 //!    a dispatch through that shard's replica.
 //! 3. Each shard's busy time is measured **in isolation** (shards run

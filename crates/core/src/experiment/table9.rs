@@ -8,13 +8,15 @@
 //! experiment prices the full recovery path, per technology:
 //!
 //! 1. **snapshot** — an explicit live checkpoint of the graft's
-//!    salvage plan ([`GraftHost::salvage_now`]): the cost of lifting
+//!    salvage plan ([`ShardHandle::salvage_now`]): the cost of lifting
 //!    the map out of a healthy engine through the `snapshot_region`
 //!    seam.
 //! 2. **salvage-detach** — a time-bomb Logical Disk graft
 //!    ([`grafts::logdisk::spec_bomb_sized`]) traps mid-run; we time
 //!    the whole supervisor response: trap → quarantine → salvage →
-//!    [`GraftHost::take_salvage`].
+//!    [`ShardedHost::take_salvage`]. The graft runs on a 1-shard
+//!    host, installed with its salvage plan
+//!    ([`ShardedHost::install_with_salvage`]).
 //! 3. **restore** — re-seeding a fresh replacement engine from the
 //!    salvaged state ([`SalvagedState::restore_into`]).
 //! 4. **degraded mode** — the built-in [`LogicalDisk`] adopts the
@@ -37,8 +39,9 @@
 //! time-to-recovery, and — again — zero lost mappings against the
 //! no-crash oracle.
 //!
-//! [`GraftHost::salvage_now`]: graft_kernel::GraftHost::salvage_now
-//! [`GraftHost::take_salvage`]: graft_kernel::GraftHost::take_salvage
+//! [`ShardHandle::salvage_now`]: graft_kernel::ShardHandle::salvage_now
+//! [`ShardedHost::take_salvage`]: graft_kernel::ShardedHost::take_salvage
+//! [`ShardedHost::install_with_salvage`]: graft_kernel::ShardedHost::install_with_salvage
 //! [`SalvagedState::restore_into`]: graft_kernel::SalvagedState::restore_into
 //! [`LogicalDisk`]: logdisk::LogicalDisk
 //! [`LogicalDisk::with_map`]: logdisk::LogicalDisk::with_map
@@ -49,7 +52,7 @@
 use std::time::{Duration, Instant};
 
 use graft_api::{GraftError, Technology};
-use graft_kernel::{AttachPoint, GraftHost, HostConfig};
+use graft_kernel::{AttachPoint, HostConfig, ShardedHost};
 use grafts::logdisk as ld_graft;
 use kernsim::stats::Sample;
 use kernsim::{DiskFault, DiskModel, FaultPlan, FaultStats, FaultyDisk};
@@ -174,12 +177,15 @@ fn recovery_row(
 
     // Install under a hair-trigger supervisor: the bomb is the third
     // strike all by itself.
-    let mut host = GraftHost::with_config(HostConfig {
-        trap_threshold: 1,
-        ..HostConfig::default()
-    });
-    let id = host.install(AttachPoint::DiskWrite, "logical-disk", engine)?;
-    host.set_salvage_plan(id, &["map"])?;
+    let mut host = ShardedHost::with_config(
+        1,
+        HostConfig {
+            trap_threshold: 1,
+            ..HostConfig::default()
+        },
+    );
+    let mut shard = host.take_handle(0).expect("fresh host");
+    let id = host.install_with_salvage(AttachPoint::DiskWrite, "logical-disk", engine, &["map"])?;
 
     let runs = if tech == Technology::UserLevel {
         cfg.runs.clamp(1, 2)
@@ -191,7 +197,7 @@ fn recovery_row(
     let mut snaps = Vec::with_capacity(runs);
     for _ in 0..runs {
         let t0 = Instant::now();
-        let s = host.salvage_now(id).expect("live salvage succeeds");
+        let s = shard.salvage_now(id).expect("live salvage succeeds");
         snaps.push(t0.elapsed());
         debug_assert_eq!(s.words(), blocks);
     }
@@ -207,12 +213,13 @@ fn recovery_row(
         if run > 0 {
             assert!(host.readmit(id), "{tech}: readmit from quarantine");
         }
-        host.engine_mut(id)
+        shard
+            .engine_mut(id)
             .expect("graft installed")
             .invoke("ld_arm", &[1])?;
         let next = stream[half % stream.len()];
         let t0 = Instant::now();
-        let err = host.invoke(id, &[next]);
+        let err = shard.invoke(id, &[next]);
         let s = host.take_salvage(id);
         detaches.push(t0.elapsed());
         assert!(

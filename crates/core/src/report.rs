@@ -509,8 +509,8 @@ pub fn render_table14(t: &Table14) -> String {
 }
 
 /// Renders Table 12: per-technology tracing overhead (ns per pager
-/// access under off/gated/recording telemetry) plus the scalar-vs-
-/// sharded postmortem drill verdict.
+/// access under off/gated/recording telemetry) plus the 1-shard-vs-
+/// 4-shard postmortem drill verdict.
 pub fn render_table12(t: &Table12) -> String {
     let widths = [20, 26, 26, 26, 9, 11];
     let mut out = String::new();
@@ -547,14 +547,14 @@ pub fn render_table12(t: &Table12) -> String {
     let d = &t.drill;
     let _ = writeln!(
         out,
-        "  postmortem drill (seed {}, {} saboteur, threshold {}): scalar tail {} trap(s) | {}-shard tail {} trap(s) | tails {}",
+        "  postmortem drill (seed {}, {} saboteur, threshold {}): 1-shard tail {} trap(s) | {}-shard tail {} trap(s) | tails {}",
         d.seed,
-        d.scalar
+        d.one_shard
             .as_ref()
             .map(|p| p.reason.name())
             .unwrap_or("missing"),
         d.trap_threshold,
-        d.scalar_trapped,
+        d.one_shard_trapped,
         d.shards,
         d.sharded_trapped,
         if d.tails_match { "MATCH" } else { "DIVERGE" }

@@ -10,15 +10,12 @@
 //! detaching a hostile graft restores stock kernel behaviour without
 //! restarting the substrate.
 //!
-//! The adapters are generic over the [`ChainDispatch`] seam, defaulting
-//! to the single-threaded [`SharedHost`]; handing them a
-//! [`ShardHandle`](crate::shard::ShardHandle) (or an
-//! `Rc<RefCell<ShardHandle>>`) instead puts the same substrate on one
-//! shard of a [`ShardedHost`](crate::shard::ShardedHost), dispatching
-//! through that shard's thread-confined engine replicas.
-
-use std::cell::RefCell;
-use std::rc::Rc;
+//! The adapters are generic over the [`ChainDispatch`] seam: handing
+//! them a [`ShardHandle`](crate::shard::ShardHandle) (or an
+//! `Rc<RefCell<ShardHandle>>` when several adapters share one shard)
+//! puts the substrate on that shard of a
+//! [`ShardedHost`](crate::shard::ShardedHost), dispatching through the
+//! shard's thread-confined engine replicas.
 
 use graft_api::Verdict;
 use grafts::eviction::{Scenario, MAX_HOT, MAX_QUEUE};
@@ -28,24 +25,14 @@ use kernsim::sched::{Candidate, SchedPolicy};
 use kernsim::vm::{EvictionPolicy, LruQueue, PageId};
 use logdisk::{LdConfig, LogicalDisk};
 
-use crate::host::GraftHost;
 use crate::point::AttachPoint;
 use crate::shard::ChainDispatch;
-
-/// A host shared between several substrate adapters (and the control
-/// plane that injects or quarantines tenants mid-run).
-pub type SharedHost = Rc<RefCell<GraftHost>>;
-
-/// Wraps a host for sharing across adapters.
-pub fn shared(host: GraftHost) -> SharedHost {
-    Rc::new(RefCell::new(host))
-}
 
 /// [`AttachPoint::VmEvict`] (and [`AttachPoint::CacheEvict`]) adapter:
 /// an [`EvictionPolicy`] that marshals the resident queue plus the
 /// application's hot list into each chained graft and asks for a
 /// victim.
-pub struct HostedEviction<D: ChainDispatch = SharedHost> {
+pub struct HostedEviction<D: ChainDispatch> {
     host: D,
     point: AttachPoint,
     hot: Vec<u64>,
@@ -102,7 +89,7 @@ impl<D: ChainDispatch> EvictionPolicy for HostedEviction<D> {
 /// that chains the graft's prediction up to `depth` blocks, falling
 /// back to a sequential window of `fallback` blocks when no graft has
 /// an opinion.
-pub struct HostedReadAhead<D: ChainDispatch = SharedHost> {
+pub struct HostedReadAhead<D: ChainDispatch> {
     host: D,
     depth: usize,
     fallback: usize,
@@ -162,7 +149,7 @@ impl<D: ChainDispatch> ReadAhead for HostedReadAhead<D> {
 /// the run queue and application state into each chained graft. A
 /// declining (or empty, or quarantined) chain falls back to FIFO —
 /// round-robin, the kernel default.
-pub struct HostedSched<D: ChainDispatch = SharedHost> {
+pub struct HostedSched<D: ChainDispatch> {
     host: D,
     /// Outstanding client requests, mirrored into `appst[0]`.
     pub pending_requests: i64,
@@ -210,7 +197,7 @@ impl<D: ChainDispatch> SchedPolicy for HostedSched<D> {
 /// flushed). With no graft deciding — including after a quarantine —
 /// the write is handled by the in-kernel reference facility, so the
 /// disk keeps absorbing writes no matter what the tenants do.
-pub struct HostedWritePath<D: ChainDispatch = SharedHost> {
+pub struct HostedWritePath<D: ChainDispatch> {
     host: D,
     fallback: LogicalDisk,
     /// Writes decided by a graft.
@@ -288,8 +275,11 @@ impl<D: ChainDispatch> HostedWritePath<D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::host::{GraftId, HostConfig};
+    use crate::host::{GraftId, GraftState, HostConfig};
+    use crate::shard::{ShardHandle, ShardedHost};
     use engine_native::{load_grail, SafetyMode};
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use graft_api::{ExtensionEngine, GraftError, Technology, Trap};
     use kernsim::cache::BufferCache;
     use kernsim::sched::Scheduler;
@@ -317,13 +307,19 @@ mod tests {
         )
     }
 
+    /// The single-threaded host: a 1-shard host and its one handle.
+    fn one_shard(config: HostConfig) -> (ShardedHost, ShardHandle) {
+        let mut host = ShardedHost::with_config(1, config);
+        let handle = host.take_handle(0).expect("fresh host");
+        (host, handle)
+    }
+
     #[test]
     fn hosted_eviction_keeps_hot_pages_resident() {
-        let host = shared(GraftHost::new());
-        host.borrow_mut()
-            .install(AttachPoint::VmEvict, "eviction", eviction_engine())
+        let (host, handle) = one_shard(HostConfig::default());
+        host.install(AttachPoint::VmEvict, "eviction", eviction_engine())
             .unwrap();
-        let mut policy = HostedEviction::new(host.clone());
+        let mut policy = HostedEviction::new(handle);
         policy.set_hot(vec![0, 1, 2, 3]);
         let mut pager = Pager::new(8, policy);
         // Touch the hot set once, then stream cold pages through.
@@ -337,23 +333,23 @@ mod tests {
         for p in 0..4u64 {
             assert!(pager.queue().contains(p), "hot page {p} was evicted");
         }
-        assert!(host.borrow().stats().overrides > 0);
+        drop(pager); // the handle flushes its statistics
+        assert!(host.stats().overrides > 0);
     }
 
     #[test]
     fn quarantine_mid_run_falls_back_to_lru_and_keeps_serving() {
-        let host = shared(GraftHost::new());
+        let (host, handle) = one_shard(HostConfig::default());
         let bad = host
-            .borrow_mut()
             .install(AttachPoint::VmEvict, "hostile", hostile_eviction_engine())
             .unwrap();
-        let mut pager = Pager::new(4, HostedEviction::new(host.clone()));
+        let mut pager = Pager::new(4, HostedEviction::new(handle));
         for p in 0..32u64 {
             pager.access(p);
         }
         // The hostile graft tripped the supervisor after 3 traps...
-        assert!(host.borrow().is_quarantined(bad));
-        assert_eq!(host.borrow().ledger(bad).unwrap().traps, 3);
+        assert!(host.is_quarantined(bad));
+        assert_eq!(host.ledger(bad).unwrap().traps, 3);
         // ...and the pager behaved exactly like stock LRU throughout
         // (every dispatch fell back to the queue head).
         assert_eq!(pager.stats().faults, 32);
@@ -365,9 +361,8 @@ mod tests {
         use graft_rng::{Rng, SmallRng};
         use kernsim::sched::ClientServerPolicy;
         let spec = grafts::schedule::spec();
-        let host = shared(GraftHost::new());
-        host.borrow_mut()
-            .install(
+        let (host, handle) = one_shard(HostConfig::default());
+        host.install(
                 AttachPoint::SchedPick,
                 "client-server",
                 Box::new(
@@ -380,7 +375,7 @@ mod tests {
                 ),
             )
             .unwrap();
-        let mut hosted = HostedSched::new(host);
+        let mut hosted = HostedSched::new(handle);
         let mut builtin = ClientServerPolicy::default();
         let mut rng = SmallRng::seed_from_u64(17);
         for _ in 0..100 {
@@ -402,8 +397,8 @@ mod tests {
 
     #[test]
     fn hosted_sched_empty_chain_is_fifo() {
-        let host = shared(GraftHost::new());
-        let mut sched = Scheduler::new(HostedSched::new(host));
+        let (_host, handle) = one_shard(HostConfig::default());
+        let mut sched = Scheduler::new(HostedSched::new(handle));
         for pid in [1, 2, 3] {
             sched.enqueue(Candidate {
                 pid,
@@ -429,12 +424,12 @@ mod tests {
         );
         let plan: Vec<i64> = (0..8).chain(1000..1008).collect();
         grafts::readahead::load_plan(engine.as_mut(), &plan).unwrap();
-        let host = shared(GraftHost::new());
+        let (host, handle) = one_shard(HostConfig::default());
+        let handle = Rc::new(RefCell::new(handle));
         let id = host
-            .borrow_mut()
             .install(AttachPoint::CacheReadAhead, "plan", engine)
             .unwrap();
-        let ra = HostedReadAhead::new(host.clone()).with_depth(2).with_fallback(1);
+        let ra = HostedReadAhead::new(handle.clone()).with_depth(2).with_fallback(1);
         let mut cache = BufferCache::new(64, LruPolicy, ra);
         for &b in plan.iter() {
             cache.access(b as u64);
@@ -442,9 +437,9 @@ mod tests {
         // The graft predicted the jump to 1000.
         assert!(cache.stats().prefetch_hits > 0);
         assert!(cache.stats().misses < plan.len() as u64);
-        host.borrow_mut().uninstall(id);
+        host.uninstall(id);
         // Chain now empty: the sequential fallback still prefetches.
-        let mut ra2 = HostedReadAhead::new(host).with_fallback(2);
+        let mut ra2 = HostedReadAhead::new(handle).with_fallback(2);
         assert_eq!(ra2.prefetch(10), vec![11, 12]);
     }
 
@@ -459,17 +454,16 @@ mod tests {
         let engine: Box<dyn ExtensionEngine> = Box::new(
             load_grail(grail, &spec.regions, SafetyMode::Safe { nil_checks: true }).unwrap(),
         );
-        let host = shared(GraftHost::with_config(HostConfig {
+        let (host, handle) = one_shard(HostConfig {
             trap_threshold: 3,
             fuel_budget: Some(10_000),
             probation_clean: 4,
             ..HostConfig::default()
-        }));
+        });
         let id = host
-            .borrow_mut()
             .install(AttachPoint::DiskWrite, "spinner", engine)
             .unwrap();
-        let mut path = HostedWritePath::new(host.clone(), blocks);
+        let mut path = HostedWritePath::new(handle, blocks);
         let mut flushes = 0u64;
         for w in 0..64u64 {
             if path.write(w % blocks as u64) {
@@ -478,15 +472,15 @@ mod tests {
         }
         // The graft burned out on write #1; the facility kept the disk
         // going and flushed every full segment.
-        assert!(host.borrow().is_quarantined(id));
+        assert!(host.is_quarantined(id));
         assert_eq!(
-            host.borrow().state(id),
-            Some(crate::host::GraftState::Quarantined {
+            host.state(id),
+            Some(GraftState::Quarantined {
                 by: graft_api::TrapKind::FuelExhausted
             })
         );
-        assert_eq!(host.borrow().ledger(id).unwrap().traps, 1);
-        assert!(host.borrow().ledger(id).unwrap().fuel_used >= 10_000);
+        assert_eq!(host.ledger(id).unwrap().traps, 1);
+        assert!(host.ledger(id).unwrap().fuel_used >= 10_000);
         assert_eq!(path.fallback_writes, 64);
         assert_eq!(path.graft_writes, 0, "the trapped write decided nothing");
         assert_eq!(flushes, 4, "64 fallback writes fill exactly 4 segments");
@@ -494,7 +488,6 @@ mod tests {
 
     #[test]
     fn sharded_handles_drive_the_same_adapters() {
-        use crate::shard::ShardedHost;
         use graft_api::spec::SharedNativeFactory;
         use graft_api::{EntryPoint, NativeEngine, RegionSpec, RegionStore};
         use std::sync::Arc;
@@ -518,8 +511,8 @@ mod tests {
 
         let mut host = ShardedHost::new(2);
         let id = host.install(AttachPoint::VmEvict, "head", engine).unwrap();
-        // Each shard handle runs its own pager through the *same*
-        // adapter type the single-threaded host uses.
+        // Each shard handle runs its own pager through the same
+        // adapter type.
         for handle in host.take_handles() {
             let handle = Rc::new(RefCell::new(handle));
             let policy = HostedEviction::new(handle.clone());
@@ -539,7 +532,6 @@ mod tests {
 
     #[test]
     fn write_batch_matches_per_block_writes_exactly() {
-        use crate::shard::ShardedHost;
         use graft_api::spec::SharedNativeFactory;
         use graft_api::{EntryPoint, NativeEngine, RegionStore};
         use std::sync::Arc;
@@ -600,20 +592,17 @@ mod tests {
 
     #[test]
     fn technologies_report_through_host_accessors() {
-        let host = shared(GraftHost::new());
+        let (host, mut handle) = one_shard(HostConfig::default());
         let id = host
-            .borrow_mut()
             .install(AttachPoint::VmEvict, "eviction", eviction_engine())
             .unwrap();
-        let h = host.borrow();
-        assert_eq!(h.technology(id), Some(Technology::SafeCompiled));
-        assert_eq!(h.name(id), Some("eviction"));
-        assert_eq!(h.technology(GraftId(999)), None);
-        drop(h);
+        assert_eq!(host.technology(id), Some(Technology::SafeCompiled));
+        assert_eq!(host.name(id).as_deref(), Some("eviction"));
+        assert_eq!(host.technology(GraftId(999)), None);
         // Direct invoke through the host still traps deterministically
         // on bad arguments (a NIL chase via head pointer 0 is the
         // fallback-to-head branch, so use a wild pointer instead).
-        let err = host.borrow_mut().invoke(id, &[9_999_999, 0]);
+        let err = handle.invoke(id, &[9_999_999, 0]);
         assert!(matches!(err, Err(GraftError::Trap(Trap::OutOfBounds { .. }))));
     }
 }

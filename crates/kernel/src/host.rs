@@ -1,17 +1,9 @@
-//! The multi-tenant graft host: chains, ledgers, and the quarantine
-//! supervisor.
+//! The host's shared vocabulary: supervisor policy, graft lifecycle,
+//! graft ids and aggregate statistics. The host itself is
+//! [`ShardedHost`](crate::ShardedHost); its single-threaded case is
+//! simply one shard.
 
-use std::collections::BTreeMap;
-use std::time::Instant;
-
-use graft_api::{
-    EntryId, ExtensionEngine, GraftError, GraftLedger, Technology, Trap, TrapKind, Verdict,
-};
-use graft_telemetry::{TraceBuffer, TraceEvent, TraceId, TRACE_SHARD_SCALAR};
-
-use crate::point::AttachPoint;
-use crate::postmortem::{PostmortemReport, POSTMORTEM_TAIL};
-use crate::recovery::{self, SalvagedState};
+use graft_api::TrapKind;
 
 /// Chain depths recorded in the `kernel.chain_depth` histogram are
 /// clamped to this many slots (depth 16+ shares the last slot).
@@ -22,7 +14,8 @@ pub(crate) const DEPTH_SLOTS: usize = 17;
 pub struct HostConfig {
     /// Trapped invocations before a graft is quarantined (the paper's
     /// "unload the extension" containment response). A single
-    /// [`Trap::FuelExhausted`] quarantines immediately regardless.
+    /// [`Trap::FuelExhausted`](graft_api::Trap::FuelExhausted)
+    /// quarantines immediately regardless.
     pub trap_threshold: u32,
     /// Execution budget applied to every installed engine that meters
     /// fuel (`None` leaves engines unmetered).
@@ -36,7 +29,7 @@ pub struct HostConfig {
     /// dispatches have been served *without* it — the clean built-in
     /// window. The window doubles on each re-quarantine. `0` disables
     /// automatic re-admission entirely (the default): detach is final
-    /// until an explicit [`GraftHost::readmit`].
+    /// until an explicit [`ShardedHost::readmit`](crate::ShardedHost::readmit).
     pub backoff_base: u64,
     /// Quarantine trips after which a graft on the backoff ladder is
     /// permanently banned instead of re-admitted. Only consulted when
@@ -68,14 +61,15 @@ pub enum GraftState {
         remaining_clean: u64,
     },
     /// Detached by the supervisor; skipped by dispatch, and direct
-    /// invocation returns a deterministic [`GraftError::Unavailable`].
+    /// invocation returns a deterministic
+    /// [`GraftError::Unavailable`](graft_api::GraftError::Unavailable).
     Quarantined {
         /// The kind of trap that tripped the supervisor.
         by: TrapKind,
     },
     /// Hit the backoff ladder's permanent-ban ceiling: detached for
-    /// good — never auto-readmitted, and [`GraftHost::readmit`]
-    /// refuses it.
+    /// good — never auto-readmitted, and
+    /// [`ShardedHost::readmit`](crate::ShardedHost::readmit) refuses it.
     Banned,
 }
 
@@ -83,8 +77,12 @@ pub enum GraftState {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct GraftId(pub u64);
 
-/// Aggregate host statistics (flushed to `kernel.*` telemetry counters
-/// by [`GraftHost::flush`], and on drop for whatever remains).
+/// Aggregate host statistics. Shards publish the dispatch-path fields
+/// as `kernel.*` counters from [`ShardHandle::flush`], the control
+/// plane the rest from [`ShardedHost::flush`]; both also flush on drop.
+///
+/// [`ShardHandle::flush`]: crate::ShardHandle::flush
+/// [`ShardedHost::flush`]: crate::ShardedHost::flush
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostStats {
     /// Chain dispatches requested by substrates.
@@ -144,1126 +142,4 @@ impl HostStats {
         }
     }
 
-    /// Field-by-field accumulation.
-    pub fn merge(&mut self, other: &HostStats) {
-        self.dispatches += other.dispatches;
-        self.invocations += other.invocations;
-        self.traps += other.traps;
-        self.overrides += other.overrides;
-        self.continues += other.continues;
-        self.defaults += other.defaults;
-        self.quarantine_trips += other.quarantine_trips;
-        self.installs += other.installs;
-        self.uninstalls += other.uninstalls;
-        self.readmits += other.readmits;
-        self.marshal_failures += other.marshal_failures;
-        self.salvages += other.salvages;
-        self.salvaged_words += other.salvaged_words;
-        self.auto_readmits += other.auto_readmits;
-        self.bans += other.bans;
-    }
-}
-
-struct InstalledGraft {
-    name: String,
-    tech: Technology,
-    engine: Box<dyn ExtensionEngine>,
-    entry: EntryId,
-    ledger: GraftLedger,
-    state: GraftState,
-    /// Trapped invocations since the last (re-)admission.
-    strikes: u32,
-    /// Region names the supervisor must salvage at detach time.
-    salvage_plan: Vec<String>,
-    /// State salvaged at the most recent detach, if any.
-    salvage: Option<SalvagedState>,
-    /// Lifetime quarantine trips (the backoff ladder's rung).
-    quarantines: u32,
-    /// Dispatches still to be served without this graft before the
-    /// backoff ladder re-admits it (0 = not armed).
-    backoff_remaining: u64,
-}
-
-impl InstalledGraft {
-    fn dispatchable(&self) -> bool {
-        !matches!(
-            self.state,
-            GraftState::Quarantined { .. } | GraftState::Banned
-        )
-    }
-
-    fn note_clean(&mut self) {
-        if let GraftState::Probation { remaining_clean } = &mut self.state {
-            *remaining_clean = remaining_clean.saturating_sub(1);
-            if *remaining_clean == 0 {
-                self.state = GraftState::Active;
-            }
-        }
-    }
-
-    /// Accounts one trap against this graft; returns `true` when it
-    /// trips the quarantine supervisor.
-    fn note_trap(&mut self, trap: &Trap, threshold: u32) -> bool {
-        self.strikes += 1;
-        let instant = trap.kind() == TrapKind::FuelExhausted
-            || matches!(self.state, GraftState::Probation { .. });
-        if instant || self.strikes >= threshold {
-            self.state = GraftState::Quarantined { by: trap.kind() };
-            true
-        } else {
-            false
-        }
-    }
-}
-
-/// Post-detach bookkeeping shared by `dispatch` and `invoke`: salvage
-/// the planned regions out of the still-reachable engine, then arm the
-/// backoff ladder (or ban at the ceiling). A free function because the
-/// callers hold a mutable borrow of the graft alongside the host's
-/// stats field.
-/// Builds a [`PostmortemReport`] for a graft the supervisor just
-/// detached: ledger, backoff position, salvage outcome, and the tail of
-/// the graft's events from `recorder` (empty unless recording).
-fn capture_postmortem(
-    id: u64,
-    g: &InstalledGraft,
-    reason: TrapKind,
-    recorder: &TraceBuffer,
-    shard: Option<u32>,
-) -> PostmortemReport {
-    let mut events: Vec<TraceEvent> = recorder
-        .events()
-        .into_iter()
-        .filter(|e| e.graft == id)
-        .collect();
-    if events.len() > POSTMORTEM_TAIL {
-        events.drain(..events.len() - POSTMORTEM_TAIL);
-    }
-    PostmortemReport {
-        graft: g.name.clone(),
-        graft_id: id,
-        tech: g.tech,
-        reason,
-        state: g.state,
-        ledger: g.ledger,
-        strikes: g.strikes,
-        quarantines: g.quarantines,
-        backoff_remaining: g.backoff_remaining,
-        salvaged_words: g.salvage.as_ref().map(SalvagedState::words),
-        events,
-        detached_at_ns: graft_telemetry::now_ns(),
-        shard,
-    }
-}
-
-fn on_quarantine_trip(config: &HostConfig, stats: &mut HostStats, g: &mut InstalledGraft) {
-    stats.quarantine_trips += 1;
-    g.quarantines = g.quarantines.saturating_add(1);
-    if !g.salvage_plan.is_empty() {
-        if let Some(s) = recovery::salvage(&g.name, g.tech, g.engine.as_ref(), &g.salvage_plan) {
-            stats.salvages += 1;
-            stats.salvaged_words += s.words() as u64;
-            g.salvage = Some(s);
-        }
-    }
-    if config.backoff_base > 0 {
-        if g.quarantines >= config.ban_ceiling.max(1) {
-            g.state = GraftState::Banned;
-            stats.bans += 1;
-        } else {
-            // Window doubles with each trip: base << (trips - 1).
-            g.backoff_remaining = config
-                .backoff_base
-                .saturating_mul(1u64 << u64::from(g.quarantines - 1).min(62));
-        }
-    }
-}
-
-/// The extension kernel: a registry of attach-point chains over
-/// installed, individually-accounted grafts.
-///
-/// Dispatch walks a point's chain in install order. Each graft is
-/// marshalled and invoked through its pre-bound [`EntryId`]; the first
-/// `Override` wins, traps are charged to the offending graft's ledger
-/// (and only that graft), and a chain that declines entirely yields
-/// [`Verdict::Continue`] so the substrate's built-in policy applies.
-pub struct GraftHost {
-    config: HostConfig,
-    grafts: BTreeMap<u64, InstalledGraft>,
-    chains: [Vec<u64>; AttachPoint::COUNT],
-    next_id: u64,
-    stats: HostStats,
-    depth_counts: [u64; DEPTH_SLOTS],
-    /// Counts already pushed to telemetry by [`GraftHost::flush`];
-    /// subtracted on the next flush so nothing is double-counted.
-    published: HostStats,
-    published_depth: [u64; DEPTH_SLOTS],
-    /// The host's flight recorder: one [`TraceEvent`] per consulted
-    /// graft when recording is armed (`graft_telemetry::set_tracing`).
-    /// Thread-confined, lock-free; flushed to the global trace ring by
-    /// [`GraftHost::flush`].
-    recorder: TraceBuffer,
-    /// Dispatches traced so far — the per-source sequence
-    /// [`TraceId::mint`] consumes.
-    trace_seq: u64,
-    /// Postmortems captured at quarantine trips, oldest first.
-    postmortems: Vec<PostmortemReport>,
-}
-
-impl Default for GraftHost {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl GraftHost {
-    /// A host with the default supervisor policy (3-trap threshold).
-    pub fn new() -> Self {
-        Self::with_config(HostConfig::default())
-    }
-
-    /// A host with an explicit supervisor policy.
-    pub fn with_config(config: HostConfig) -> Self {
-        GraftHost {
-            config,
-            grafts: BTreeMap::new(),
-            chains: std::array::from_fn(|_| Vec::new()),
-            next_id: 1,
-            stats: HostStats::default(),
-            depth_counts: [0; DEPTH_SLOTS],
-            published: HostStats::default(),
-            published_depth: [0; DEPTH_SLOTS],
-            recorder: TraceBuffer::new(graft_telemetry::TRACE_BUFFER_CAPACITY),
-            trace_seq: 0,
-            postmortems: Vec::new(),
-        }
-    }
-
-    /// The supervisor policy in force.
-    pub fn config(&self) -> HostConfig {
-        self.config
-    }
-
-    /// Aggregate statistics so far.
-    pub fn stats(&self) -> HostStats {
-        self.stats
-    }
-
-    /// Installs `engine` at the end of `point`'s chain, binding the
-    /// point's entry and applying the fuel budget. The engine's regions
-    /// should already be marshalled with any install-time state (access
-    /// plans, logical-disk maps, ...).
-    pub fn install(
-        &mut self,
-        point: AttachPoint,
-        name: &str,
-        engine: Box<dyn ExtensionEngine>,
-    ) -> Result<GraftId, GraftError> {
-        self.install_at(point, name, engine, usize::MAX)
-    }
-
-    /// Installs at the *front* of the chain — the hot-install path a
-    /// hostile tenant would take to shadow everyone else.
-    pub fn install_front(
-        &mut self,
-        point: AttachPoint,
-        name: &str,
-        engine: Box<dyn ExtensionEngine>,
-    ) -> Result<GraftId, GraftError> {
-        self.install_at(point, name, engine, 0)
-    }
-
-    fn install_at(
-        &mut self,
-        point: AttachPoint,
-        name: &str,
-        mut engine: Box<dyn ExtensionEngine>,
-        at: usize,
-    ) -> Result<GraftId, GraftError> {
-        // Bind once, up front: dispatch never does a string lookup.
-        let entry = engine.bind_entry(point.entry())?;
-        engine.set_fuel(self.config.fuel_budget);
-        let id = self.next_id;
-        self.next_id += 1;
-        self.grafts.insert(
-            id,
-            InstalledGraft {
-                name: name.to_string(),
-                tech: engine.technology(),
-                engine,
-                entry,
-                ledger: GraftLedger::default(),
-                state: GraftState::Active,
-                strikes: 0,
-                salvage_plan: Vec::new(),
-                salvage: None,
-                quarantines: 0,
-                backoff_remaining: 0,
-            },
-        );
-        let chain = &mut self.chains[point as usize];
-        chain.insert(at.min(chain.len()), id);
-        self.stats.installs += 1;
-        Ok(GraftId(id))
-    }
-
-    /// Removes a graft from its chain and drops its engine. Returns
-    /// `false` for an unknown id.
-    pub fn uninstall(&mut self, id: GraftId) -> bool {
-        if self.grafts.remove(&id.0).is_none() {
-            return false;
-        }
-        for chain in &mut self.chains {
-            chain.retain(|&g| g != id.0);
-        }
-        self.stats.uninstalls += 1;
-        true
-    }
-
-    /// Re-admits a quarantined graft on probation. Returns `false`
-    /// unless the graft exists and is currently quarantined.
-    pub fn readmit(&mut self, id: GraftId) -> bool {
-        let Some(g) = self.grafts.get_mut(&id.0) else {
-            return false;
-        };
-        if !matches!(g.state, GraftState::Quarantined { .. }) {
-            return false;
-        }
-        g.strikes = 0;
-        g.backoff_remaining = 0;
-        g.state = GraftState::Probation {
-            remaining_clean: self.config.probation_clean.max(1),
-        };
-        self.stats.readmits += 1;
-        true
-    }
-
-    /// Registers the regions the supervisor must salvage out of this
-    /// graft when it detaches it (the Logical Disk graft's `map`, for
-    /// example). Each name is validated against the engine now, so a
-    /// typo fails at configure time, not at detach time.
-    pub fn set_salvage_plan(&mut self, id: GraftId, regions: &[&str]) -> Result<(), GraftError> {
-        let Some(g) = self.grafts.get_mut(&id.0) else {
-            return Err(GraftError::Unavailable {
-                graft: format!("graft#{}", id.0),
-                missing: "installation (no such graft)".into(),
-            });
-        };
-        for name in regions {
-            g.engine.bind_region(name)?;
-        }
-        g.salvage_plan = regions.iter().map(|s| s.to_string()).collect();
-        Ok(())
-    }
-
-    /// The state salvaged at this graft's most recent detach, if the
-    /// supervisor managed to lift it out.
-    pub fn salvage_ref(&self, id: GraftId) -> Option<&SalvagedState> {
-        self.grafts.get(&id.0).and_then(|g| g.salvage.as_ref())
-    }
-
-    /// Takes ownership of the salvaged state (e.g. to re-seed a
-    /// replacement graft or the built-in policy).
-    pub fn take_salvage(&mut self, id: GraftId) -> Option<SalvagedState> {
-        self.grafts.get_mut(&id.0).and_then(|g| g.salvage.take())
-    }
-
-    /// Snapshots the graft's salvage plan from its *live* engine right
-    /// now, without detaching — an explicit checkpoint.
-    pub fn salvage_now(&mut self, id: GraftId) -> Option<SalvagedState> {
-        let g = self.grafts.get(&id.0)?;
-        if g.salvage_plan.is_empty() {
-            return None;
-        }
-        let s = recovery::salvage(&g.name, g.tech, g.engine.as_ref(), &g.salvage_plan)?;
-        self.stats.salvages += 1;
-        self.stats.salvaged_words += s.words() as u64;
-        Some(s)
-    }
-
-    /// Lifetime quarantine trips for one graft (the backoff rung).
-    pub fn quarantine_count(&self, id: GraftId) -> Option<u32> {
-        self.grafts.get(&id.0).map(|g| g.quarantines)
-    }
-
-    /// The ledger of one graft.
-    pub fn ledger(&self, id: GraftId) -> Option<&GraftLedger> {
-        self.grafts.get(&id.0).map(|g| &g.ledger)
-    }
-
-    /// The lifecycle state of one graft.
-    pub fn state(&self, id: GraftId) -> Option<GraftState> {
-        self.grafts.get(&id.0).map(|g| g.state)
-    }
-
-    /// Whether the supervisor has detached this graft.
-    pub fn is_quarantined(&self, id: GraftId) -> bool {
-        matches!(self.state(id), Some(GraftState::Quarantined { .. }))
-    }
-
-    /// The technology a graft was installed under.
-    pub fn technology(&self, id: GraftId) -> Option<Technology> {
-        self.grafts.get(&id.0).map(|g| g.tech)
-    }
-
-    /// The name a graft was installed under.
-    pub fn name(&self, id: GraftId) -> Option<&str> {
-        self.grafts.get(&id.0).map(|g| g.name.as_str())
-    }
-
-    /// Direct engine access, e.g. to re-marshal state after re-admission.
-    pub fn engine_mut(&mut self, id: GraftId) -> Option<&mut (dyn ExtensionEngine + '_)> {
-        self.grafts.get_mut(&id.0).map(|g| g.engine.as_mut() as _)
-    }
-
-    /// The chain installed at `point`, in dispatch order.
-    pub fn chain(&self, point: AttachPoint) -> Vec<GraftId> {
-        self.chains[point as usize].iter().map(|&id| GraftId(id)).collect()
-    }
-
-    /// Grafts at `point` that dispatch would actually consult.
-    pub fn active_len(&self, point: AttachPoint) -> usize {
-        self.chains[point as usize]
-            .iter()
-            .filter(|id| self.grafts[id].dispatchable())
-            .count()
-    }
-
-    /// Walks `point`'s chain: marshals each non-quarantined graft with
-    /// `marshal` (which loads the graft's regions and returns the
-    /// argument vector), invokes it through the pre-bound handle, and
-    /// returns the first `Override`. Traps and marshalling failures are
-    /// charged to the offending graft and the walk continues — one bad
-    /// tenant never takes the attach point down.
-    pub fn dispatch<F>(&mut self, point: AttachPoint, mut marshal: F) -> Verdict
-    where
-        F: FnMut(&mut dyn ExtensionEngine) -> Result<Vec<i64>, GraftError>,
-    {
-        let p = point as usize;
-        self.stats.dispatches += 1;
-        let depth = self.active_len(point);
-        self.depth_counts[depth.min(DEPTH_SLOTS - 1)] += 1;
-        // One causal id per dispatch, threaded through every invocation
-        // it causes (including across the upcall wire). Minting and
-        // recording happen only in recording mode: gated mode costs two
-        // relaxed loads, off mode one.
-        let tracing = graft_telemetry::tracing();
-        let trace = if tracing {
-            self.trace_seq += 1;
-            TraceId::mint(0, self.trace_seq)
-        } else {
-            TraceId::NONE
-        };
-        let mut chain_seq: u32 = 0;
-        for i in 0..self.chains[p].len() {
-            let id = self.chains[p][i];
-            let Some(g) = self.grafts.get_mut(&id) else {
-                continue;
-            };
-            if !g.dispatchable() {
-                // Backoff re-admission: every dispatch the chain serves
-                // *without* this graft counts toward its clean built-in
-                // window; at zero the ladder re-admits it on probation.
-                if g.backoff_remaining > 0
-                    && matches!(g.state, GraftState::Quarantined { .. })
-                {
-                    g.backoff_remaining -= 1;
-                    if g.backoff_remaining == 0 {
-                        g.strikes = 0;
-                        g.state = GraftState::Probation {
-                            remaining_clean: self.config.probation_clean.max(1),
-                        };
-                        self.stats.readmits += 1;
-                        self.stats.auto_readmits += 1;
-                    }
-                }
-                continue;
-            }
-            let started = Instant::now();
-            let args = match marshal(g.engine.as_mut()) {
-                Ok(args) => args,
-                Err(_) => {
-                    // Kernel-side marshalling failed for this tenant
-                    // (e.g. a dead upcall transport). Skip it; do not
-                    // charge its ledger for a fault that is not its
-                    // code's.
-                    self.stats.marshal_failures += 1;
-                    if tracing {
-                        self.recorder.record(TraceEvent {
-                            ts_ns: graft_telemetry::since_epoch_ns(started),
-                            trace,
-                            seq: chain_seq,
-                            graft: id,
-                            shard: TRACE_SHARD_SCALAR,
-                            point: p as u8,
-                            tech: g.tech as u8,
-                            verdict: graft_telemetry::TRACE_VERDICT_MARSHAL_FAIL,
-                            value: 0,
-                            duration_ns: started.elapsed().as_nanos().min(u64::MAX as u128)
-                                as u64,
-                            fuel: 0,
-                        });
-                    }
-                    chain_seq += 1;
-                    continue;
-                }
-            };
-            let result = if tracing {
-                g.engine.invoke_id_traced(g.entry, &args, trace)
-            } else {
-                g.engine.invoke_id(g.entry, &args)
-            };
-            let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            let fuel = g.engine.fuel_used();
-            match result {
-                Ok(ret) => {
-                    g.ledger.record_ok(ns, fuel);
-                    g.note_clean();
-                    self.stats.invocations += 1;
-                    let verdict = point.decode(ret);
-                    if tracing {
-                        let (code, value) = match verdict {
-                            Verdict::Override(v) => (graft_telemetry::TRACE_VERDICT_OVERRIDE, v),
-                            Verdict::Continue => (graft_telemetry::TRACE_VERDICT_CONTINUE, 0),
-                        };
-                        self.recorder.record(TraceEvent {
-                            ts_ns: graft_telemetry::since_epoch_ns(started),
-                            trace,
-                            seq: chain_seq,
-                            graft: id,
-                            shard: TRACE_SHARD_SCALAR,
-                            point: p as u8,
-                            tech: g.tech as u8,
-                            verdict: code,
-                            value,
-                            duration_ns: ns,
-                            fuel: fuel.unwrap_or(0),
-                        });
-                    }
-                    match verdict {
-                        v @ Verdict::Override(_) => {
-                            self.stats.overrides += 1;
-                            return v;
-                        }
-                        Verdict::Continue => self.stats.continues += 1,
-                    }
-                }
-                Err(GraftError::Trap(trap)) => {
-                    g.ledger.record_trap(ns, fuel, &trap);
-                    self.stats.invocations += 1;
-                    self.stats.traps += 1;
-                    if tracing {
-                        self.recorder.record(TraceEvent {
-                            ts_ns: graft_telemetry::since_epoch_ns(started),
-                            trace,
-                            seq: chain_seq,
-                            graft: id,
-                            shard: TRACE_SHARD_SCALAR,
-                            point: p as u8,
-                            tech: g.tech as u8,
-                            verdict: graft_telemetry::TRACE_VERDICT_TRAP,
-                            value: trap.kind() as usize as i64,
-                            duration_ns: ns,
-                            fuel: fuel.unwrap_or(0),
-                        });
-                    }
-                    if g.note_trap(&trap, self.config.trap_threshold) {
-                        on_quarantine_trip(&self.config, &mut self.stats, g);
-                        self.postmortems.push(capture_postmortem(
-                            id,
-                            g,
-                            trap.kind(),
-                            &self.recorder,
-                            None,
-                        ));
-                    }
-                }
-                Err(_) => {
-                    // Non-trap framework error: skip, keep serving.
-                    self.stats.marshal_failures += 1;
-                }
-            }
-            chain_seq += 1;
-        }
-        self.stats.defaults += 1;
-        Verdict::Continue
-    }
-
-    /// Invokes one graft directly through the host, with full ledger
-    /// accounting and the quarantine gate: a detached graft returns a
-    /// deterministic [`GraftError::Unavailable`], never a panic.
-    pub fn invoke(&mut self, id: GraftId, args: &[i64]) -> Result<i64, GraftError> {
-        let Some(g) = self.grafts.get_mut(&id.0) else {
-            return Err(GraftError::Unavailable {
-                graft: format!("graft#{}", id.0),
-                missing: "installation (no such graft)".into(),
-            });
-        };
-        match g.state {
-            GraftState::Quarantined { .. } => {
-                return Err(GraftError::Unavailable {
-                    graft: g.name.clone(),
-                    missing: "detached by quarantine supervisor".into(),
-                });
-            }
-            GraftState::Banned => {
-                return Err(GraftError::Unavailable {
-                    graft: g.name.clone(),
-                    missing: "permanently banned at the backoff ceiling".into(),
-                });
-            }
-            _ => {}
-        }
-        let tracing = graft_telemetry::tracing();
-        let trace = if tracing {
-            self.trace_seq += 1;
-            TraceId::mint(0, self.trace_seq)
-        } else {
-            TraceId::NONE
-        };
-        let started = Instant::now();
-        let result = if tracing {
-            g.engine.invoke_id_traced(g.entry, args, trace)
-        } else {
-            g.engine.invoke_id(g.entry, args)
-        };
-        let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let fuel = g.engine.fuel_used();
-        self.stats.invocations += 1;
-        if tracing {
-            // Direct invocations have no attach point (`u8::MAX`); an
-            // `Ok` records the return value under the override verdict.
-            let (verdict, value) = match &result {
-                Ok(ret) => (graft_telemetry::TRACE_VERDICT_OVERRIDE, *ret),
-                Err(GraftError::Trap(trap)) => (
-                    graft_telemetry::TRACE_VERDICT_TRAP,
-                    trap.kind() as usize as i64,
-                ),
-                Err(_) => (graft_telemetry::TRACE_VERDICT_MARSHAL_FAIL, 0),
-            };
-            self.recorder.record(TraceEvent {
-                ts_ns: graft_telemetry::since_epoch_ns(started),
-                trace,
-                seq: 0,
-                graft: id.0,
-                shard: TRACE_SHARD_SCALAR,
-                point: u8::MAX,
-                tech: g.tech as u8,
-                verdict,
-                value,
-                duration_ns: ns,
-                fuel: fuel.unwrap_or(0),
-            });
-        }
-        match &result {
-            Ok(_) => {
-                g.ledger.record_ok(ns, fuel);
-                g.note_clean();
-            }
-            Err(GraftError::Trap(trap)) => {
-                g.ledger.record_trap(ns, fuel, trap);
-                self.stats.traps += 1;
-                if g.note_trap(trap, self.config.trap_threshold) {
-                    on_quarantine_trip(&self.config, &mut self.stats, g);
-                    self.postmortems.push(capture_postmortem(
-                        id.0,
-                        g,
-                        trap.kind(),
-                        &self.recorder,
-                        None,
-                    ));
-                }
-            }
-            Err(_) => self.stats.marshal_failures += 1,
-        }
-        result
-    }
-
-    /// Flushes statistics accumulated since the last flush into the
-    /// global telemetry counters.
-    ///
-    /// Dispatch — the measured path — never touches an atomic; counts
-    /// accumulate in plain fields and reach telemetry only here.
-    /// Historically this ran *only* from `Drop`, which silently lost
-    /// every count when a host was leaked (`std::mem::forget`, an
-    /// `Rc` cycle) — and left nothing persisted if a run aborted after
-    /// hours of dispatching. `flush` is idempotent (it publishes only
-    /// the delta since the previous flush, and `Drop` publishes only
-    /// what an explicit flush has not already pushed), so callers can
-    /// checkpoint at will: call it before a risky section, before
-    /// snapshotting telemetry, or never — `Drop` still covers the
-    /// normal teardown *and* unwinding out of a panicking dispatch.
-    pub fn flush(&mut self) {
-        let s = self.stats.delta_since(&self.published);
-        self.published = self.stats;
-        let depth_prev = self.published_depth;
-        self.published_depth = self.depth_counts;
-        // Publishes only events not yet flushed, and accounts every
-        // overwritten-unpublished event to `telemetry.trace.dropped`.
-        self.recorder.flush();
-        if !graft_telemetry::enabled() {
-            return;
-        }
-        graft_telemetry::counter!("kernel.dispatches").add(s.dispatches);
-        graft_telemetry::counter!("kernel.invocations").add(s.invocations);
-        graft_telemetry::counter!("kernel.traps").add(s.traps);
-        graft_telemetry::counter!("kernel.verdict_override").add(s.overrides);
-        graft_telemetry::counter!("kernel.verdict_continue").add(s.continues);
-        graft_telemetry::counter!("kernel.verdict_default").add(s.defaults);
-        graft_telemetry::counter!("kernel.quarantine_trips").add(s.quarantine_trips);
-        graft_telemetry::counter!("kernel.installs").add(s.installs);
-        graft_telemetry::counter!("kernel.uninstalls").add(s.uninstalls);
-        graft_telemetry::counter!("kernel.readmits").add(s.readmits);
-        graft_telemetry::counter!("kernel.marshal_failures").add(s.marshal_failures);
-        graft_telemetry::counter!("kernel.recovery.salvages").add(s.salvages);
-        graft_telemetry::counter!("kernel.recovery.salvaged_words").add(s.salvaged_words);
-        graft_telemetry::counter!("kernel.recovery.auto_readmits").add(s.auto_readmits);
-        graft_telemetry::counter!("kernel.recovery.bans").add(s.bans);
-        let depth = graft_telemetry::histogram!("kernel.chain_depth");
-        for (d, (&n, &p)) in self.depth_counts.iter().zip(depth_prev.iter()).enumerate() {
-            depth.record_n(d as u64, n.saturating_sub(p));
-        }
-    }
-
-    /// Every trace event still retained by this host's flight recorder,
-    /// oldest first (empty unless recording was armed).
-    pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.recorder.events()
-    }
-
-    /// Postmortem reports captured at quarantine trips, oldest first.
-    pub fn postmortems(&self) -> &[PostmortemReport] {
-        &self.postmortems
-    }
-
-    /// Takes ownership of the captured postmortems (e.g. to embed them
-    /// in a run artifact).
-    pub fn take_postmortems(&mut self) -> Vec<PostmortemReport> {
-        std::mem::take(&mut self.postmortems)
-    }
-}
-
-impl Drop for GraftHost {
-    fn drop(&mut self) {
-        // Publishes only what explicit flushes have not already pushed;
-        // this also runs while unwinding out of a panicking dispatch,
-        // so counts up to the fault survive into telemetry.
-        self.flush();
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use graft_api::{EntryPoint, NativeEngine, RegionSpec, RegionStore};
-
-    /// A tiny native engine exporting `select_victim/2` whose body is
-    /// the given closure.
-    fn victim_engine<F>(body: F) -> Box<dyn ExtensionEngine>
-    where
-        F: FnMut(&str, &[i64], &mut RegionStore) -> Result<i64, GraftError> + Send + 'static,
-    {
-        let specs = [RegionSpec::data("scratch", 8)];
-        let entries = [EntryPoint {
-            name: "select_victim".into(),
-            arity: 2,
-        }];
-        Box::new(NativeEngine::with_entries(&specs, &entries, Box::new(body)).unwrap())
-    }
-
-    fn constant(v: i64) -> Box<dyn ExtensionEngine> {
-        victim_engine(move |_, _, _| Ok(v))
-    }
-
-    fn declining() -> Box<dyn ExtensionEngine> {
-        victim_engine(|_, _, _| Ok(-1))
-    }
-
-    fn trapping() -> Box<dyn ExtensionEngine> {
-        victim_engine(|_, _, _| Err(Trap::DivByZero.into()))
-    }
-
-    fn dispatch_once(host: &mut GraftHost) -> Verdict {
-        host.dispatch(AttachPoint::VmEvict, |_| Ok(vec![0, 0]))
-    }
-
-    #[test]
-    fn empty_chain_yields_continue() {
-        let mut host = GraftHost::new();
-        assert_eq!(dispatch_once(&mut host), Verdict::Continue);
-        assert_eq!(host.stats().defaults, 1);
-        assert_eq!(host.active_len(AttachPoint::VmEvict), 0);
-    }
-
-    #[test]
-    fn first_override_wins_in_chain_order() {
-        let mut host = GraftHost::new();
-        let a = host.install(AttachPoint::VmEvict, "decline", declining()).unwrap();
-        let b = host.install(AttachPoint::VmEvict, "forty-two", constant(42)).unwrap();
-        let c = host.install(AttachPoint::VmEvict, "seven", constant(7)).unwrap();
-        assert_eq!(host.chain(AttachPoint::VmEvict), vec![a, b, c]);
-        assert_eq!(dispatch_once(&mut host), Verdict::Override(42));
-        // The decliner was consulted, the shadowed graft was not.
-        assert_eq!(host.ledger(a).unwrap().invocations, 1);
-        assert_eq!(host.ledger(b).unwrap().invocations, 1);
-        assert_eq!(host.ledger(c).unwrap().invocations, 0);
-        assert_eq!(host.stats().overrides, 1);
-        assert_eq!(host.stats().continues, 1);
-    }
-
-    #[test]
-    fn install_front_shadows_and_uninstall_restores() {
-        let mut host = GraftHost::new();
-        let back = host.install(AttachPoint::VmEvict, "back", constant(1)).unwrap();
-        let front = host.install_front(AttachPoint::VmEvict, "front", constant(2)).unwrap();
-        assert_eq!(host.chain(AttachPoint::VmEvict), vec![front, back]);
-        assert_eq!(dispatch_once(&mut host), Verdict::Override(2));
-        assert!(host.uninstall(front));
-        assert!(!host.uninstall(front));
-        assert_eq!(dispatch_once(&mut host), Verdict::Override(1));
-    }
-
-    #[test]
-    fn supervisor_quarantines_after_threshold_traps() {
-        let mut host = GraftHost::new();
-        let bad = host.install(AttachPoint::VmEvict, "hostile", trapping()).unwrap();
-        let good = host.install(AttachPoint::VmEvict, "good", constant(9)).unwrap();
-        for _ in 0..5 {
-            // The hostile front graft traps, the chain still serves.
-            assert_eq!(dispatch_once(&mut host), Verdict::Override(9));
-        }
-        assert!(host.is_quarantined(bad));
-        assert_eq!(
-            host.state(bad),
-            Some(GraftState::Quarantined {
-                by: TrapKind::DivByZero
-            })
-        );
-        // Exactly trap_threshold trapped invocations before detach.
-        assert_eq!(host.ledger(bad).unwrap().traps, 3);
-        assert_eq!(host.ledger(bad).unwrap().invocations, 3);
-        assert_eq!(host.stats().quarantine_trips, 1);
-        // The well-behaved tenant is untouched.
-        assert_eq!(host.state(good), Some(GraftState::Active));
-        assert_eq!(host.ledger(good).unwrap().invocations, 5);
-    }
-
-    #[test]
-    fn quarantined_graft_invoked_directly_is_a_deterministic_error() {
-        let mut host = GraftHost::new();
-        let bad = host.install(AttachPoint::VmEvict, "hostile", trapping()).unwrap();
-        for _ in 0..3 {
-            let _ = host.invoke(bad, &[0, 0]);
-        }
-        assert!(host.is_quarantined(bad));
-        let err = host.invoke(bad, &[0, 0]).unwrap_err();
-        match err {
-            GraftError::Unavailable { graft, missing } => {
-                assert_eq!(graft, "hostile");
-                assert!(missing.contains("quarantine"));
-            }
-            other => panic!("expected Unavailable, got {other}"),
-        }
-        // The gate holds on repeat.
-        assert!(matches!(
-            host.invoke(bad, &[0, 0]),
-            Err(GraftError::Unavailable { .. })
-        ));
-    }
-
-    #[test]
-    fn fuel_exhaustion_quarantines_immediately() {
-        let mut host = GraftHost::new();
-        let bad = host
-            .install(
-                AttachPoint::VmEvict,
-                "spinner",
-                victim_engine(|_, _, _| Err(Trap::FuelExhausted.into())),
-            )
-            .unwrap();
-        assert_eq!(dispatch_once(&mut host), Verdict::Continue);
-        assert!(host.is_quarantined(bad), "one FuelExhausted must detach");
-        assert_eq!(host.ledger(bad).unwrap().traps, 1);
-        assert_eq!(
-            host.ledger(bad)
-                .unwrap()
-                .trap_counts
-                .get(TrapKind::FuelExhausted),
-            1
-        );
-    }
-
-    #[test]
-    fn probation_readmits_and_one_more_trap_detaches() {
-        let mut host = GraftHost::new();
-        // Trap twice, then behave — below threshold, never quarantined.
-        let mut calls = 0;
-        let flaky = victim_engine(move |_, _, _| {
-            calls += 1;
-            if calls <= 3 {
-                Err(Trap::DivByZero.into())
-            } else {
-                Ok(5)
-            }
-        });
-        let id = host.install(AttachPoint::VmEvict, "flaky", flaky).unwrap();
-        for _ in 0..3 {
-            dispatch_once(&mut host);
-        }
-        assert!(host.is_quarantined(id));
-        assert!(!host.readmit(GraftId(999)), "unknown id");
-        assert!(host.readmit(id));
-        assert!(!host.readmit(id), "only quarantined grafts re-admit");
-        assert_eq!(
-            host.state(id),
-            Some(GraftState::Probation { remaining_clean: 8 })
-        );
-        // Clean invocations walk it back to Active.
-        for _ in 0..8 {
-            assert_eq!(dispatch_once(&mut host), Verdict::Override(5));
-        }
-        assert_eq!(host.state(id), Some(GraftState::Active));
-    }
-
-    #[test]
-    fn trap_on_probation_requarantines_instantly() {
-        let mut host = GraftHost::new();
-        let id = host.install(AttachPoint::VmEvict, "hostile", trapping()).unwrap();
-        for _ in 0..3 {
-            dispatch_once(&mut host);
-        }
-        assert!(host.is_quarantined(id));
-        assert!(host.readmit(id));
-        dispatch_once(&mut host);
-        assert!(host.is_quarantined(id), "probation tolerates zero traps");
-        assert_eq!(host.stats().quarantine_trips, 2);
-        assert_eq!(host.stats().readmits, 1);
-    }
-
-    #[test]
-    fn chains_are_per_attach_point() {
-        let mut host = GraftHost::new();
-        host.install(AttachPoint::VmEvict, "evict", constant(1)).unwrap();
-        assert_eq!(host.active_len(AttachPoint::VmEvict), 1);
-        assert_eq!(host.active_len(AttachPoint::SchedPick), 0);
-        assert_eq!(
-            host.dispatch(AttachPoint::SchedPick, |_| Ok(vec![1])),
-            Verdict::Continue
-        );
-    }
-
-    #[test]
-    fn install_rejects_missing_entry_at_bind_time() {
-        let mut host = GraftHost::new();
-        let specs = [RegionSpec::data("scratch", 8)];
-        let entries = [EntryPoint {
-            name: "something_else".into(),
-            arity: 0,
-        }];
-        let engine: Box<dyn ExtensionEngine> = Box::new(
-            NativeEngine::with_entries(&specs, &entries, Box::new(|_: &str, _: &[i64], _: &mut RegionStore| Ok(0)))
-                .unwrap(),
-        );
-        let err = host.install(AttachPoint::VmEvict, "bad", engine);
-        assert!(err.is_err(), "binding select_victim must fail");
-        assert_eq!(host.active_len(AttachPoint::VmEvict), 0);
-    }
-
-    #[test]
-    fn marshal_failure_skips_tenant_without_charging_it() {
-        let mut host = GraftHost::new();
-        let a = host.install(AttachPoint::VmEvict, "a", constant(3)).unwrap();
-        let mut first = true;
-        let verdict = host.dispatch(AttachPoint::VmEvict, move |_| {
-            if first {
-                first = false;
-                Err(GraftError::UpcallFailed("dead transport".into()))
-            } else {
-                Ok(vec![0, 0])
-            }
-        });
-        assert_eq!(verdict, Verdict::Continue);
-        assert_eq!(host.ledger(a).unwrap().invocations, 0);
-        assert_eq!(host.stats().marshal_failures, 1);
-    }
-
-    #[test]
-    fn detach_salvages_the_planned_regions() {
-        let mut host = GraftHost::new();
-        // The saboteur maintains state in `scratch`, then starts
-        // trapping: the supervisor must lift the pre-trap state out.
-        let mut calls = 0;
-        let engine = victim_engine(move |_, _, regions: &mut RegionStore| {
-            calls += 1;
-            if calls <= 2 {
-                let id = regions.id("scratch").unwrap();
-                regions.write_id(id, 0, 40 + calls)?;
-                Ok(-1)
-            } else {
-                Err(Trap::DivByZero.into())
-            }
-        });
-        let id = host.install(AttachPoint::VmEvict, "stateful", engine).unwrap();
-        assert!(host.set_salvage_plan(id, &["nope"]).is_err(), "typo fails early");
-        host.set_salvage_plan(id, &["scratch"]).unwrap();
-        for _ in 0..5 {
-            dispatch_once(&mut host);
-        }
-        assert!(host.is_quarantined(id));
-        let s = host.salvage_ref(id).expect("salvaged at detach");
-        assert_eq!(s.graft, "stateful");
-        assert_eq!(s.region("scratch").unwrap()[0], 42, "last pre-trap state");
-        assert_eq!(host.stats().salvages, 1);
-        assert_eq!(host.stats().salvaged_words, 8);
-        let taken = host.take_salvage(id).unwrap();
-        assert_eq!(taken.region("scratch").unwrap()[0], 42);
-        assert!(host.take_salvage(id).is_none(), "taken once");
-    }
-
-    #[test]
-    fn salvage_now_checkpoints_without_detaching() {
-        let mut host = GraftHost::new();
-        let engine = victim_engine(|_, _, regions: &mut RegionStore| {
-            let id = regions.id("scratch").unwrap();
-            regions.write_id(id, 1, 7)?;
-            Ok(-1)
-        });
-        let id = host.install(AttachPoint::VmEvict, "live", engine).unwrap();
-        assert!(host.salvage_now(id).is_none(), "no plan, no checkpoint");
-        host.set_salvage_plan(id, &["scratch"]).unwrap();
-        dispatch_once(&mut host);
-        let s = host.salvage_now(id).unwrap();
-        assert_eq!(s.region("scratch").unwrap()[1], 7);
-        assert_eq!(host.state(id), Some(GraftState::Active));
-    }
-
-    #[test]
-    fn backoff_ladder_readmits_after_clean_window_and_doubles() {
-        let mut host = GraftHost::with_config(HostConfig {
-            backoff_base: 4,
-            ban_ceiling: 3,
-            probation_clean: 1,
-            ..HostConfig::default()
-        });
-        // Traps on its first three calls after each re-admission, then
-        // behaves — so every incarnation is re-quarantined until the
-        // ladder runs out.
-        let id = host.install(AttachPoint::VmEvict, "flaky", trapping()).unwrap();
-        host.install(AttachPoint::VmEvict, "good", constant(1)).unwrap();
-        for _ in 0..3 {
-            dispatch_once(&mut host);
-        }
-        assert!(host.is_quarantined(id));
-        assert_eq!(host.quarantine_count(id), Some(1));
-        // First window: 4 dispatches served without it, then probation.
-        for _ in 0..3 {
-            dispatch_once(&mut host);
-            assert!(host.is_quarantined(id));
-        }
-        dispatch_once(&mut host);
-        assert!(matches!(
-            host.state(id),
-            Some(GraftState::Probation { .. })
-        ));
-        assert_eq!(host.stats().auto_readmits, 1);
-        // Second strike: probation tolerates zero traps → trip #2,
-        // window doubles to 8.
-        dispatch_once(&mut host);
-        assert!(host.is_quarantined(id));
-        assert_eq!(host.quarantine_count(id), Some(2));
-        for _ in 0..7 {
-            dispatch_once(&mut host);
-            assert!(host.is_quarantined(id));
-        }
-        dispatch_once(&mut host);
-        assert!(matches!(
-            host.state(id),
-            Some(GraftState::Probation { .. })
-        ));
-        assert_eq!(host.stats().auto_readmits, 2);
-        // Third strike hits the ceiling: permanent ban.
-        dispatch_once(&mut host);
-        assert_eq!(host.state(id), Some(GraftState::Banned));
-        assert_eq!(host.stats().bans, 1);
-        assert!(!host.readmit(id), "banned grafts never re-admit");
-        for _ in 0..64 {
-            dispatch_once(&mut host);
-        }
-        assert_eq!(host.state(id), Some(GraftState::Banned));
-        let err = host.invoke(id, &[0, 0]).unwrap_err();
-        match err {
-            GraftError::Unavailable { missing, .. } => {
-                assert!(missing.contains("banned"), "{missing}");
-            }
-            other => panic!("expected Unavailable, got {other}"),
-        }
-    }
-
-    #[test]
-    fn backoff_disabled_by_default_keeps_detach_final() {
-        let mut host = GraftHost::new();
-        let id = host.install(AttachPoint::VmEvict, "hostile", trapping()).unwrap();
-        for _ in 0..3 {
-            dispatch_once(&mut host);
-        }
-        assert!(host.is_quarantined(id));
-        for _ in 0..200 {
-            dispatch_once(&mut host);
-        }
-        assert!(host.is_quarantined(id), "no ladder unless configured");
-        assert_eq!(host.stats().auto_readmits, 0);
-    }
-
-    #[test]
-    fn flush_is_idempotent_and_survives_mem_forget() {
-        // The regression this guards: telemetry used to publish *only*
-        // from `Drop`, so a leaked host (`std::mem::forget`, an `Rc`
-        // cycle) silently lost every count. An explicit `flush()`
-        // checkpoints the counts; a later flush or drop publishes only
-        // the delta, never double-counting.
-        let before = graft_telemetry::snapshot().counter("kernel.dispatches");
-        let mut host = GraftHost::new();
-        host.install(AttachPoint::VmEvict, "c", constant(4)).unwrap();
-        for _ in 0..5 {
-            dispatch_once(&mut host);
-        }
-        host.flush();
-        // Everything accumulated so far is now published: the pending
-        // delta is zero, so a second flush (or Drop) adds nothing.
-        assert_eq!(host.stats.delta_since(&host.published), HostStats::default());
-        host.flush();
-        assert_eq!(host.published.dispatches, 5);
-        // Leak the host. Without the explicit flush above these five
-        // dispatches would never reach telemetry.
-        std::mem::forget(host);
-        if graft_telemetry::enabled() {
-            let after = graft_telemetry::snapshot().counter("kernel.dispatches");
-            // Other tests run in parallel and also publish, so the
-            // global counter is only monotonically bounded below.
-            assert!(after >= before + 5, "flushed counts lost: {before} -> {after}");
-        }
-    }
-
-    #[test]
-    fn drop_during_panic_unwind_publishes_counts() {
-        let before = graft_telemetry::snapshot().counter("kernel.dispatches");
-        let result = std::panic::catch_unwind(|| {
-            let mut host = GraftHost::new();
-            host.install(AttachPoint::VmEvict, "c", constant(4)).unwrap();
-            for _ in 0..7 {
-                dispatch_once(&mut host);
-            }
-            // The eighth dispatch faults in kernel-side marshalling
-            // code; the host unwinds out of `dispatch` and its Drop
-            // impl must still publish all eight dispatch counts.
-            host.dispatch(AttachPoint::VmEvict, |_| -> Result<Vec<i64>, GraftError> {
-                panic!("marshal bug")
-            });
-        });
-        assert!(result.is_err(), "the marshal closure must have panicked");
-        if graft_telemetry::enabled() {
-            let after = graft_telemetry::snapshot().counter("kernel.dispatches");
-            assert!(after >= before + 8, "counts lost on unwind: {before} -> {after}");
-        }
-    }
 }

@@ -35,13 +35,18 @@
 //!   clean built-in window that doubles per re-quarantine, up to a
 //!   permanent-ban ceiling.
 //!
+//! * **One host, one chain walk** ([`ShardedHost`]): the control plane
+//!   installs, uninstalls and observes; each worker shard dispatches
+//!   through its own [`ShardHandle`] over thread-confined engine
+//!   replicas. The single-threaded host is simply a 1-shard
+//!   `ShardedHost` and its one handle — the same code, with N = 1.
 //! * **Adaptive sharded dispatch** ([`steal`]): bounded per-shard run
 //!   queues with work stealing and graft-affinity placement feed the
-//!   sharded host's data plane; executors drain adaptively sized
-//!   batches that widen with backlog and dispatch through the fused
-//!   `invoke_batch` path when accounting-safe.
+//!   host's data plane; executors drain adaptively sized batches that
+//!   widen with backlog and dispatch through the fused `invoke_batch`
+//!   path when accounting-safe.
 //!
-//! The [`adapters`] module plugs a shared host into the kernsim
+//! The [`adapters`] module plugs a shard handle into the kernsim
 //! substrates (`Pager`, `BufferCache`, `Scheduler`, and the
 //! logical-disk write path) through their policy traits.
 
@@ -53,8 +58,8 @@ pub mod recovery;
 pub mod shard;
 pub mod steal;
 
-pub use adapters::{shared, HostedEviction, HostedReadAhead, HostedSched, HostedWritePath, SharedHost};
-pub use host::{GraftHost, GraftId, GraftState, HostConfig, HostStats};
+pub use adapters::{HostedEviction, HostedReadAhead, HostedSched, HostedWritePath};
+pub use host::{GraftId, GraftState, HostConfig, HostStats};
 pub use point::AttachPoint;
 pub use postmortem::PostmortemReport;
 pub use recovery::SalvagedState;

@@ -30,7 +30,7 @@ pub const POSTMORTEM_TAIL: usize = 32;
 pub struct PostmortemReport {
     /// The name the graft was installed under.
     pub graft: String,
-    /// Host-assigned graft id (`GraftId.0` / the sharded host's id).
+    /// Host-assigned graft id (`GraftId.0`).
     pub graft_id: u64,
     /// The technology the graft ran under.
     pub tech: Technology,
@@ -58,9 +58,8 @@ pub struct PostmortemReport {
     /// Monotonic capture timestamp (ns since the telemetry epoch); 0
     /// when telemetry is compiled out.
     pub detached_at_ns: u64,
-    /// Worker shard that won the detach race, `None` on the scalar
-    /// host.
-    pub shard: Option<u32>,
+    /// Worker shard that won the detach race (0 on a 1-shard host).
+    pub shard: u32,
 }
 
 impl PostmortemReport {
@@ -130,13 +129,7 @@ impl PostmortemReport {
                 Json::Arr(self.events.iter().map(trace_event_json).collect()),
             )
             .set("detached_at_ns", self.detached_at_ns)
-            .set(
-                "shard",
-                match self.shard {
-                    Some(s) => Json::Num(f64::from(s)),
-                    None => Json::Null,
-                },
-            );
+            .set("shard", u64::from(self.shard));
         doc
     }
 }
@@ -161,7 +154,6 @@ pub fn trace_event_json(e: &TraceEvent) -> Json {
         .set(
             "shard",
             match e.shard {
-                graft_telemetry::TRACE_SHARD_SCALAR => Json::Str("scalar".into()),
                 graft_telemetry::TRACE_SHARD_UPCALL => Json::Str("upcall-server".into()),
                 s => Json::Num(f64::from(s)),
             },

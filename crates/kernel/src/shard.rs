@@ -1,16 +1,17 @@
-//! Sharded multi-core graft dispatch: per-shard engine replicas, a
-//! cross-shard quarantine supervisor, and lock-free ledger merging.
+//! The graft host: per-shard engine replicas, a cross-shard quarantine
+//! supervisor, and lock-free ledger merging.
 //!
-//! The single-threaded [`GraftHost`] serializes every dispatch through
-//! one set of engines. Production extension runtimes don't: eBPF scales
-//! by giving every CPU its own program state and per-CPU maps, so the
-//! hot path never takes a cross-CPU lock. [`ShardedHost`] applies the
-//! same shape to grafts:
+//! There is one host and one chain walk. eBPF scales by giving every
+//! CPU its own program state and per-CPU maps, so the hot path never
+//! takes a cross-CPU lock; its single-CPU case is just N = 1, not a
+//! second runtime. [`ShardedHost`] applies the same shape to grafts,
+//! and `ShardedHost::new(1)` plus its one [`ShardHandle`] is the
+//! single-threaded host the churn, recovery and tracing tables use:
 //!
 //! * **Thread-confined replicas.** `install` binds the attach point's
-//!   entry once, then clones the engine per worker shard via
-//!   [`ExtensionEngine::fork_for_shard`]. Each shard owns its replicas
-//!   outright — dispatch touches no lock, ever.
+//!   entry once, then clones the engine per additional shard via
+//!   [`ExtensionEngine::fork_for_shard`] (a 1-shard host never forks).
+//!   Each shard owns its replicas outright — dispatch touches no lock.
 //! * **Shard handles.** Workers receive a [`ShardHandle`] (it is
 //!   `Send`; move it into a `std::thread`) and dispatch inline on their
 //!   own thread, exactly like per-CPU program invocation.
@@ -21,14 +22,14 @@
 //!   only when the epoch moved.
 //! * **One supervisor, all shards.** Strikes are a single shared atomic
 //!   per graft, so "3 traps or one `FuelExhausted`" means three traps
-//!   *anywhere*, same as the single-shard host. The losing CAS never
-//!   double-detaches; the winning shard stamps the graft's detach
-//!   epoch, and every shard's next dispatch observes the quarantine
-//!   before invoking — a detached graft never runs again.
+//!   *anywhere*. The losing CAS never double-detaches; the winning
+//!   shard stamps the graft's detach epoch, and every shard's next
+//!   dispatch observes the quarantine before invoking — a detached
+//!   graft never runs again.
 //! * **Lock-free ledger merge.** Each shard accounts into a private,
 //!   plain-field [`GraftLedger`]; [`ShardHandle::flush`] folds it into
 //!   the graft's shared [`AtomicLedger`] with `fetch_add` — no mutex on
-//!   either side, and totals equal the single-shard host's exactly.
+//!   either side, and totals are exact.
 //!
 //! * **Adaptive dispatch plane.** Work routed through [`RunQueues`]
 //!   lands on a bounded per-shard queue keyed by hash, with
@@ -44,7 +45,9 @@
 //! For deterministic concurrency testing there is a *virtual scheduler*
 //! ([`VirtualShards`]): all shard handles held on one thread and
 //! stepped in a seeded, reshuffled round-robin, so cross-shard
-//! quarantine races replay exactly from a seed in CI.
+//! quarantine races replay exactly from a seed in CI. The test suite
+//! checks the host against an independent reference model of these
+//! semantics, not against a second host.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
@@ -58,7 +61,7 @@ use graft_api::{
 use graft_rng::{SliceRandom, SmallRng};
 use graft_telemetry::{TraceBuffer, TraceEvent, TraceId};
 
-use crate::host::{GraftHost, GraftId, GraftState, HostConfig, HostStats, DEPTH_SLOTS};
+use crate::host::{GraftId, GraftState, HostConfig, HostStats, DEPTH_SLOTS};
 use crate::point::AttachPoint;
 use crate::postmortem::{PostmortemReport, POSTMORTEM_TAIL};
 use crate::recovery::{self, SalvagedState};
@@ -348,19 +351,25 @@ struct Control {
     readmits: AtomicU64,
 }
 
-/// The sharded extension kernel: the [`GraftHost`] chains replicated
-/// over N worker shards.
+/// The extension kernel: attach-point chains over installed,
+/// individually-accounted grafts, replicated over N worker shards.
 ///
 /// `ShardedHost` is the control plane: install, uninstall, readmit,
 /// and observe. Dispatch happens on [`ShardHandle`]s, taken once with
+/// [`take_handle`](ShardedHost::take_handle) or
 /// [`take_handles`](ShardedHost::take_handles) and moved onto worker
 /// threads (or driven cooperatively through [`VirtualShards`]).
 /// Control-plane calls take `&self` and stay fully usable while every
-/// shard is dispatching.
+/// shard is dispatching. The single-threaded host is `new(1)`.
 pub struct ShardedHost {
     inner: Arc<Control>,
     handles: Vec<Option<ShardHandle>>,
-    published: bool,
+    /// Control-plane counts already pushed to telemetry by
+    /// [`flush`](ShardedHost::flush); subtracted on the next flush so
+    /// nothing is double-counted.
+    published: HostStats,
+    published_epoch: u64,
+    published_shards: bool,
 }
 
 impl ShardedHost {
@@ -404,22 +413,27 @@ impl ShardedHost {
                     seen_epoch: 0,
                     grafts: BTreeMap::new(),
                     chains: std::array::from_fn(|_| Vec::new()),
-                    stats: HostStats::default(),
+                    books: Books {
+                        shard: shard as u32,
+                        stats: HostStats::default(),
+                        depth_counts: [0; DEPTH_SLOTS],
+                        recorder: TraceBuffer::new(graft_telemetry::TRACE_BUFFER_CAPACITY),
+                        trace_seq: 0,
+                    },
                     published: HostStats::default(),
-                    depth_counts: [0; DEPTH_SLOTS],
                     published_depth: [0; DEPTH_SLOTS],
                     epoch_syncs: 0,
                     mailbox_ops: 0,
                     flushes: 0,
-                    recorder: TraceBuffer::new(graft_telemetry::TRACE_BUFFER_CAPACITY),
-                    trace_seq: 0,
                 })
             })
             .collect();
         ShardedHost {
             inner,
             handles,
-            published: false,
+            published: HostStats::default(),
+            published_epoch: 0,
+            published_shards: false,
         }
     }
 
@@ -447,34 +461,42 @@ impl ShardedHost {
     ///
     /// Binds the point's entry once on the source engine, forks one
     /// thread-confined replica per additional shard (shard 0 receives
-    /// the source itself), and queues the install to every shard's
-    /// mailbox under a bumped epoch. Shards pick it up at their next
-    /// dispatch — the chain stays hot throughout. Fails atomically: if
-    /// any fork fails, nothing is installed anywhere.
+    /// the source itself), applies the fuel budget, and queues the
+    /// install to every shard's mailbox under a bumped epoch. Shards
+    /// pick it up at their next dispatch — the chain stays hot
+    /// throughout. Fails atomically: if binding or any fork fails,
+    /// nothing is installed anywhere. The engine's regions should
+    /// already hold any install-time state (access plans, logical-disk
+    /// maps, ...).
     pub fn install(
         &self,
         point: AttachPoint,
         name: &str,
         engine: Box<dyn ExtensionEngine>,
     ) -> Result<GraftId, GraftError> {
-        self.install_at(point, name, engine, usize::MAX)
+        self.install_full(point, name, engine, usize::MAX, &[])
     }
 
-    /// Installs at the *front* of every shard's chain.
+    /// Installs at the *front* of every shard's chain — the hot-install
+    /// path a hostile tenant would take to shadow everyone else.
     pub fn install_front(
         &self,
         point: AttachPoint,
         name: &str,
         engine: Box<dyn ExtensionEngine>,
     ) -> Result<GraftId, GraftError> {
-        self.install_at(point, name, engine, 0)
+        self.install_full(point, name, engine, 0, &[])
     }
 
-    /// Installs with a salvage plan: when the supervisor detaches this
-    /// graft, the winning shard lifts the named regions out of *its*
-    /// replica into a [`SalvagedState`] (readable via
-    /// [`take_salvage`](Self::take_salvage)). Region names are
-    /// validated against the engine before anything is forked.
+    /// Installs with a salvage plan: the regions that hold
+    /// kernel-critical state (the Logical Disk graft's `map`, for
+    /// example). When the supervisor detaches this graft, the winning
+    /// shard lifts the named regions out of *its* replica into a
+    /// [`SalvagedState`] (readable via
+    /// [`take_salvage`](Self::take_salvage)), and
+    /// [`ShardHandle::salvage_now`] checkpoints them on demand. Region
+    /// names are validated against the engine before anything is
+    /// forked, so a typo fails at install time, not at detach time.
     pub fn install_with_salvage(
         &self,
         point: AttachPoint,
@@ -488,16 +510,6 @@ impl ShardedHost {
         self.install_full(point, name, engine, usize::MAX, salvage_regions)
     }
 
-    fn install_at(
-        &self,
-        point: AttachPoint,
-        name: &str,
-        engine: Box<dyn ExtensionEngine>,
-        at: usize,
-    ) -> Result<GraftId, GraftError> {
-        self.install_full(point, name, engine, at, &[])
-    }
-
     fn install_full(
         &self,
         point: AttachPoint,
@@ -506,6 +518,7 @@ impl ShardedHost {
         at: usize,
         salvage_regions: &[&str],
     ) -> Result<GraftId, GraftError> {
+        // Bind once, up front: dispatch never does a string lookup.
         let entry = engine.bind_entry(point.entry())?;
         // Fork all replicas *before* registering anything, so a
         // non-forkable engine fails the install cleanly on every shard.
@@ -580,6 +593,7 @@ impl ShardedHost {
     /// Re-admits a quarantined graft on probation, across all shards at
     /// once (shards read the shared supervisor state inline, so the
     /// re-admission is visible at every shard's very next dispatch).
+    /// Returns `false` unless the graft exists and is quarantined.
     pub fn readmit(&self, id: GraftId) -> bool {
         let registry = self.inner.registry.lock().expect("registry lock");
         let Some(g) = registry.get(&id.0) else {
@@ -603,25 +617,26 @@ impl ShardedHost {
         true
     }
 
-    /// Merged cross-shard ledger of one graft. Complete once shards
-    /// have flushed (a [`ShardHandle`] flushes explicitly or on drop).
-    pub fn ledger(&self, id: GraftId) -> Option<GraftLedger> {
+    /// Runs `f` on one registered graft's shared state.
+    fn with_graft<R>(&self, id: GraftId, f: impl FnOnce(&SharedGraft) -> R) -> Option<R> {
         self.inner
             .registry
             .lock()
             .expect("registry lock")
             .get(&id.0)
-            .map(|g| g.ledger.snapshot())
+            .map(|g| f(g.as_ref()))
+    }
+
+    /// Merged cross-shard ledger of one graft. Complete once shards
+    /// have flushed (a [`ShardHandle`] flushes explicitly or on drop;
+    /// a winning detach merges the detaching shard's share at once).
+    pub fn ledger(&self, id: GraftId) -> Option<GraftLedger> {
+        self.with_graft(id, |g| g.ledger.snapshot())
     }
 
     /// The lifecycle state of one graft.
     pub fn state(&self, id: GraftId) -> Option<GraftState> {
-        self.inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&id.0)
-            .map(|g| g.state())
+        self.with_graft(id, SharedGraft::state)
     }
 
     /// Whether the supervisor has detached this graft (on all shards —
@@ -634,34 +649,20 @@ impl ShardedHost {
     /// out of its replica (e.g. to re-seed a replacement graft or the
     /// built-in policy).
     pub fn take_salvage(&self, id: GraftId) -> Option<SalvagedState> {
-        self.inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&id.0)
-            .and_then(|g| g.salvage.lock().expect("salvage lock").take())
+        self.with_graft(id, |g| g.salvage.lock().expect("salvage lock").take())
+            .flatten()
     }
 
     /// Lifetime quarantine trips for one graft (the backoff rung).
     pub fn quarantine_count(&self, id: GraftId) -> Option<u32> {
-        self.inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&id.0)
-            .map(|g| g.quarantines.load(Ordering::Acquire))
+        self.with_graft(id, |g| g.quarantines.load(Ordering::Acquire))
     }
 
     /// The epoch stamped by the supervisor when it detached this graft
     /// (0 if never detached). Strictly greater than the graft's install
     /// generation, and totally ordered against membership changes.
     pub fn detach_epoch(&self, id: GraftId) -> Option<u64> {
-        self.inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&id.0)
-            .map(|g| g.detach_epoch.load(Ordering::Acquire))
+        self.with_graft(id, |g| g.detach_epoch.load(Ordering::Acquire))
     }
 
     /// The current membership epoch.
@@ -684,22 +685,12 @@ impl ShardedHost {
 
     /// The technology a graft was installed under.
     pub fn technology(&self, id: GraftId) -> Option<Technology> {
-        self.inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&id.0)
-            .map(|g| g.tech)
+        self.with_graft(id, |g| g.tech)
     }
 
     /// The name a graft was installed under.
     pub fn name(&self, id: GraftId) -> Option<String> {
-        self.inner
-            .registry
-            .lock()
-            .expect("registry lock")
-            .get(&id.0)
-            .map(|g| g.name.clone())
+        self.with_graft(id, |g| g.name.clone())
     }
 
     /// Aggregate statistics: control-plane counts plus everything the
@@ -764,44 +755,37 @@ impl ShardedHost {
             .map_err(|w| w.payload)
     }
 
-    /// Publishes control-plane telemetry: `kernel.shard.*` counters and
-    /// the shard-imbalance histogram. Idempotent-by-construction only
-    /// for the imbalance snapshot; called once from `Drop`.
-    fn publish_telemetry(&mut self) {
-        if self.published || !graft_telemetry::enabled() {
+    /// Flushes any handles still held here, then publishes the
+    /// control-plane counts accumulated since the last flush:
+    /// `kernel.installs`, `kernel.uninstalls`, `kernel.readmits`,
+    /// `kernel.shard.count` and `kernel.shard.epoch`. The dispatch-path
+    /// and `kernel.recovery.*` counts are published by the shard that
+    /// accounted them ([`ShardHandle::flush`]).
+    ///
+    /// Idempotent: each count is published once, whether by an
+    /// explicit flush or by `Drop`, so a caller that may leak the host
+    /// (`std::mem::forget`, an `Rc` cycle) or abort a long run can
+    /// checkpoint its counts at will.
+    pub fn flush(&mut self) {
+        for h in self.handles.iter_mut().flatten() {
+            h.flush();
+        }
+        let now = self.stats();
+        let s = now.delta_since(&self.published);
+        self.published = now;
+        let epoch = self.epoch();
+        let epochs = epoch.saturating_sub(self.published_epoch);
+        self.published_epoch = epoch;
+        let shards = if self.published_shards { 0 } else { self.inner.shards as u64 };
+        self.published_shards = true;
+        if !graft_telemetry::enabled() {
             return;
         }
-        self.published = true;
-        graft_telemetry::counter!("kernel.shard.count").add(self.inner.shards as u64);
-        graft_telemetry::counter!("kernel.shard.installs")
-            .add(self.inner.installs.load(Ordering::Relaxed));
-        graft_telemetry::counter!("kernel.shard.uninstalls")
-            .add(self.inner.uninstalls.load(Ordering::Relaxed));
-        graft_telemetry::counter!("kernel.shard.readmits")
-            .add(self.inner.readmits.load(Ordering::Relaxed));
-        graft_telemetry::counter!("kernel.shard.epoch")
-            .add(self.inner.epoch.load(Ordering::Acquire));
-        let s = &self.inner.stats;
-        graft_telemetry::counter!("kernel.recovery.salvages")
-            .add(s.salvages.load(Ordering::Relaxed));
-        graft_telemetry::counter!("kernel.recovery.salvaged_words")
-            .add(s.salvaged_words.load(Ordering::Relaxed));
-        graft_telemetry::counter!("kernel.recovery.auto_readmits")
-            .add(s.auto_readmits.load(Ordering::Relaxed));
-        graft_telemetry::counter!("kernel.recovery.bans")
-            .add(s.bans.load(Ordering::Relaxed));
-        let loads = self.shard_loads();
-        let total: u64 = loads.iter().sum();
-        if total > 0 && loads.len() > 1 {
-            let max = *loads.iter().max().unwrap();
-            let min = *loads.iter().min().unwrap();
-            let mean = total as f64 / loads.len() as f64;
-            // Spread of per-shard load around the mean, in percent:
-            // 0 = perfectly balanced, 100 = the busiest shard saw one
-            // mean-load more than the idlest.
-            let imbalance = ((max - min) as f64 / mean * 100.0).round() as u64;
-            graft_telemetry::histogram!("kernel.shard.imbalance_pct").record(imbalance);
-        }
+        graft_telemetry::counter!("kernel.installs").add(s.installs);
+        graft_telemetry::counter!("kernel.uninstalls").add(s.uninstalls);
+        graft_telemetry::counter!("kernel.readmits").add(s.readmits);
+        graft_telemetry::counter!("kernel.shard.count").add(shards);
+        graft_telemetry::counter!("kernel.shard.epoch").add(epochs);
     }
 }
 
@@ -812,7 +796,20 @@ impl Drop for ShardedHost {
         for h in &mut self.handles {
             h.take();
         }
-        self.publish_telemetry();
+        // Publishes only what explicit flushes have not already pushed.
+        self.flush();
+        let loads = self.shard_loads();
+        let total: u64 = loads.iter().sum();
+        if total > 0 && loads.len() > 1 && graft_telemetry::enabled() {
+            let max = *loads.iter().max().unwrap();
+            let min = *loads.iter().min().unwrap();
+            let mean = total as f64 / loads.len() as f64;
+            // Spread of per-shard load around the mean, in percent:
+            // 0 = perfectly balanced, 100 = the busiest shard saw one
+            // mean-load more than the idlest.
+            let imbalance = ((max - min) as f64 / mean * 100.0).round() as u64;
+            graft_telemetry::histogram!("kernel.shard.imbalance_pct").record(imbalance);
+        }
     }
 }
 
@@ -830,21 +827,12 @@ pub struct ShardHandle {
     seen_epoch: u64,
     grafts: BTreeMap<u64, ShardGraft>,
     chains: [Vec<u64>; AttachPoint::COUNT],
-    stats: HostStats,
+    books: Books,
     published: HostStats,
-    depth_counts: [u64; DEPTH_SLOTS],
     published_depth: [u64; DEPTH_SLOTS],
     epoch_syncs: u64,
     mailbox_ops: u64,
     flushes: u64,
-    /// This shard's flight recorder: thread-confined like the engines,
-    /// merged across shards by [`VirtualShards::merged_timeline`] (or by
-    /// collecting [`ShardHandle::trace_events`] from worker threads).
-    recorder: TraceBuffer,
-    /// Dispatches traced by this shard — the per-source sequence
-    /// [`TraceId::mint`] consumes (the shard index is the source, so
-    /// ids are globally unique without a shared atomic).
-    trace_seq: u64,
 }
 
 struct ShardGraft {
@@ -855,85 +843,215 @@ struct ShardGraft {
     local: GraftLedger,
 }
 
-/// Post-detach bookkeeping on the shard that *won* the detach CAS
-/// (exactly one across all shards): salvage the planned regions out of
-/// this shard's replica, then arm the backoff ladder or ban at the
-/// ceiling. Cold path — the locks here are never touched by a
-/// dispatch that doesn't detach.
-fn win_detach(
-    config: &HostConfig,
-    stats: &mut HostStats,
-    g: &mut ShardGraft,
-    reason: TrapKind,
-    recorder: &TraceBuffer,
+impl ShardGraft {
+    /// Invokes this replica through its pre-bound entry, threading the
+    /// dispatch's causal id when the flight recorder is armed.
+    fn invoke(&mut self, args: &[i64], trace: Option<TraceId>) -> Result<i64, GraftError> {
+        match trace {
+            Some(trace) => self.engine.invoke_id_traced(self.entry, args, trace),
+            None => self.engine.invoke_id(self.entry, args),
+        }
+    }
+
+    /// Lifts the salvage plan's regions out of this replica (`None`
+    /// without a plan, or when any region fails to snapshot).
+    fn salvage(&self) -> Option<SalvagedState> {
+        let s = &self.shared;
+        if s.salvage_plan.is_empty() {
+            return None;
+        }
+        recovery::salvage(&s.name, s.tech, self.engine.as_ref(), &s.salvage_plan)
+    }
+}
+
+/// Where one invocation sits in the flight recorder: its dispatch's
+/// causal id (`None` when not recording), its step in the chain walk,
+/// its attach point (`None` for a direct invoke), and when it started.
+#[derive(Clone, Copy)]
+struct Site {
+    trace: Option<TraceId>,
+    seq: u32,
+    point: Option<AttachPoint>,
+    started: Instant,
+}
+
+fn elapsed_ns(started: Instant) -> u64 {
+    started.elapsed().as_nanos().min(u64::MAX as u128) as u64
+}
+
+/// One shard's dispatch-path books: statistics, chain-depth counts and
+/// the flight recorder. Kept apart from the graft table so a chain
+/// walk can hold a graft and its shard's books at once.
+struct Books {
     shard: u32,
-) {
-    stats.quarantine_trips += 1;
-    let trips = g.shared.quarantines.fetch_add(1, Ordering::AcqRel) + 1;
-    let mut salvaged_words = None;
-    if !g.shared.salvage_plan.is_empty() {
-        if let Some(s) = recovery::salvage(
-            &g.shared.name,
-            g.shared.tech,
-            g.engine.as_ref(),
-            &g.shared.salvage_plan,
-        ) {
-            stats.salvages += 1;
-            stats.salvaged_words += s.words() as u64;
+    stats: HostStats,
+    depth_counts: [u64; DEPTH_SLOTS],
+    /// This shard's flight recorder: thread-confined like the engines,
+    /// merged across shards by [`VirtualShards::merged_timeline`] (or by
+    /// collecting [`ShardHandle::trace_events`] from worker threads).
+    recorder: TraceBuffer,
+    /// Dispatches traced by this shard — the per-source sequence
+    /// [`TraceId::mint`] consumes (the shard index is the source, so
+    /// ids are globally unique without a shared atomic).
+    trace_seq: u64,
+}
+
+impl Books {
+    /// One causal id per dispatch or direct invoke, minted only when
+    /// the flight recorder is armed: gated mode costs two relaxed
+    /// loads, off mode one.
+    fn mint(&mut self) -> Option<TraceId> {
+        if !graft_telemetry::tracing() {
+            return None;
+        }
+        self.trace_seq += 1;
+        Some(TraceId::mint(self.shard as u16, self.trace_seq))
+    }
+
+    /// Records one invocation's [`TraceEvent`] — the only place the
+    /// host builds one. A no-op unless `site` is being traced.
+    fn record(&mut self, site: Site, g: &SharedGraft, ns: u64, fuel: u64, (verdict, value): (u8, i64)) {
+        let Some(trace) = site.trace else {
+            return;
+        };
+        self.recorder.record(TraceEvent {
+            ts_ns: graft_telemetry::since_epoch_ns(site.started),
+            trace,
+            seq: site.seq,
+            graft: g.id,
+            shard: self.shard,
+            point: site.point.map_or(u8::MAX, |p| p as u8),
+            tech: g.tech as u8,
+            verdict,
+            value,
+            duration_ns: ns,
+            fuel,
+        });
+    }
+
+    /// Charges one finished invocation of `g`: its ledger, probation,
+    /// trace event and strikes. A trap is charged to this graft only;
+    /// a non-trap framework error is counted as a marshal failure and
+    /// not charged to the graft at all.
+    fn settle(
+        &mut self,
+        control: &Control,
+        g: &mut ShardGraft,
+        site: Site,
+        result: &Result<i64, GraftError>,
+    ) {
+        let ns = elapsed_ns(site.started);
+        let fuel = g.engine.fuel_used();
+        self.stats.invocations += 1;
+        if site.trace.is_some() {
+            // Direct invocations have no attach point; an `Ok` records
+            // the return value under the override verdict.
+            let code = match result {
+                Ok(ret) => match site.point.map(|p| p.decode(*ret)) {
+                    Some(Verdict::Continue) => (graft_telemetry::TRACE_VERDICT_CONTINUE, 0),
+                    Some(Verdict::Override(v)) => (graft_telemetry::TRACE_VERDICT_OVERRIDE, v),
+                    None => (graft_telemetry::TRACE_VERDICT_OVERRIDE, *ret),
+                },
+                Err(GraftError::Trap(trap)) => {
+                    (graft_telemetry::TRACE_VERDICT_TRAP, trap.kind() as usize as i64)
+                }
+                Err(_) => (graft_telemetry::TRACE_VERDICT_MARSHAL_FAIL, 0),
+            };
+            self.record(site, &g.shared, ns, fuel.unwrap_or(0), code);
+        }
+        match result {
+            Ok(_) => {
+                g.local.record_ok(ns, fuel);
+                g.shared.note_clean();
+            }
+            Err(GraftError::Trap(trap)) => {
+                g.local.record_trap(ns, fuel, trap);
+                self.strike(control, g, trap.kind());
+            }
+            Err(_) => self.stats.marshal_failures += 1,
+        }
+    }
+
+    /// Adds one strike to `g`'s shared count; the call that wins the
+    /// detach (exactly one across all shards) runs the supervisor's
+    /// response on this shard.
+    fn strike(&mut self, control: &Control, g: &mut ShardGraft, kind: TrapKind) {
+        self.stats.traps += 1;
+        if g.shared.note_trap(kind, control.config.trap_threshold, &control.epoch) {
+            // The winning detach bumped the epoch; the next sync is a
+            // (cheap, empty) mailbox drain.
+            self.win_detach(&control.config, g, kind);
+        }
+    }
+
+    /// Post-detach bookkeeping on the shard that *won* the detach CAS:
+    /// salvage the planned regions out of this shard's replica, arm the
+    /// backoff ladder or ban at the ceiling, and capture the
+    /// postmortem. Cold path — the locks here are never touched by a
+    /// dispatch that doesn't detach.
+    fn win_detach(&mut self, config: &HostConfig, g: &mut ShardGraft, reason: TrapKind) {
+        self.stats.quarantine_trips += 1;
+        let trips = g.shared.quarantines.fetch_add(1, Ordering::AcqRel) + 1;
+        let mut salvaged_words = None;
+        if let Some(s) = g.salvage() {
+            self.stats.salvages += 1;
+            self.stats.salvaged_words += s.words() as u64;
             salvaged_words = Some(s.words());
             *g.shared.salvage.lock().expect("salvage lock") = Some(s);
         }
-    }
-    if config.backoff_base > 0 {
-        if trips >= config.ban_ceiling.max(1) {
-            g.shared.state.store(STATE_BANNED, Ordering::Release);
-            stats.bans += 1;
-        } else {
-            g.shared.backoff_remaining.store(
-                config
-                    .backoff_base
-                    .saturating_mul(1u64 << u64::from(trips - 1).min(62)),
-                Ordering::Release,
-            );
+        if config.backoff_base > 0 {
+            if trips >= config.ban_ceiling.max(1) {
+                g.shared.state.store(STATE_BANNED, Ordering::Release);
+                self.stats.bans += 1;
+            } else {
+                // Window doubles with each trip: base << (trips - 1).
+                g.shared.backoff_remaining.store(
+                    config
+                        .backoff_base
+                        .saturating_mul(1u64 << u64::from(trips - 1).min(62)),
+                    Ordering::Release,
+                );
+            }
         }
+        // Postmortem: merge the winner's unflushed ledger into the
+        // shared totals first so the report's ledger covers every
+        // invocation this shard accounted, then snapshot supervisor
+        // state. The event tail only sees the winner's recorder; traps
+        // that landed on other shards are re-attached later via
+        // `PostmortemReport::adopt_tail` over a merged timeline.
+        g.shared.ledger.merge(&g.local);
+        g.local = GraftLedger::default();
+        let id = g.shared.id;
+        let mut events: Vec<TraceEvent> = self
+            .recorder
+            .events()
+            .into_iter()
+            .filter(|e| e.graft == id)
+            .collect();
+        if events.len() > POSTMORTEM_TAIL {
+            events.drain(..events.len() - POSTMORTEM_TAIL);
+        }
+        let report = PostmortemReport {
+            graft: g.shared.name.clone(),
+            graft_id: id,
+            tech: g.shared.tech,
+            reason,
+            state: g.shared.state(),
+            ledger: g.shared.ledger.snapshot(),
+            strikes: g.shared.strikes.load(Ordering::Acquire),
+            quarantines: trips,
+            backoff_remaining: g.shared.backoff_remaining.load(Ordering::Acquire),
+            salvaged_words,
+            events,
+            detached_at_ns: graft_telemetry::now_ns(),
+            shard: self.shard,
+        };
+        g.shared
+            .postmortems
+            .lock()
+            .expect("postmortem lock")
+            .push(report);
     }
-    // Postmortem: merge the winner's unflushed ledger into the shared
-    // totals first so the report's ledger covers every invocation this
-    // shard accounted, then snapshot supervisor state. The event tail
-    // only sees the winner's recorder; traps that landed on other
-    // shards are re-attached later via `PostmortemReport::adopt_tail`
-    // over a merged timeline.
-    g.shared.ledger.merge(&g.local);
-    g.local = GraftLedger::default();
-    let id = g.shared.id;
-    let mut events: Vec<TraceEvent> = recorder
-        .events()
-        .into_iter()
-        .filter(|e| e.graft == id)
-        .collect();
-    if events.len() > POSTMORTEM_TAIL {
-        events.drain(..events.len() - POSTMORTEM_TAIL);
-    }
-    let report = PostmortemReport {
-        graft: g.shared.name.clone(),
-        graft_id: id,
-        tech: g.shared.tech,
-        reason,
-        state: g.shared.state(),
-        ledger: g.shared.ledger.snapshot(),
-        strikes: g.shared.strikes.load(Ordering::Acquire),
-        quarantines: trips,
-        backoff_remaining: g.shared.backoff_remaining.load(Ordering::Acquire),
-        salvaged_words,
-        events,
-        detached_at_ns: graft_telemetry::now_ns(),
-        shard: Some(shard),
-    };
-    g.shared
-        .postmortems
-        .lock()
-        .expect("postmortem lock")
-        .push(report);
 }
 
 /// One dispatch served while `shared` sat quarantined: CAS-decrement
@@ -1054,7 +1172,7 @@ impl ShardHandle {
     }
 
     /// This shard's replica engine for a graft (e.g. to marshal
-    /// shard-local state after install).
+    /// shard-local state after install or re-admission).
     pub fn engine_mut(&mut self, id: GraftId) -> Option<&mut (dyn ExtensionEngine + '_)> {
         self.sync();
         self.grafts.get_mut(&id.0).map(|g| g.engine.as_mut() as _)
@@ -1067,37 +1185,50 @@ impl ShardHandle {
 
     /// This shard's dispatch-path statistics (unflushed view).
     pub fn stats(&self) -> HostStats {
-        self.stats
+        self.books.stats
     }
 
-    /// Walks `point`'s chain on this shard — the same verdict, ledger,
-    /// and supervisor semantics as [`GraftHost::dispatch`], with the
-    /// quarantine gate read from the *shared* supervisor state so a
-    /// detach by any shard suppresses invocation here immediately.
+    /// Snapshots a graft's salvage plan out of this shard's *live*
+    /// replica right now, without detaching — an explicit checkpoint.
+    /// `None` for a graft unknown here, without a plan, or whose
+    /// regions fail to snapshot.
+    pub fn salvage_now(&mut self, id: GraftId) -> Option<SalvagedState> {
+        self.sync();
+        let s = self.grafts.get(&id.0)?.salvage()?;
+        self.books.stats.salvages += 1;
+        self.books.stats.salvaged_words += s.words() as u64;
+        Some(s)
+    }
+
+    /// Walks `point`'s chain on this shard: marshals each attached
+    /// graft with `marshal` (which loads the graft's regions and
+    /// returns the argument vector), invokes it through the pre-bound
+    /// handle, and returns the first `Override`. Traps and marshalling
+    /// failures are charged to the offending graft (marshalling
+    /// failures to the host's counter, not the graft) and the walk
+    /// continues — one bad tenant never takes the attach point down. A
+    /// chain that declines entirely yields [`Verdict::Continue`], so
+    /// the substrate's built-in policy applies. The quarantine gate is
+    /// the *shared* supervisor state, so a detach by any shard
+    /// suppresses invocation here immediately.
     pub fn dispatch<F>(&mut self, point: AttachPoint, mut marshal: F) -> Verdict
     where
         F: FnMut(&mut dyn ExtensionEngine) -> Result<Vec<i64>, GraftError>,
     {
         self.sync();
         let p = point as usize;
-        self.stats.dispatches += 1;
         let depth = self.chains[p]
             .iter()
             .filter(|id| !self.grafts[id].shared.is_detached())
             .count();
-        self.depth_counts[depth.min(DEPTH_SLOTS - 1)] += 1;
-        // One causal id per dispatch; the shard index is the mint
-        // source, so ids stay globally unique without a shared atomic.
-        let tracing = graft_telemetry::tracing();
-        let trace = if tracing {
-            self.trace_seq += 1;
-            TraceId::mint(self.shard as u16, self.trace_seq)
-        } else {
-            TraceId::NONE
-        };
-        let mut chain_seq: u32 = 0;
-        for i in 0..self.chains[p].len() {
-            let id = self.chains[p][i];
+        let books = &mut self.books;
+        books.stats.dispatches += 1;
+        books.depth_counts[depth.min(DEPTH_SLOTS - 1)] += 1;
+        // One causal id per dispatch, threaded through every invocation
+        // it causes (including across the upcall wire).
+        let trace = books.mint();
+        let mut seq: u32 = 0;
+        for &id in &self.chains[p] {
             let Some(g) = self.grafts.get_mut(&id) else {
                 continue;
             };
@@ -1106,117 +1237,41 @@ impl ShardHandle {
                 // Backoff re-admission: each dispatch served without
                 // this graft — on any shard — counts toward its clean
                 // built-in window.
-                note_backoff_dispatch(&self.control, &mut self.stats, &g.shared);
+                note_backoff_dispatch(&self.control, &mut books.stats, &g.shared);
                 continue;
             }
-            let started = Instant::now();
-            let args = match marshal(g.engine.as_mut()) {
-                Ok(args) => args,
+            let site = Site {
+                trace,
+                seq,
+                point: Some(point),
+                started: Instant::now(),
+            };
+            seq += 1;
+            let result = match marshal(g.engine.as_mut()) {
+                Ok(args) => g.invoke(&args, trace),
                 Err(_) => {
-                    self.stats.marshal_failures += 1;
-                    if tracing {
-                        self.recorder.record(TraceEvent {
-                            ts_ns: graft_telemetry::since_epoch_ns(started),
-                            trace,
-                            seq: chain_seq,
-                            graft: id,
-                            shard: self.shard as u32,
-                            point: p as u8,
-                            tech: g.shared.tech as u8,
-                            verdict: graft_telemetry::TRACE_VERDICT_MARSHAL_FAIL,
-                            value: 0,
-                            duration_ns: started.elapsed().as_nanos().min(u64::MAX as u128)
-                                as u64,
-                            fuel: 0,
-                        });
-                    }
-                    chain_seq += 1;
+                    // Kernel-side marshalling failed for this tenant
+                    // (e.g. a dead upcall transport). Skip it; do not
+                    // charge its ledger for a fault that is not its
+                    // code's.
+                    books.stats.marshal_failures += 1;
+                    let code = (graft_telemetry::TRACE_VERDICT_MARSHAL_FAIL, 0);
+                    books.record(site, &g.shared, elapsed_ns(site.started), 0, code);
                     continue;
                 }
             };
-            let result = if tracing {
-                g.engine.invoke_id_traced(g.entry, &args, trace)
-            } else {
-                g.engine.invoke_id(g.entry, &args)
-            };
-            let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-            let fuel = g.engine.fuel_used();
-            match result {
-                Ok(ret) => {
-                    g.local.record_ok(ns, fuel);
-                    g.shared.note_clean();
-                    self.stats.invocations += 1;
-                    let verdict = point.decode(ret);
-                    if tracing {
-                        let (code, value) = match verdict {
-                            Verdict::Override(v) => (graft_telemetry::TRACE_VERDICT_OVERRIDE, v),
-                            Verdict::Continue => (graft_telemetry::TRACE_VERDICT_CONTINUE, 0),
-                        };
-                        self.recorder.record(TraceEvent {
-                            ts_ns: graft_telemetry::since_epoch_ns(started),
-                            trace,
-                            seq: chain_seq,
-                            graft: id,
-                            shard: self.shard as u32,
-                            point: p as u8,
-                            tech: g.shared.tech as u8,
-                            verdict: code,
-                            value,
-                            duration_ns: ns,
-                            fuel: fuel.unwrap_or(0),
-                        });
+            books.settle(&self.control, g, site, &result);
+            if let Ok(ret) = result {
+                match point.decode(ret) {
+                    v @ Verdict::Override(_) => {
+                        books.stats.overrides += 1;
+                        return v;
                     }
-                    match verdict {
-                        v @ Verdict::Override(_) => {
-                            self.stats.overrides += 1;
-                            return v;
-                        }
-                        Verdict::Continue => self.stats.continues += 1,
-                    }
-                }
-                Err(GraftError::Trap(trap)) => {
-                    g.local.record_trap(ns, fuel, &trap);
-                    self.stats.invocations += 1;
-                    self.stats.traps += 1;
-                    if tracing {
-                        self.recorder.record(TraceEvent {
-                            ts_ns: graft_telemetry::since_epoch_ns(started),
-                            trace,
-                            seq: chain_seq,
-                            graft: id,
-                            shard: self.shard as u32,
-                            point: p as u8,
-                            tech: g.shared.tech as u8,
-                            verdict: graft_telemetry::TRACE_VERDICT_TRAP,
-                            value: trap.kind() as usize as i64,
-                            duration_ns: ns,
-                            fuel: fuel.unwrap_or(0),
-                        });
-                    }
-                    if g.shared.note_trap(
-                        trap.kind(),
-                        self.control.config.trap_threshold,
-                        &self.control.epoch,
-                    ) {
-                        // The winning detach bumped the epoch; our next
-                        // sync is a (cheap, empty) mailbox drain.
-                        win_detach(
-                            &self.control.config,
-                            &mut self.stats,
-                            g,
-                            trap.kind(),
-                            &self.recorder,
-                            self.shard as u32,
-                        );
-                    }
-                }
-                Err(_) => {
-                    self.stats.marshal_failures += 1;
+                    Verdict::Continue => books.stats.continues += 1,
                 }
             }
-            chain_seq += 1;
         }
-        self.stats.defaults += 1;
+        books.stats.defaults += 1;
         Verdict::Continue
     }
 
@@ -1227,15 +1282,15 @@ impl ShardHandle {
     /// When the chain at `point` is a single attached graft, tracing
     /// is off, and the graft's engine does not meter fuel
     /// ([`ExtensionEngine::fuel_metered`]), the calls fuse into one
-    /// [`ExtensionEngine::invoke_batch`] (the PR 2 path): every call is
-    /// marshalled first, then the engine runs the whole batch without
-    /// re-crossing the chain-walk machinery per call. Accounting stays
-    /// call-exact — each call counts one dispatch, one invocation, its
-    /// own verdict statistics, and its own supervisor strike. On a
-    /// mid-batch trap the faulting call is charged exactly once (ledger
-    /// trap, strike, possible winning detach) and the remaining calls
-    /// fall back to per-call dispatch, which observes any detach the
-    /// trap just caused — exactly like back-to-back scalar dispatches.
+    /// [`ExtensionEngine::invoke_batch`]: every call is marshalled
+    /// first, then the engine runs the whole batch without re-crossing
+    /// the chain-walk machinery per call. Accounting stays call-exact —
+    /// each call counts one dispatch, one invocation, its own verdict
+    /// statistics, and its own supervisor strike. On a mid-batch trap
+    /// the faulting call is charged exactly once (ledger trap, strike,
+    /// possible winning detach) and the remaining calls fall back to
+    /// per-call dispatch, which observes any detach the trap just
+    /// caused — exactly like back-to-back dispatches.
     ///
     /// Everything else — deeper or empty chains, tracing runs (each
     /// dispatch needs its own causal id), metered engines (a fused
@@ -1301,26 +1356,26 @@ impl ShardHandle {
         let mut out = Vec::with_capacity(calls);
         let g = self.grafts.get_mut(&id).expect("chain member");
         let result = g.engine.invoke_batch(g.entry, calls, &args_flat, &mut out);
-        let total_ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         // Wall-clock attribution per call (an even share; `cum_ns` is
         // the one machine-dependent ledger field).
-        let share_ns = total_ns / calls as u64;
+        let share_ns = elapsed_ns(started) / calls as u64;
+        let books = &mut self.books;
         let mut verdicts = Vec::with_capacity(calls);
         // The completed prefix: each result is one full dispatch.
         for &ret in &out {
-            self.stats.dispatches += 1;
-            self.depth_counts[1.min(DEPTH_SLOTS - 1)] += 1;
+            books.stats.dispatches += 1;
+            books.depth_counts[1] += 1;
             g.local.record_ok(share_ns, None);
             g.shared.note_clean();
-            self.stats.invocations += 1;
+            books.stats.invocations += 1;
             match point.decode(ret) {
                 v @ Verdict::Override(_) => {
-                    self.stats.overrides += 1;
+                    books.stats.overrides += 1;
                     verdicts.push(v);
                 }
                 Verdict::Continue => {
-                    self.stats.continues += 1;
-                    self.stats.defaults += 1;
+                    books.stats.continues += 1;
+                    books.stats.defaults += 1;
                     verdicts.push(Verdict::Continue);
                 }
             }
@@ -1329,31 +1384,17 @@ impl ShardHandle {
             // The faulting call, charged exactly once; then the batch
             // degrades to per-call dispatch for the remainder, which
             // observes any detach the trap just caused.
-            self.stats.dispatches += 1;
-            self.depth_counts[1.min(DEPTH_SLOTS - 1)] += 1;
+            books.stats.dispatches += 1;
+            books.depth_counts[1] += 1;
+            books.stats.invocations += 1;
             match err {
                 GraftError::Trap(trap) => {
                     g.local.record_trap(share_ns, None, &trap);
-                    self.stats.invocations += 1;
-                    self.stats.traps += 1;
-                    if g.shared.note_trap(
-                        trap.kind(),
-                        self.control.config.trap_threshold,
-                        &self.control.epoch,
-                    ) {
-                        win_detach(
-                            &self.control.config,
-                            &mut self.stats,
-                            g,
-                            trap.kind(),
-                            &self.recorder,
-                            self.shard as u32,
-                        );
-                    }
+                    books.strike(&self.control, g, trap.kind());
                 }
-                _ => self.stats.marshal_failures += 1,
+                _ => books.stats.marshal_failures += 1,
             }
-            self.stats.defaults += 1;
+            books.stats.defaults += 1;
             verdicts.push(Verdict::Continue);
             for i in verdicts.len()..calls {
                 let v = self.dispatch(point, |e| marshal(i, e));
@@ -1429,7 +1470,7 @@ impl ShardHandle {
     /// Invokes one graft directly on this shard's replica, with ledger
     /// accounting and the shared quarantine gate: a detached graft
     /// deterministically returns [`GraftError::Unavailable`] — on every
-    /// shard, not just the one that observed the traps.
+    /// shard, not just the one that observed the traps — never a panic.
     pub fn invoke(&mut self, id: GraftId, args: &[i64]) -> Result<i64, GraftError> {
         self.sync();
         let Some(g) = self.grafts.get_mut(&id.0) else {
@@ -1449,123 +1490,71 @@ impl ShardHandle {
                 missing: missing.into(),
             });
         }
-        let tracing = graft_telemetry::tracing();
-        let trace = if tracing {
-            self.trace_seq += 1;
-            TraceId::mint(self.shard as u16, self.trace_seq)
-        } else {
-            TraceId::NONE
+        let trace = self.books.mint();
+        let site = Site {
+            trace,
+            seq: 0,
+            point: None,
+            started: Instant::now(),
         };
-        let started = Instant::now();
-        let result = if tracing {
-            g.engine.invoke_id_traced(g.entry, args, trace)
-        } else {
-            g.engine.invoke_id(g.entry, args)
-        };
-        let ns = started.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        let fuel = g.engine.fuel_used();
-        self.stats.invocations += 1;
-        if tracing {
-            // Direct invocations have no attach point (`u8::MAX`); an
-            // `Ok` records the return value under the override verdict.
-            let (verdict, value) = match &result {
-                Ok(ret) => (graft_telemetry::TRACE_VERDICT_OVERRIDE, *ret),
-                Err(GraftError::Trap(trap)) => (
-                    graft_telemetry::TRACE_VERDICT_TRAP,
-                    trap.kind() as usize as i64,
-                ),
-                Err(_) => (graft_telemetry::TRACE_VERDICT_MARSHAL_FAIL, 0),
-            };
-            self.recorder.record(TraceEvent {
-                ts_ns: graft_telemetry::since_epoch_ns(started),
-                trace,
-                seq: 0,
-                graft: id.0,
-                shard: self.shard as u32,
-                point: u8::MAX,
-                tech: g.shared.tech as u8,
-                verdict,
-                value,
-                duration_ns: ns,
-                fuel: fuel.unwrap_or(0),
-            });
-        }
-        match &result {
-            Ok(_) => {
-                g.local.record_ok(ns, fuel);
-                g.shared.note_clean();
-            }
-            Err(GraftError::Trap(trap)) => {
-                g.local.record_trap(ns, fuel, trap);
-                self.stats.traps += 1;
-                if g.shared.note_trap(
-                    trap.kind(),
-                    self.control.config.trap_threshold,
-                    &self.control.epoch,
-                ) {
-                    win_detach(
-                        &self.control.config,
-                        &mut self.stats,
-                        g,
-                        trap.kind(),
-                        &self.recorder,
-                        self.shard as u32,
-                    );
-                }
-            }
-            Err(_) => self.stats.marshal_failures += 1,
-        }
+        let result = g.invoke(args, trace);
+        self.books.settle(&self.control, g, site, &result);
         result
     }
 
     /// Merges this shard's private ledgers and statistics into the
     /// shared totals (pure `fetch_add` — lock-free on both sides) and
-    /// publishes `kernel.shard.*` telemetry deltas. Idempotent: each
-    /// count merges exactly once, and `Drop` flushes whatever remains,
-    /// including when the worker thread unwinds out of a panic.
+    /// publishes telemetry deltas: the dispatch-path `kernel.*`
+    /// counters, `kernel.recovery.*`, the `kernel.chain_depth`
+    /// histogram, and this shard's `kernel.shard.*` sync traffic.
+    /// Idempotent: each count merges and publishes exactly once, and
+    /// `Drop` flushes whatever remains, including when the worker
+    /// thread unwinds out of a panic.
     pub fn flush(&mut self) {
         self.flushes += 1;
         // Publishes only events not yet flushed, and accounts every
         // overwritten-unpublished event to `telemetry.trace.dropped`.
-        self.recorder.flush();
+        self.books.recorder.flush();
         for g in self.grafts.values_mut() {
             g.shared.ledger.merge(&g.local);
             g.local = GraftLedger::default();
         }
-        let delta = self.stats.delta_since(&self.published);
-        self.published = self.stats;
-        self.control.stats.merge(&delta);
-        self.control.shard_dispatches[self.shard].fetch_add(delta.dispatches, Ordering::Relaxed);
-        if !graft_telemetry::enabled() {
-            self.published_depth = self.depth_counts;
-            return;
-        }
-        graft_telemetry::counter!("kernel.shard.dispatches").add(delta.dispatches);
-        graft_telemetry::counter!("kernel.shard.invocations").add(delta.invocations);
-        graft_telemetry::counter!("kernel.shard.traps").add(delta.traps);
-        graft_telemetry::counter!("kernel.shard.detaches").add(delta.quarantine_trips);
-        graft_telemetry::counter!("kernel.shard.marshal_failures").add(delta.marshal_failures);
-        graft_telemetry::counter!("kernel.shard.epoch_syncs").add(self.epoch_syncs);
-        graft_telemetry::counter!("kernel.shard.mailbox_ops").add(self.mailbox_ops);
-        graft_telemetry::counter!("kernel.shard.flushes").incr();
+        let s = self.books.stats.delta_since(&self.published);
+        self.published = self.books.stats;
+        self.control.stats.merge(&s);
+        self.control.shard_dispatches[self.shard].fetch_add(s.dispatches, Ordering::Relaxed);
+        let depth_prev = std::mem::replace(&mut self.published_depth, self.books.depth_counts);
+        let (syncs, mailbox_ops) = (self.epoch_syncs, self.mailbox_ops);
         self.epoch_syncs = 0;
         self.mailbox_ops = 0;
+        if !graft_telemetry::enabled() {
+            return;
+        }
+        graft_telemetry::counter!("kernel.dispatches").add(s.dispatches);
+        graft_telemetry::counter!("kernel.invocations").add(s.invocations);
+        graft_telemetry::counter!("kernel.traps").add(s.traps);
+        graft_telemetry::counter!("kernel.verdict_override").add(s.overrides);
+        graft_telemetry::counter!("kernel.verdict_continue").add(s.continues);
+        graft_telemetry::counter!("kernel.verdict_default").add(s.defaults);
+        graft_telemetry::counter!("kernel.quarantine_trips").add(s.quarantine_trips);
+        graft_telemetry::counter!("kernel.marshal_failures").add(s.marshal_failures);
+        graft_telemetry::counter!("kernel.recovery.salvages").add(s.salvages);
+        graft_telemetry::counter!("kernel.recovery.salvaged_words").add(s.salvaged_words);
+        graft_telemetry::counter!("kernel.recovery.auto_readmits").add(s.auto_readmits);
+        graft_telemetry::counter!("kernel.recovery.bans").add(s.bans);
+        graft_telemetry::counter!("kernel.shard.epoch_syncs").add(syncs);
+        graft_telemetry::counter!("kernel.shard.mailbox_ops").add(mailbox_ops);
+        graft_telemetry::counter!("kernel.shard.flushes").incr();
         let depth = graft_telemetry::histogram!("kernel.chain_depth");
-        for (d, (&n, &p)) in self
-            .depth_counts
-            .iter()
-            .zip(self.published_depth.iter())
-            .enumerate()
-        {
+        for (d, (&n, &p)) in self.books.depth_counts.iter().zip(&depth_prev).enumerate() {
             depth.record_n(d as u64, n.saturating_sub(p));
         }
-        self.published_depth = self.depth_counts;
     }
 
     /// Every trace event still retained by this shard's flight
     /// recorder, oldest first (empty unless recording was armed).
     pub fn trace_events(&self) -> Vec<TraceEvent> {
-        self.recorder.events()
+        self.books.recorder.events()
     }
 }
 
@@ -1575,7 +1564,7 @@ impl Drop for ShardHandle {
         if graft_telemetry::enabled() {
             // Lifetime per-shard load, one histogram entry per shard:
             // the distribution graftstat summarizes as shard balance.
-            graft_telemetry::histogram!("kernel.shard.load").record(self.stats.dispatches);
+            graft_telemetry::histogram!("kernel.shard.load").record(self.books.stats.dispatches);
         }
     }
 }
@@ -1720,12 +1709,11 @@ impl VirtualShards {
 }
 
 /// Object-safe chain-dispatch seam: what a substrate adapter needs from
-/// "something that hosts graft chains". Implemented by the single-
-/// threaded [`SharedHost`](crate::adapters::SharedHost), by a bare
-/// [`GraftHost`], and by [`ShardHandle`] (each worker thread's shard),
-/// so the same adapters serve both the scalar and the sharded kernels.
+/// "something that hosts graft chains". Implemented by [`ShardHandle`]
+/// (a worker thread's shard, owned by one adapter) and by
+/// `Rc<RefCell<ShardHandle>>` (one shard shared by several adapters).
 pub trait ChainDispatch {
-    /// Walks the chain at `point`; see [`GraftHost::dispatch`].
+    /// Walks the chain at `point`; see [`ShardHandle::dispatch`].
     fn dispatch_chain(&mut self, point: AttachPoint, marshal: &mut MarshalFn<'_>) -> Verdict;
 
     /// Dispatches `calls` chain walks at `point` as one batch,
@@ -1734,7 +1722,7 @@ pub trait ChainDispatch {
     /// `marshal(i, engine)` builds call `i`'s argument vector. The
     /// contract beyond [`dispatch_chain`]: marshalling must be **pure
     /// per call** — implementations may marshal every call before the
-    /// first invocation runs (the PR 2 `invoke_batch` shape) and may
+    /// first invocation runs (the `invoke_batch` shape) and may
     /// re-marshal a call when falling back to per-call dispatch, so a
     /// closure that writes per-call engine state (regions) or has
     /// observable side effects must not be batched. Each call still
@@ -1742,9 +1730,9 @@ pub trait ChainDispatch {
     /// 3-strike supervisor advance exactly as if the calls had been
     /// dispatched one by one.
     ///
-    /// The default loops [`dispatch_chain`]; [`ShardHandle`] overrides
-    /// it with a fused [`ExtensionEngine::invoke_batch`] path when the
-    /// chain shape makes that accounting-safe.
+    /// [`ShardHandle`] fuses the calls through
+    /// [`ExtensionEngine::invoke_batch`] when the chain shape makes that
+    /// accounting-safe.
     ///
     /// [`dispatch_chain`]: ChainDispatch::dispatch_chain
     fn dispatch_batch(
@@ -1752,11 +1740,7 @@ pub trait ChainDispatch {
         point: AttachPoint,
         calls: usize,
         marshal: &mut BatchMarshalFn<'_>,
-    ) -> Vec<Verdict> {
-        (0..calls)
-            .map(|i| self.dispatch_chain(point, &mut |engine| marshal(i, engine)))
-            .collect()
-    }
+    ) -> Vec<Verdict>;
 }
 
 /// The kernel-side marshalling callback a chain walk applies to each
@@ -1770,16 +1754,6 @@ pub type MarshalFn<'a> = dyn FnMut(&mut dyn ExtensionEngine) -> Result<Vec<i64>,
 /// be pure per call (see the `dispatch_batch` contract).
 pub type BatchMarshalFn<'a> =
     dyn FnMut(usize, &mut dyn ExtensionEngine) -> Result<Vec<i64>, GraftError> + 'a;
-
-impl ChainDispatch for GraftHost {
-    fn dispatch_chain(
-        &mut self,
-        point: AttachPoint,
-        marshal: &mut MarshalFn<'_>,
-    ) -> Verdict {
-        self.dispatch(point, marshal)
-    }
-}
 
 impl ChainDispatch for ShardHandle {
     fn dispatch_chain(
@@ -1802,10 +1776,9 @@ impl ChainDispatch for ShardHandle {
     }
 }
 
-/// Shared single-threaded handles (`Rc<RefCell<GraftHost>>` — the
-/// [`SharedHost`](crate::adapters::SharedHost) alias — and
-/// `Rc<RefCell<ShardHandle>>`) dispatch through a runtime borrow, so
-/// several substrate adapters can take turns on one host.
+/// A shared single-threaded handle (`Rc<RefCell<ShardHandle>>`)
+/// dispatches through a runtime borrow, so several substrate adapters
+/// can take turns on one shard.
 impl<T: ChainDispatch> ChainDispatch for std::rc::Rc<std::cell::RefCell<T>> {
     fn dispatch_chain(
         &mut self,
@@ -1881,43 +1854,6 @@ mod tests {
         assert_eq!(host.stats().overrides, 12);
         // Round-robin: every shard saw exactly 3 of the 12 dispatches.
         assert_eq!(host.shard_loads(), vec![3, 3, 3, 3]);
-    }
-
-    #[test]
-    fn third_trap_on_any_shard_detaches_globally() {
-        let mut host = ShardedHost::new(4);
-        let bad = host
-            .install(AttachPoint::VmEvict, "hostile", trapping())
-            .unwrap();
-        let good = host
-            .install(AttachPoint::VmEvict, "good", constant(9))
-            .unwrap();
-        let epoch_before = host.epoch();
-        let mut shards = VirtualShards::new(&mut host, 3);
-        // Traps land on *different* shards; the third — wherever it
-        // lands — detaches the graft for everyone.
-        for _ in 0..3 {
-            assert_eq!(
-                shards.dispatch(AttachPoint::VmEvict, |_| Ok(vec![0, 0])),
-                Verdict::Override(9)
-            );
-        }
-        assert!(host.is_quarantined(bad));
-        assert!(host.detach_epoch(bad).unwrap() > epoch_before);
-        // No shard invokes it afterwards: ledger total stays at 3.
-        for _ in 0..8 {
-            shards.dispatch(AttachPoint::VmEvict, |_| Ok(vec![0, 0]));
-        }
-        shards.flush_all();
-        assert_eq!(host.ledger(bad).unwrap().traps, 3);
-        assert_eq!(host.ledger(bad).unwrap().invocations, 3);
-        assert_eq!(host.stats().quarantine_trips, 1);
-        assert_eq!(host.state(good), Some(GraftState::Active));
-        // Every shard refuses a direct re-invoke deterministically.
-        for s in 0..4 {
-            let err = shards.shard_mut(s).invoke(bad, &[0, 0]).unwrap_err();
-            assert!(matches!(err, GraftError::Unavailable { .. }));
-        }
     }
 
     #[test]
@@ -2079,7 +2015,7 @@ mod tests {
     #[test]
     fn one_shard_host_matches_single_host_semantics_without_forking() {
         // shards=1 never calls fork_for_shard, so even a factory-less
-        // engine installs (parity with GraftHost for the scalar case).
+        // engine installs: the single-threaded host takes any engine.
         let specs = [RegionSpec::data("scratch", 8)];
         let entries = [EntryPoint {
             name: "select_victim".into(),
@@ -2156,60 +2092,6 @@ mod tests {
             &["missing"],
         );
         assert!(err.is_err());
-    }
-
-    #[test]
-    fn backoff_ladder_is_shared_atomic_across_shards() {
-        let mut host = ShardedHost::with_config(
-            4,
-            HostConfig {
-                backoff_base: 4,
-                ban_ceiling: 2,
-                probation_clean: 1,
-                ..HostConfig::default()
-            },
-        );
-        let bad = host
-            .install(AttachPoint::VmEvict, "hostile", trapping())
-            .unwrap();
-        host.install(AttachPoint::VmEvict, "good", constant(1)).unwrap();
-        let mut shards = VirtualShards::new(&mut host, 23);
-        for _ in 0..3 {
-            shards.dispatch(AttachPoint::VmEvict, |_| Ok(vec![0, 0]));
-        }
-        assert!(host.is_quarantined(bad));
-        assert_eq!(host.quarantine_count(bad), Some(1));
-        // The clean built-in window counts dispatches from *any* shard.
-        for _ in 0..3 {
-            shards.dispatch(AttachPoint::VmEvict, |_| Ok(vec![0, 0]));
-            assert!(host.is_quarantined(bad));
-        }
-        shards.dispatch(AttachPoint::VmEvict, |_| Ok(vec![0, 0]));
-        assert!(matches!(
-            host.state(bad),
-            Some(GraftState::Probation { .. })
-        ));
-        // Second strike is the ceiling: permanent ban, everywhere.
-        shards.dispatch(AttachPoint::VmEvict, |_| Ok(vec![0, 0]));
-        assert_eq!(host.state(bad), Some(GraftState::Banned));
-        assert!(!host.readmit(bad), "banned grafts never re-admit");
-        for _ in 0..32 {
-            shards.dispatch(AttachPoint::VmEvict, |_| Ok(vec![0, 0]));
-        }
-        assert_eq!(host.state(bad), Some(GraftState::Banned));
-        for s in 0..4 {
-            let err = shards.shard_mut(s).invoke(bad, &[0, 0]).unwrap_err();
-            match err {
-                GraftError::Unavailable { missing, .. } => {
-                    assert!(missing.contains("banned"), "{missing}");
-                }
-                other => panic!("expected Unavailable, got {other}"),
-            }
-        }
-        shards.flush_all();
-        assert_eq!(host.stats().auto_readmits, 1);
-        assert_eq!(host.stats().bans, 1);
-        assert_eq!(host.stats().readmits, 1, "auto-readmit counted once");
     }
 
     #[test]
@@ -2345,40 +2227,224 @@ mod tests {
         assert!(steals > 0, "a 7-hot-key trace on 4 shards must steal");
     }
 
+    /// The single-threaded host: a 1-shard host and its one handle.
+    fn one_shard() -> (ShardedHost, ShardHandle) {
+        let mut host = ShardedHost::new(1);
+        let handle = host.take_handle(0).expect("fresh host");
+        (host, handle)
+    }
+
+    fn dispatch_once(h: &mut ShardHandle) -> Verdict {
+        h.dispatch(AttachPoint::VmEvict, |_| Ok(vec![0, 0]))
+    }
+
     #[test]
-    fn graft_quarantined_mid_steal_charges_the_thief_exactly_once() {
-        let mut host = ShardedHost::new(2);
-        let bad = host.install(AttachPoint::VmEvict, "hostile", trapping()).unwrap();
-        let q: RunQueues<u64> = host.run_queues(StealPolicy::default());
-        // All work homes to one hot key's shard; the other shard will
-        // steal its share and execute the traps itself.
-        let hot = 1u64;
-        let home = q.home(hot);
-        let thief = 1 - home;
-        for k in 0..10u64 {
-            host.enqueue(&q, hot, Some(bad), k).expect("room");
+    fn first_override_wins_in_chain_order() {
+        let (host, mut h) = one_shard();
+        let a = host.install(AttachPoint::VmEvict, "decline", constant(-1)).unwrap();
+        let b = host.install(AttachPoint::VmEvict, "forty-two", constant(42)).unwrap();
+        let c = host.install(AttachPoint::VmEvict, "seven", constant(7)).unwrap();
+        assert_eq!(h.chain(AttachPoint::VmEvict), vec![a, b, c]);
+        assert_eq!(dispatch_once(&mut h), Verdict::Override(42));
+        // The decliner was consulted, the shadowed graft was not.
+        assert_eq!(h.local_ledger(a).unwrap().invocations, 1);
+        assert_eq!(h.local_ledger(b).unwrap().invocations, 1);
+        assert_eq!(h.local_ledger(c).unwrap().invocations, 0);
+        assert_eq!(h.stats().overrides, 1);
+        assert_eq!(h.stats().continues, 1);
+    }
+
+    #[test]
+    fn install_front_shadows_and_uninstall_restores() {
+        let (host, mut h) = one_shard();
+        let back = host.install(AttachPoint::VmEvict, "back", constant(1)).unwrap();
+        let front = host.install_front(AttachPoint::VmEvict, "front", constant(2)).unwrap();
+        assert_eq!(h.chain(AttachPoint::VmEvict), vec![front, back]);
+        assert_eq!(dispatch_once(&mut h), Verdict::Override(2));
+        assert!(host.uninstall(front));
+        assert!(!host.uninstall(front));
+        assert_eq!(dispatch_once(&mut h), Verdict::Override(1));
+    }
+
+    #[test]
+    fn chains_are_per_attach_point() {
+        let (host, mut h) = one_shard();
+        assert_eq!(dispatch_once(&mut h), Verdict::Continue, "empty chain");
+        host.install(AttachPoint::VmEvict, "evict", constant(1)).unwrap();
+        assert_eq!(h.active_len(AttachPoint::VmEvict), 1);
+        assert_eq!(h.active_len(AttachPoint::SchedPick), 0);
+        assert_eq!(
+            h.dispatch(AttachPoint::SchedPick, |_| Ok(vec![1])),
+            Verdict::Continue
+        );
+        assert_eq!(h.stats().defaults, 2);
+    }
+
+    #[test]
+    fn install_rejects_missing_entry_at_bind_time() {
+        let (host, mut h) = one_shard();
+        let entries = [EntryPoint {
+            name: "something_else".into(),
+            arity: 0,
+        }];
+        let engine: Box<dyn ExtensionEngine> = Box::new(
+            NativeEngine::with_entries(
+                &[RegionSpec::data("scratch", 8)],
+                &entries,
+                Box::new(|_: &str, _: &[i64], _: &mut RegionStore| Ok(0)),
+            )
+            .unwrap(),
+        );
+        let err = host.install(AttachPoint::VmEvict, "bad", engine);
+        assert!(err.is_err(), "binding select_victim must fail");
+        assert_eq!(h.active_len(AttachPoint::VmEvict), 0);
+        assert_eq!(host.stats().installs, 0);
+    }
+
+    #[test]
+    fn marshal_failure_skips_tenant_without_charging_it() {
+        let (host, mut h) = one_shard();
+        let a = host.install(AttachPoint::VmEvict, "a", constant(3)).unwrap();
+        let verdict = h.dispatch(AttachPoint::VmEvict, |_| {
+            Err(GraftError::UpcallFailed("dead transport".into()))
+        });
+        assert_eq!(verdict, Verdict::Continue);
+        assert_eq!(h.local_ledger(a).unwrap().invocations, 0);
+        assert_eq!(h.stats().marshal_failures, 1);
+        assert_eq!(h.stats().invocations, 0);
+    }
+
+    #[test]
+    fn probation_walks_back_to_active_after_clean_calls() {
+        let (host, mut h) = one_shard();
+        // Traps on its first three calls, then behaves.
+        let id = host
+            .install(
+                AttachPoint::VmEvict,
+                "flaky",
+                victim_engine_factory(|| {
+                    let mut calls = 0;
+                    Box::new(move |_: &str, _: &[i64], _: &mut RegionStore| {
+                        calls += 1;
+                        if calls <= 3 {
+                            Err(Trap::DivByZero.into())
+                        } else {
+                            Ok(5)
+                        }
+                    })
+                }),
+            )
+            .unwrap();
+        for _ in 0..3 {
+            dispatch_once(&mut h);
         }
-        // The thief drains first: its own queue is empty, so it steals
-        // the back half and the traps happen on the *stealing* shard.
-        let mut vs = VirtualShards::new(&mut host, 1);
-        let to_args = |&k: &u64| vec![k as i64, 0];
-        let stolen = vs.shard_mut(thief).drain_queue(&q, AttachPoint::VmEvict, to_args);
-        assert_eq!(q.stats().steals, 5);
-        assert_eq!(stolen, 5);
-        assert!(host.is_quarantined(bad), "stolen traps did not strike");
-        // The home shard drains the rest against a detached chain.
-        let mut rest = 0;
-        while q.total_depth() > 0 {
-            rest += vs.shard_mut(home).drain_queue(&q, AttachPoint::VmEvict, to_args);
+        assert!(host.is_quarantined(id));
+        assert!(!host.readmit(GraftId(999)), "unknown id");
+        assert!(host.readmit(id));
+        assert_eq!(
+            host.state(id),
+            Some(GraftState::Probation { remaining_clean: 8 })
+        );
+        for _ in 0..8 {
+            assert_eq!(dispatch_once(&mut h), Verdict::Override(5));
         }
-        assert_eq!(rest, 5);
-        vs.flush_all();
-        let ledger = host.ledger(bad).unwrap();
-        assert_eq!(ledger.traps, 3, "strikes must count exactly once");
-        assert_eq!(ledger.invocations, 3);
-        // The postmortem names the thief as the detaching shard.
-        let pm = host.take_postmortems();
-        assert_eq!(pm.len(), 1);
-        assert_eq!(pm[0].shard, Some(thief as u32));
+        assert_eq!(host.state(id), Some(GraftState::Active));
+    }
+
+    #[test]
+    fn salvage_now_checkpoints_without_detaching() {
+        let (host, mut h) = one_shard();
+        let writer = || {
+            victim_engine_factory(|| {
+                Box::new(|_: &str, _: &[i64], regions: &mut RegionStore| {
+                    let id = regions.id("scratch").unwrap();
+                    regions.write_id(id, 1, 7)?;
+                    Ok(-1)
+                })
+            })
+        };
+        let plain = host.install(AttachPoint::VmEvict, "plain", writer()).unwrap();
+        let id = host
+            .install_with_salvage(AttachPoint::VmEvict, "live", writer(), &["scratch"])
+            .unwrap();
+        dispatch_once(&mut h);
+        assert!(h.salvage_now(plain).is_none(), "no plan, no checkpoint");
+        assert!(h.salvage_now(GraftId(999)).is_none(), "unknown graft");
+        let s = h.salvage_now(id).unwrap();
+        assert_eq!(s.region("scratch").unwrap()[1], 7);
+        assert_eq!(host.state(id), Some(GraftState::Active));
+        assert_eq!(h.stats().salvages, 1);
+        assert_eq!(h.stats().salvaged_words, 8);
+    }
+
+    #[test]
+    fn backoff_disabled_by_default_keeps_detach_final() {
+        let (host, mut h) = one_shard();
+        let id = host.install(AttachPoint::VmEvict, "hostile", trapping()).unwrap();
+        for _ in 0..203 {
+            dispatch_once(&mut h);
+        }
+        assert!(host.is_quarantined(id), "no ladder unless configured");
+        assert_eq!(h.stats().auto_readmits, 0);
+        assert_eq!(host.ledger(id).unwrap().invocations, 3);
+    }
+
+    fn counter(name: &str) -> u64 {
+        graft_telemetry::snapshot().counter(name)
+    }
+
+    #[test]
+    fn flush_is_idempotent_and_survives_mem_forget() {
+        // A leaked host (`std::mem::forget`, an `Rc` cycle) never runs
+        // `Drop`, so only an explicit `flush()` gets its install,
+        // uninstall and readmit counts out; a later flush or drop
+        // publishes only the delta, never double-counting.
+        let (installs, dispatches) = (counter("kernel.installs"), counter("kernel.dispatches"));
+        let (mut host, mut h) = one_shard();
+        host.install(AttachPoint::VmEvict, "c", constant(4)).unwrap();
+        for _ in 0..5 {
+            dispatch_once(&mut h);
+        }
+        h.flush();
+        host.flush();
+        // Everything accumulated so far is now published: the pending
+        // delta is zero, so a second flush (or Drop) adds nothing.
+        assert_eq!(host.stats().delta_since(&host.published), HostStats::default());
+        host.flush();
+        assert_eq!(host.published.installs, 1);
+        assert_eq!(host.published.dispatches, 5);
+        // Leak both halves. Without the explicit flushes above these
+        // counts would never reach telemetry.
+        std::mem::forget(h);
+        std::mem::forget(host);
+        if graft_telemetry::enabled() {
+            // Other tests run in parallel and also publish, so the
+            // global counters are only monotonically bounded below.
+            assert!(counter("kernel.installs") > installs, "install count lost");
+            assert!(counter("kernel.dispatches") >= dispatches + 5, "dispatch counts lost");
+        }
+    }
+
+    #[test]
+    fn drop_during_panic_unwind_publishes_counts() {
+        let (installs, dispatches) = (counter("kernel.installs"), counter("kernel.dispatches"));
+        let result = std::panic::catch_unwind(|| {
+            let (host, mut h) = one_shard();
+            host.install(AttachPoint::VmEvict, "c", constant(4)).unwrap();
+            for _ in 0..7 {
+                dispatch_once(&mut h);
+            }
+            // The eighth dispatch faults in kernel-side marshalling
+            // code; both halves unwind and their Drop impls must still
+            // publish all eight dispatches and the install.
+            h.dispatch(AttachPoint::VmEvict, |_| -> Result<Vec<i64>, GraftError> {
+                panic!("marshal bug")
+            });
+        });
+        assert!(result.is_err(), "the marshal closure must have panicked");
+        if graft_telemetry::enabled() {
+            assert!(counter("kernel.installs") > installs, "install lost on unwind");
+            assert!(counter("kernel.dispatches") >= dispatches + 8, "dispatches lost on unwind");
+        }
     }
 }

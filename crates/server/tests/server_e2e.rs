@@ -7,13 +7,13 @@
 //! `EntryId`s trapping deterministically, batched wire invokes
 //! matching the in-process `invoke_batch` verdict-for-verdict, typed
 //! quota refusals, and backoff re-admission timelines matching the
-//! PR 5 scalar ladder.
+//! graft host's own ladder.
 
 use graft_api::{
     EntryPoint, ExtensionEngine, GraftError, NativeEngine, RegionSpec, RegionStore, Technology,
     Trap,
 };
-use graft_kernel::{AttachPoint, GraftHost, GraftState, HostConfig, StealPolicy};
+use graft_kernel::{AttachPoint, GraftState, HostConfig, ShardedHost, StealPolicy};
 use graft_server::{
     GraftServer, Reply, ServerConfig, Standing, TenantQuotas, VirtualTransport, WireError,
 };
@@ -352,9 +352,9 @@ fn fuel_budget_exhaustion_is_typed() {
 /// The noisy-neighbor contract: a trapping saboteur is quarantined
 /// (typed `Quarantined` refusals), victims keep serving throughout,
 /// and the backoff ladder re-admits after its window — with timelines
-/// matching the PR 5 scalar ladder (`base << (trip-1)`).
+/// matching the graft host's ladder (`base << (trip-1)`).
 #[test]
-fn saboteur_quarantine_isolates_and_ladder_matches_scalar_host() {
+fn saboteur_quarantine_isolates_and_ladder_matches_the_kernel_host() {
     let base = 4u64;
     let config = ServerConfig {
         backoff_base: base,
@@ -424,7 +424,7 @@ fn saboteur_quarantine_isolates_and_ladder_matches_scalar_host() {
     let (seq, invoke) = sab.invoke(sg, 0, &[2, 1]);
     assert_eq!(vt.rpc(&mut sab, &invoke), Reply::Value { seq, value: 63 });
 
-    // Scalar-ladder parity: the same trip count on a scalar GraftHost
+    // Kernel-ladder parity: the same trip count on a 1-shard graft host
     // with the same config produces the same window. Trip 2 = base*2.
     for _ in 0..1 {
         let (_, invoke) = sab.invoke(sg, 0, &[1, 0]);
@@ -435,11 +435,11 @@ fn saboteur_quarantine_isolates_and_ladder_matches_scalar_host() {
         other => panic!("{other:?}"),
     }
 
-    let scalar_windows = scalar_ladder_windows(base, 3);
+    let kernel_windows = kernel_ladder_windows(base, 3);
     assert_eq!(
-        scalar_windows,
+        kernel_windows,
         vec![base, base * 2],
-        "scalar host schedule: windows then ban at ceiling"
+        "kernel host schedule: windows then ban at ceiling"
     );
 
     // Trip 3 hits the ceiling on both: permanent ban.
@@ -463,18 +463,19 @@ fn saboteur_quarantine_isolates_and_ladder_matches_scalar_host() {
     }
 }
 
-/// Runs a trapping graft through the PR 5 *scalar* ladder and records
-/// each re-admission window (dispatches served without the graft),
-/// stopping at the ban. The server's per-tenant ladder must produce
-/// the same schedule.
-fn scalar_ladder_windows(base: u64, ceiling: u32) -> Vec<u64> {
+/// Runs a trapping graft through the graft host's backoff ladder (one
+/// shard) and records each re-admission window (dispatches served
+/// without the graft), stopping at the ban. The server's per-tenant
+/// ladder must produce the same schedule.
+fn kernel_ladder_windows(base: u64, ceiling: u32) -> Vec<u64> {
     let config = HostConfig {
         backoff_base: base,
         ban_ceiling: ceiling,
         trap_threshold: 1, // first trap quarantines: trips align 1:1
         ..HostConfig::default()
     };
-    let mut host = GraftHost::with_config(config);
+    let mut host = ShardedHost::with_config(1, config);
+    let mut shard = host.take_handle(0).expect("fresh host");
     let id = host
         .install(
             AttachPoint::VmEvict,
@@ -489,7 +490,7 @@ fn scalar_ladder_windows(base: u64, ceiling: u32) -> Vec<u64> {
     let mut windows = Vec::new();
     loop {
         // Trap once to (re-)quarantine.
-        host.dispatch(AttachPoint::VmEvict, |_| Ok(vec![0, 0]));
+        shard.dispatch(AttachPoint::VmEvict, |_| Ok(vec![0, 0]));
         match host.state(id) {
             Some(GraftState::Banned) => return windows,
             Some(GraftState::Quarantined { .. }) => {}
@@ -498,7 +499,7 @@ fn scalar_ladder_windows(base: u64, ceiling: u32) -> Vec<u64> {
         // Count built-in dispatches until the ladder re-admits.
         let mut served = 0u64;
         while matches!(host.state(id), Some(GraftState::Quarantined { .. })) {
-            host.dispatch(AttachPoint::VmEvict, |_| Ok(vec![0, 0]));
+            shard.dispatch(AttachPoint::VmEvict, |_| Ok(vec![0, 0]));
             served += 1;
             assert!(served < 1_000_000, "ladder never re-admitted");
         }

@@ -185,10 +185,6 @@ pub const TRACE_BUFFER_CAPACITY: usize = 1024;
 /// Capacity of the global trace ring flushed buffers merge into.
 pub const TRACE_RING_CAPACITY: usize = 4096;
 
-/// `TraceEvent::shard` sentinel: recorded by the scalar (unsharded)
-/// host.
-pub const TRACE_SHARD_SCALAR: u32 = u32::MAX;
-
 /// `TraceEvent::shard` sentinel: recorded by an upcall server thread on
 /// the far side of the wire.
 pub const TRACE_SHARD_UPCALL: u32 = u32::MAX - 1;

@@ -11,7 +11,7 @@
 
 use graftbench::api::{GraftClass, GraftError, GraftSpec, Motivation, RegionSpec, Technology, Trap};
 use graftbench::core::GraftManager;
-use graftbench::kernel::{shared, AttachPoint, GraftHost, HostedEviction};
+use graftbench::kernel::{AttachPoint, HostedEviction};
 use graftbench::kernsim::vm::Pager;
 
 fn hostile_spec() -> GraftSpec {
@@ -210,74 +210,34 @@ fn saboteur_spec() -> GraftSpec {
         .with_tickle(tickle)
 }
 
+/// Shard count of the multi-core variant of every multi-tenant row; the
+/// single-threaded variant runs on one shard. Strikes, backoff windows
+/// and detaches are shared across shards, so every row holds unchanged.
+const SHARDS: usize = 4;
+
 #[test]
 fn quarantine_row_detach_serve_and_deterministic_refusal() {
-    // The multi-tenant row of the matrix: under every safe technology a
-    // hostile graft is detached by the quarantine supervisor after N
-    // trapped invocations, the substrate keeps serving on the built-in
-    // policy, and re-invoking the detached graft through the host is a
-    // deterministic error — never a panic, never a hung kernel.
-    let spec = saboteur_spec();
-    for tech in SAFE_TECHS {
-        let engine = GraftManager::new().load(&spec, tech).unwrap();
-        let host = shared(GraftHost::new());
-        let threshold = host.borrow().config().trap_threshold as u64;
-        let id = host
-            .borrow_mut()
-            .install(AttachPoint::VmEvict, "saboteur", engine)
-            .unwrap();
-
-        let mut pager = Pager::new(4, HostedEviction::new(host.clone()));
-        for p in 0..32u64 {
-            pager.access(p);
-        }
-
-        // Detached after exactly `trap_threshold` trapped invocations.
-        assert!(host.borrow().is_quarantined(id), "{tech}: not quarantined");
-        {
-            let h = host.borrow();
-            let ledger = h.ledger(id).unwrap();
-            assert_eq!(ledger.traps, threshold, "{tech}");
-            assert_eq!(ledger.invocations, threshold, "{tech}");
-        }
-
-        // The pager behaved exactly like stock LRU throughout: every
-        // dispatch fell back to the built-in policy (the queue head).
-        assert_eq!(pager.stats().faults, 32, "{tech}");
-        assert_eq!(pager.stats().evictions, 28, "{tech}");
-
-        // Re-invoking the detached graft refuses deterministically.
-        let err = host.borrow_mut().invoke(id, &[0, 0]).unwrap_err();
-        assert!(
-            matches!(&err, GraftError::Unavailable { .. }),
-            "{tech}: {err}"
-        );
-        let again = host.borrow_mut().invoke(id, &[0, 0]).unwrap_err();
-        assert_eq!(err.to_string(), again.to_string(), "{tech}");
-        // And the refusal did not charge the ledger.
-        assert_eq!(host.borrow().ledger(id).unwrap().invocations, threshold);
-    }
+    quarantine_row(1);
 }
 
 #[test]
 fn quarantine_row_holds_under_sharded_dispatch() {
-    // The same row, multi-core: the saboteur is installed in a
-    // 4-shard host (one engine replica per shard) and each shard runs
-    // its own pager. The supervisor's strikes accumulate *globally*,
-    // so whichever shard observes the third trap detaches the graft on
-    // every shard at once; the remaining pagers never invoke it, serve
-    // stock LRU throughout, and re-invocation refuses deterministically
-    // on every shard.
-    use std::cell::RefCell;
-    use std::rc::Rc;
+    quarantine_row(SHARDS);
+}
 
-    use graftbench::kernel::ShardedHost;
-
-    const SHARDS: usize = 4;
+fn quarantine_row(shards: usize) {
+    // The multi-tenant row of the matrix: under every safe technology a
+    // hostile graft is detached by the quarantine supervisor after N
+    // trapped invocations, the substrate keeps serving on the built-in
+    // policy, and re-invoking the detached graft through the host is a
+    // deterministic error — never a panic, never a hung kernel. Each
+    // shard runs its own pager; strikes accumulate *globally*, so
+    // whichever shard observes the third trap detaches the graft on
+    // every shard at once.
     let spec = saboteur_spec();
     for tech in SAFE_TECHS {
         let engine = GraftManager::new().load(&spec, tech).unwrap();
-        let mut host = ShardedHost::new(SHARDS);
+        let mut host = ShardedHost::new(shards);
         let threshold = host.config().trap_threshold as u64;
         let id = host.install(AttachPoint::VmEvict, "saboteur", engine).unwrap();
 
@@ -291,17 +251,18 @@ fn quarantine_row_holds_under_sharded_dispatch() {
             .map(|h| Pager::new(4, HostedEviction::new(h.clone())))
             .collect();
 
-        // Shard 0's pager alone supplies the three strikes; by the
-        // time the other shards run, the graft is already detached
-        // globally and their pagers never reach it.
+        // Shard 0's pager alone supplies the strikes; by the time
+        // any other shard runs, the graft is already detached and
+        // its pager never reaches it.
         for (s, pager) in pagers.iter_mut().enumerate() {
             for p in 0..32u64 {
                 pager.access(p);
             }
-            assert!(host.is_quarantined(id), "{tech}: shard {s} left it attached");
-            // Every shard's pager behaved exactly like stock LRU.
-            assert_eq!(pager.stats().faults, 32, "{tech} shard {s}");
-            assert_eq!(pager.stats().evictions, 28, "{tech} shard {s}");
+            assert!(host.is_quarantined(id), "{tech}/{shards}: shard {s} left it attached");
+            // Every pager behaved exactly like stock LRU throughout:
+            // every dispatch fell back to the built-in policy.
+            assert_eq!(pager.stats().faults, 32, "{tech}/{shards} shard {s}");
+            assert_eq!(pager.stats().evictions, 28, "{tech}/{shards} shard {s}");
         }
 
         // Deterministic refusal on every shard, with one message.
@@ -311,23 +272,23 @@ fn quarantine_row_holds_under_sharded_dispatch() {
             let again = h.borrow_mut().invoke(id, &[0, 0]).unwrap_err();
             assert!(
                 matches!(&err, GraftError::Unavailable { .. }),
-                "{tech} shard {s}: {err}"
+                "{tech}/{shards} shard {s}: {err}"
             );
-            assert_eq!(err.to_string(), again.to_string(), "{tech} shard {s}");
+            assert_eq!(err.to_string(), again.to_string(), "{tech}/{shards} shard {s}");
             messages.push(err.to_string());
         }
         messages.dedup();
-        assert_eq!(messages.len(), 1, "{tech}: refusals differ across shards");
+        assert_eq!(messages.len(), 1, "{tech}/{shards}: refusals differ across shards");
 
-        // Tear down (pager -> handle) so every shard's private ledger
-        // merges, then check the global totals: exactly `threshold`
-        // trapped invocations, all charged by shard 0, none by the
+        // Tear down (pager -> handle) so every shard's private
+        // ledger merges, then check the global totals: exactly
+        // `threshold` trapped invocations, none charged by the
         // refusals above.
         drop(pagers);
         drop(handles);
         let ledger = host.ledger(id).unwrap();
-        assert_eq!(ledger.traps, threshold, "{tech}");
-        assert_eq!(ledger.invocations, threshold, "{tech}");
+        assert_eq!(ledger.traps, threshold, "{tech}/{shards}");
+        assert_eq!(ledger.invocations, threshold, "{tech}/{shards}");
     }
 }
 
@@ -335,12 +296,14 @@ fn quarantine_row_holds_under_sharded_dispatch() {
 // The recovery rows of the matrix: detaching a trapped graft is not
 // enough when kernel state lives *inside* it. These rows assert the
 // full salvage → degraded-mode → re-admission story, per safe
-// technology and under sharded dispatch.
+// technology and shard count.
 // ---------------------------------------------------------------------
 
 use graftbench::kernel::{GraftState, HostConfig, ShardedHost, VirtualShards};
 use graftbench::kernsim::{DiskFault, DiskModel, FaultPlan, FaultyDisk};
 use graftbench::logdisk::{LdConfig, LogicalDisk};
+use std::cell::RefCell;
+use std::rc::Rc;
 
 const LD_BLOCKS: usize = 256;
 const LD_CONFIG: LdConfig = LdConfig {
@@ -375,36 +338,61 @@ fn bomb_engine(tech: Technology) -> Option<Box<dyn graftbench::api::ExtensionEng
 
 #[test]
 fn salvage_detach_row_keeps_serving_correct_mappings() {
+    salvage_detach_row(1);
+}
+
+#[test]
+fn salvage_detach_row_holds_under_sharded_dispatch() {
+    salvage_detach_row(SHARDS);
+}
+
+fn salvage_detach_row(shards: usize) {
     // Row: a black-box Logical Disk graft traps mid-stream. The
     // supervisor detaches it *and* lifts its map out through the
-    // salvage plan; the built-in adopts the map and serves the rest of
-    // the stream with zero lost or misdirected mappings against an
-    // oracle that never failed over.
+    // salvage plan — out of the replica of the shard the trap fired on,
+    // where the state lives — the detach is visible on every shard at
+    // once, and the built-in adopts the map and serves the rest of the
+    // stream with zero lost or misdirected mappings against an oracle
+    // that never failed over.
     let stream = ld_stream(9);
     let half = 256; // segment-aligned hand-off point
     let mut covered = 0usize;
     for tech in SAFE_TECHS {
-        let Some(mut engine) = bomb_engine(tech) else {
+        let Some(engine) = bomb_engine(tech) else {
             continue;
         };
         covered += 1;
-        graftbench::grafts::logdisk::init_map(engine.as_mut(), LD_BLOCKS).unwrap();
+        let mut host = ShardedHost::with_config(shards, hair_trigger());
+        let id = host
+            .install_with_salvage(AttachPoint::DiskWrite, "logical-disk", engine, &["map"])
+            .unwrap();
+
+        // Populate shard 0's replica only: the map is shard-local
+        // state and the trap will fire where the state lives.
+        let mut vs = VirtualShards::new(&mut host, 7);
+        {
+            let replica = vs.shard_mut(0).engine_mut(id).unwrap();
+            graftbench::grafts::logdisk::init_map(replica, LD_BLOCKS).unwrap();
+        }
         for &w in &stream[..half] {
-            engine.invoke("ld_write", &[w]).unwrap();
+            vs.shard_mut(0).invoke(id, &[w]).unwrap();
+        }
+        vs.shard_mut(0).engine_mut(id).unwrap().invoke("ld_arm", &[1]).unwrap();
+        let err = vs.shard_mut(0).invoke(id, &[stream[half]]).unwrap_err();
+        assert!(matches!(err, GraftError::Trap(_)), "{tech}/{shards}: {err}");
+        assert!(host.is_quarantined(id), "{tech}/{shards}: bomb must detach");
+
+        // Detach is global, immediately: every other shard refuses.
+        for s in 1..shards {
+            let err = vs.shard_mut(s).invoke(id, &[stream[half]]).unwrap_err();
+            assert!(
+                matches!(err, GraftError::Unavailable { .. }),
+                "{tech}/{shards} shard {s}: {err}"
+            );
         }
 
-        let mut host = GraftHost::with_config(hair_trigger());
-        let id = host
-            .install(AttachPoint::DiskWrite, "logical-disk", engine)
-            .unwrap();
-        host.set_salvage_plan(id, &["map"]).unwrap();
-        host.engine_mut(id).unwrap().invoke("ld_arm", &[1]).unwrap();
-
-        let err = host.invoke(id, &[stream[half]]).unwrap_err();
-        assert!(matches!(err, GraftError::Trap(_)), "{tech}: {err}");
-        assert!(host.is_quarantined(id), "{tech}: bomb must detach");
         let salvage = host.take_salvage(id).expect("salvaged at detach");
-        assert_eq!(salvage.words(), LD_BLOCKS, "{tech}: whole map lifted");
+        assert_eq!(salvage.words(), LD_BLOCKS, "{tech}/{shards}: whole map lifted");
 
         // Degraded mode: the built-in adopts the salvaged map.
         let mut degraded = LogicalDisk::with_map(LD_CONFIG, salvage.region("map").unwrap());
@@ -418,190 +406,106 @@ fn salvage_detach_row_keeps_serving_correct_mappings() {
         assert_eq!(
             degraded.map(),
             oracle.map(),
-            "{tech}: degraded mode lost or misdirected mappings"
+            "{tech}/{shards}: degraded mode lost or misdirected mappings"
         );
     }
     assert!(covered >= 2, "row must cover the compiled safe technologies");
 }
 
 #[test]
-fn salvage_detach_row_holds_under_sharded_dispatch() {
-    // The same row on the sharded kernel: the trap fires on one shard,
-    // the winning detach salvages *that shard's* replica, the detach is
-    // visible on every shard at once, and the built-in serves on the
-    // salvaged map with nothing lost.
-    const SHARDS: usize = 2;
-    let stream = ld_stream(9);
-    let half = 256;
-    for tech in SAFE_TECHS {
-        let Some(engine) = bomb_engine(tech) else {
-            continue;
-        };
-        let mut host = ShardedHost::with_config(SHARDS, hair_trigger());
-        let id = host
-            .install_with_salvage(AttachPoint::DiskWrite, "logical-disk", engine, &["map"])
-            .unwrap();
-
-        let mut vs = VirtualShards::new(&mut host, 7);
-        // Populate shard 0's replica only: the map is shard-local state
-        // and the trap will fire where the state lives.
-        {
-            let replica = vs.shard_mut(0).engine_mut(id).unwrap();
-            graftbench::grafts::logdisk::init_map(replica, LD_BLOCKS).unwrap();
-        }
-        for &w in &stream[..half] {
-            vs.shard_mut(0).invoke(id, &[w]).unwrap();
-        }
-        vs.shard_mut(0).engine_mut(id).unwrap().invoke("ld_arm", &[1]).unwrap();
-        let err = vs.shard_mut(0).invoke(id, &[stream[half]]).unwrap_err();
-        assert!(matches!(err, GraftError::Trap(_)), "{tech}: {err}");
-
-        // Detach is global, immediately: the *other* shard refuses too.
-        assert!(host.is_quarantined(id), "{tech}");
-        let err = vs.shard_mut(1).invoke(id, &[stream[half]]).unwrap_err();
-        assert!(
-            matches!(err, GraftError::Unavailable { .. }),
-            "{tech} shard 1: {err}"
-        );
-
-        let salvage = host.take_salvage(id).expect("winning shard salvaged");
-        let mut degraded = LogicalDisk::with_map(LD_CONFIG, salvage.region("map").unwrap());
-        for &w in &stream[half..] {
-            degraded.write(w as u64);
-        }
-        let mut oracle = LogicalDisk::new(LD_CONFIG);
-        for &w in &stream {
-            oracle.write(w as u64);
-        }
-        assert_eq!(degraded.map(), oracle.map(), "{tech}: sharded salvage lost mappings");
-    }
-}
-
-#[test]
 fn backoff_readmits_after_a_clean_window_and_doubles_on_the_second_strike() {
-    // Row: the backoff ladder. After the first quarantine the graft is
-    // re-admitted once the chain serves `backoff_base` dispatches
-    // without it; a strike on probation detaches instantly and the
-    // window doubles; at the ban ceiling the graft is out for good.
-    let spec = saboteur_spec();
-    for tech in SAFE_TECHS {
-        let engine = GraftManager::new().load(&spec, tech).unwrap();
-        let mut host = GraftHost::with_config(HostConfig {
-            trap_threshold: 1,
-            probation_clean: 2,
-            backoff_base: 4,
-            ban_ceiling: 3,
-            ..HostConfig::default()
-        });
-        let id = host.install(AttachPoint::VmEvict, "saboteur", engine).unwrap();
-        let dispatch = |host: &mut GraftHost| {
-            host.dispatch(AttachPoint::VmEvict, |_| Ok(vec![7, 3]));
-        };
-
-        // Trip 1: one trap detaches; the ladder arms a 4-dispatch window.
-        dispatch(&mut host);
-        assert!(host.is_quarantined(id), "{tech}");
-        assert_eq!(host.quarantine_count(id), Some(1), "{tech}");
-        for _ in 0..3 {
-            dispatch(&mut host);
-            assert!(host.is_quarantined(id), "{tech}: readmitted early");
-        }
-        dispatch(&mut host); // 4th clean dispatch: window exhausted
-        assert!(
-            matches!(host.state(id), Some(GraftState::Probation { .. })),
-            "{tech}: ladder must re-admit on probation, got {:?}",
-            host.state(id)
-        );
-
-        // Trip 2: a probation strike detaches instantly and the window
-        // doubles — 7 clean dispatches are not enough, the 8th is.
-        dispatch(&mut host);
-        assert!(host.is_quarantined(id), "{tech}: probation strike must detach");
-        assert_eq!(host.quarantine_count(id), Some(2), "{tech}");
-        for i in 0..7 {
-            dispatch(&mut host);
-            assert!(host.is_quarantined(id), "{tech}: window did not double (clean #{i})");
-        }
-        dispatch(&mut host);
-        assert!(
-            matches!(host.state(id), Some(GraftState::Probation { .. })),
-            "{tech}: second re-admission, got {:?}",
-            host.state(id)
-        );
-
-        // Trip 3 hits the ceiling: permanently banned, manual readmit
-        // refuses, and no amount of clean dispatches brings it back.
-        dispatch(&mut host);
-        assert_eq!(host.state(id), Some(GraftState::Banned), "{tech}");
-        assert!(!host.readmit(id), "{tech}: banned grafts must not readmit");
-        for _ in 0..40 {
-            dispatch(&mut host);
-        }
-        assert_eq!(host.state(id), Some(GraftState::Banned), "{tech}");
-
-        let stats = host.stats();
-        assert_eq!(stats.quarantine_trips, 3, "{tech}");
-        assert_eq!(stats.auto_readmits, 2, "{tech}");
-        assert_eq!(stats.bans, 1, "{tech}");
-    }
+    backoff_ladder_row(1);
 }
 
 #[test]
 fn backoff_ladder_holds_under_sharded_dispatch() {
-    // The ladder's counters are shared atomics: dispatches served on
-    // *any* shard count toward the clean window, the re-admission is
-    // visible everywhere at once, and the ban is final on every shard.
-    const SHARDS: usize = 2;
+    backoff_ladder_row(SHARDS);
+}
+
+fn backoff_ladder_row(shards: usize) {
+    // Row: the backoff ladder. After the first quarantine the graft is
+    // re-admitted once the chain serves `backoff_base` dispatches
+    // without it — on *any* shard, since the window is a shared atomic;
+    // a strike on probation detaches instantly and the window doubles;
+    // at the ban ceiling the graft is out for good, on every shard.
     let spec = saboteur_spec();
     for tech in SAFE_TECHS {
         let engine = GraftManager::new().load(&spec, tech).unwrap();
         let mut host = ShardedHost::with_config(
-            SHARDS,
+            shards,
             HostConfig {
                 trap_threshold: 1,
                 probation_clean: 2,
                 backoff_base: 4,
-                ban_ceiling: 2,
+                ban_ceiling: 3,
                 ..HostConfig::default()
             },
         );
         let id = host.install(AttachPoint::VmEvict, "saboteur", engine).unwrap();
         let mut vs = VirtualShards::new(&mut host, 11);
-
-        // Trip 1 on whichever shard the rotation picks.
-        vs.dispatch(AttachPoint::VmEvict, |_| Ok(vec![7, 3]));
-        assert!(host.is_quarantined(id), "{tech}");
-        // Four dispatches spread across shards re-admit it...
-        for _ in 0..3 {
+        let mut dispatch = || {
             vs.dispatch(AttachPoint::VmEvict, |_| Ok(vec![7, 3]));
-            assert!(host.is_quarantined(id), "{tech}: readmitted early");
+        };
+        let ctx = format!("{tech}/{shards}");
+
+        // Trip 1: one trap detaches; the ladder arms a 4-dispatch
+        // window.
+        dispatch();
+        assert!(host.is_quarantined(id), "{ctx}");
+        assert_eq!(host.quarantine_count(id), Some(1), "{ctx}");
+        for _ in 0..3 {
+            dispatch();
+            assert!(host.is_quarantined(id), "{ctx}: readmitted early");
         }
-        vs.dispatch(AttachPoint::VmEvict, |_| Ok(vec![7, 3]));
+        dispatch(); // 4th clean dispatch: window exhausted
         assert!(
             matches!(host.state(id), Some(GraftState::Probation { .. })),
-            "{tech}: cross-shard window must re-admit, got {:?}",
+            "{ctx}: ladder must re-admit on probation, got {:?}",
             host.state(id)
         );
 
-        // ...and the probation strike hits the 2-trip ceiling: banned,
-        // everywhere, for good.
-        vs.dispatch(AttachPoint::VmEvict, |_| Ok(vec![7, 3]));
-        assert_eq!(host.state(id), Some(GraftState::Banned), "{tech}");
-        assert_eq!(host.quarantine_count(id), Some(2), "{tech}");
-        assert!(!host.readmit(id), "{tech}");
-        for shard in 0..SHARDS {
-            let err = vs.shard_mut(shard).invoke(id, &[0, 0]).unwrap_err();
-            assert!(
-                matches!(err, GraftError::Unavailable { .. }),
-                "{tech} shard {shard}: {err}"
-            );
+        // Trip 2: a probation strike detaches instantly and the
+        // window doubles — 7 clean dispatches are not enough, the
+        // 8th is.
+        dispatch();
+        assert!(host.is_quarantined(id), "{ctx}: probation strike must detach");
+        assert_eq!(host.quarantine_count(id), Some(2), "{ctx}");
+        for i in 0..7 {
+            dispatch();
+            assert!(host.is_quarantined(id), "{ctx}: window did not double (clean #{i})");
+        }
+        dispatch();
+        assert!(
+            matches!(host.state(id), Some(GraftState::Probation { .. })),
+            "{ctx}: second re-admission, got {:?}",
+            host.state(id)
+        );
+
+        // Trip 3 hits the ceiling: permanently banned, manual
+        // readmit refuses, and no amount of clean dispatches brings
+        // it back.
+        dispatch();
+        assert_eq!(host.state(id), Some(GraftState::Banned), "{ctx}");
+        assert!(!host.readmit(id), "{ctx}: banned grafts must not readmit");
+        for _ in 0..40 {
+            dispatch();
+        }
+        assert_eq!(host.state(id), Some(GraftState::Banned), "{ctx}");
+        for shard in 0..shards {
+            match vs.shard_mut(shard).invoke(id, &[0, 0]).unwrap_err() {
+                GraftError::Unavailable { missing, .. } => {
+                    assert!(missing.contains("banned"), "{ctx} shard {shard}: {missing}")
+                }
+                err => panic!("{ctx} shard {shard}: {err}"),
+            }
         }
 
         vs.flush_all();
         let stats = host.stats();
-        assert_eq!(stats.quarantine_trips, 2, "{tech}");
-        assert_eq!(stats.auto_readmits, 1, "{tech}");
-        assert_eq!(stats.bans, 1, "{tech}");
+        assert_eq!(stats.quarantine_trips, 3, "{ctx}");
+        assert_eq!(stats.auto_readmits, 2, "{ctx}");
+        assert_eq!(stats.readmits, 2, "{ctx}: each auto-readmit counted once");
+        assert_eq!(stats.bans, 1, "{ctx}");
     }
 }
 

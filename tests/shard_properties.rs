@@ -1,32 +1,46 @@
-//! Property harness for the sharded extension kernel: for every
-//! technology, a `ShardedHost` driven through [`VirtualShards`] (the
-//! deterministic loom-style interleaving mode) must be observationally
-//! equivalent to a single [`GraftHost`] fed the same operation
-//! sequence — same verdicts, same ledger totals, same quarantine
-//! decisions, same control-plane statistics.
+//! Property harness for the graft host: for every technology, a
+//! `ShardedHost` with 1-4 shards driven through [`VirtualShards`] (the
+//! deterministic loom-style interleaving mode) must match an
+//! independent reference model fed the same operation sequence — same
+//! verdicts, same ledger totals, same quarantine decisions, same
+//! statistics, same flight-recorder event stream. The model
+//! (`reference/mod.rs`) never builds a host: it is the single-threaded
+//! ("scalar") semantics written out directly, so a regression in the
+//! host's chain walk, supervisor or accounting cannot hide in the
+//! oracle too.
 //!
 //! Each interleaving is a short random program over the host API
 //! (install at either chain end, uninstall, readmit, chain dispatch,
 //! direct invoke, marshalling failure) generated from a seeded
 //! [`SmallRng`], so every run of the suite replays the exact same
 //! programs — the property is checked over >= 200 interleavings per
-//! technology and stays reproducible in CI.
+//! technology and stays reproducible in CI. The stealing half replays
+//! the adaptive plane's completion order through the model the same
+//! way.
 //!
-//! The second half is the fault-injection harness: an rng-scheduled
-//! saboteur traps on chosen (shard, invocation) slots, and the suite
-//! asserts the quarantine detach propagates to every shard (no
-//! post-detach invocations anywhere, deterministic `Unavailable` on
-//! re-invoke, epoch stamped against the membership order).
+//! The fault-injection harness schedules a saboteur's traps on chosen
+//! (shard, invocation) slots and asserts the quarantine detach
+//! propagates to every shard (no post-detach invocations anywhere,
+//! deterministic `Unavailable` on re-invoke, epoch stamped against the
+//! membership order).
+
+mod reference;
+
+use std::collections::BTreeSet;
+use std::fmt::Debug;
 
 use graft_rng::SmallRng;
 use graftbench::api::{
-    GraftClass, GraftError, GraftSpec, Motivation, RegionStore, Technology, Trap, Verdict,
+    GraftClass, GraftError, GraftLedger, GraftSpec, Motivation, RegionStore, Technology, Trap,
+    Verdict,
 };
 use graftbench::core::GraftManager;
 use graftbench::kernel::{
-    AttachPoint, GraftHost, GraftId, HostConfig, RunQueues, ShardedHost, StealPolicy,
+    AttachPoint, GraftId, HostConfig, PostmortemReport, RunQueues, ShardedHost, StealPolicy,
     VirtualShards,
 };
+use graftbench::telemetry::TRACE_VERDICT_TRAP;
+use reference::{Detach, Op, Outcome, Refusal, Standing, Step};
 
 const POINT: AttachPoint = AttachPoint::VmEvict;
 
@@ -42,9 +56,8 @@ const ALL_TECHS: [Technology; 7] = [
 ];
 
 /// A *pure* graft: `select_victim(a, b)` depends only on its arguments,
-/// so a per-shard replica computes exactly what the scalar host's
-/// single engine computes — the precondition for sharded/scalar
-/// equivalence. `b == 0` divides by zero (the one trap every safe
+/// so every per-shard replica computes exactly what the reference
+/// model's bare engine computes — the precondition for equivalence. `b == 0` divides by zero (the one trap every safe
 /// technology and the unchecked one agree on); `b < 0` spins until the
 /// fuel meter preempts it (only dispatched by the metered fault tests).
 fn pure_spec() -> GraftSpec {
@@ -67,24 +80,22 @@ fn pure_spec() -> GraftSpec {
         .with_grail(grail)
         .with_tickle(tickle)
         .with_native(Box::new(|| {
-            Box::new(
-                |entry: &str, args: &[i64], _regions: &mut RegionStore| {
-                    if entry != "select_victim" {
-                        return Err(GraftError::Unavailable {
-                            graft: "pure-pick".into(),
-                            missing: format!("entry {entry}"),
-                        });
-                    }
-                    let (a, b) = (args[0], args[1]);
-                    if b == 0 {
-                        return Err(GraftError::Trap(Trap::DivByZero));
-                    }
-                    if b < 0 {
-                        return Err(GraftError::Trap(Trap::FuelExhausted));
-                    }
-                    Ok((a + b) % 7 - 3)
-                },
-            )
+            Box::new(|entry: &str, args: &[i64], _regions: &mut RegionStore| {
+                if entry != "select_victim" {
+                    return Err(GraftError::Unavailable {
+                        graft: "pure-pick".into(),
+                        missing: format!("entry {entry}"),
+                    });
+                }
+                let (a, b) = (args[0], args[1]);
+                if b == 0 {
+                    return Err(GraftError::Trap(Trap::DivByZero));
+                }
+                if b < 0 {
+                    return Err(GraftError::Trap(Trap::FuelExhausted));
+                }
+                Ok((a + b) % 7 - 3)
+            })
         }))
 }
 
@@ -95,176 +106,205 @@ fn marshal_err() -> GraftError {
     }
 }
 
-/// Flattens a verdict into the replay trace.
-fn encode_verdict(v: Verdict) -> i64 {
-    match v {
-        Verdict::Continue => -500,
-        Verdict::Override(x) => x,
-    }
-}
-
-/// Flattens an invoke result into the replay trace.
-fn encode_result(r: &Result<i64, GraftError>) -> i64 {
-    match r {
-        Ok(v) => *v,
-        Err(e) => match e.as_trap() {
-            Some(t) => -1000 - t.kind() as i64,
-            None => -2000,
-        },
-    }
-}
-
-/// Errors compare by observable class: same trap kind, or both
-/// `Unavailable` (the ids embedded in the messages legitimately differ
-/// between the two hosts).
-fn same_error(a: &GraftError, b: &GraftError) -> bool {
-    match (a.as_trap(), b.as_trap()) {
-        (Some(x), Some(y)) => x.kind() == y.kind(),
-        (None, None) => {
-            matches!(a, GraftError::Unavailable { .. })
-                == matches!(b, GraftError::Unavailable { .. })
-        }
-        _ => false,
-    }
-}
-
-/// Runs one random interleaving of host operations against both a
-/// scalar `GraftHost` and a `ShardedHost` with 1-4 shards, asserting
-/// observational equivalence at every step and over the final ledgers,
-/// states, and statistics. Returns the replay trace so the determinism
-/// test can compare two runs of the same seed.
-fn check_one(manager: &GraftManager, spec: &GraftSpec, tech: Technology, seed: u64) -> Vec<i64> {
+/// A seeded random program over the host API and the shard count to
+/// run it on. Grafts are named by chain position, so the program is
+/// meaningful to the model and the host alike.
+fn random_program(seed: u64) -> (usize, Vec<Op>) {
     let mut rng = SmallRng::seed_from_u64(seed);
     let shards = 1 + rng.bounded_u64(4) as usize;
-    let mut single = GraftHost::new();
-    let mut sharded = ShardedHost::new(shards);
-    let mut vs = VirtualShards::new(&mut sharded, seed ^ 0xA5A5_5A5A);
-    // Parallel id map: (scalar id, sharded id), in install order.
-    let mut installed: Vec<(GraftId, GraftId)> = Vec::new();
-    let mut trace = vec![shards as i64];
-    let ctx = |seed: u64| format!("{tech} seed {seed:#x}");
-
-    let ops = 12 + rng.bounded_u64(20) as usize;
-    for _ in 0..ops {
-        let roll = if installed.is_empty() {
-            0
-        } else {
-            rng.bounded_u64(100)
-        };
-        if roll < 15 && installed.len() < 3 {
-            // Install the same pure graft into both hosts, at the same
-            // chain end.
-            let e1 = manager.load(spec, tech).expect("scalar load");
-            let e2 = manager.load(spec, tech).expect("sharded load");
-            let front = rng.bounded_u64(2) == 0;
-            let pair = if front {
-                let a = single.install_front(POINT, "pure", e1).expect("install");
-                let b = vs_install_front(&sharded, e2);
-                installed.insert(0, (a, b));
-                (a, b)
+    let mut live = 0u64;
+    let ops = 12 + rng.bounded_u64(20);
+    let program = (0..ops)
+        .map(|_| {
+            let roll = if live == 0 { 0 } else { rng.bounded_u64(100) };
+            if roll < 15 && live < 3 {
+                live += 1;
+                Op::Install(rng.bounded_u64(2) == 0)
+            } else if roll < 25 {
+                live -= 1;
+                Op::Uninstall(rng.bounded_u64(live + 1) as usize)
+            } else if roll < 33 {
+                Op::Readmit(rng.bounded_u64(live) as usize)
+            } else if roll < 43 {
+                let k = rng.bounded_u64(live) as usize;
+                Op::Invoke(k, rng.bounded_u64(1000) as i64, rng.bounded_u64(4) as i64)
+            } else if roll < 48 {
+                Op::MarshalFail
             } else {
-                let a = single.install(POINT, "pure", e1).expect("install");
-                let b = sharded.install(POINT, "pure", e2).expect("install");
-                installed.push((a, b));
-                (a, b)
-            };
-            trace.push(100 + pair.0 .0 as i64);
-        } else if roll < 25 {
-            let k = rng.bounded_u64(installed.len() as u64) as usize;
-            let (a, b) = installed.remove(k);
-            assert_eq!(
-                single.uninstall(a),
-                sharded.uninstall(b),
-                "uninstall parity, {}",
-                ctx(seed)
-            );
-            trace.push(200);
-        } else if roll < 33 {
-            let k = rng.bounded_u64(installed.len() as u64) as usize;
-            let (a, b) = installed[k];
-            assert_eq!(
-                single.readmit(a),
-                sharded.readmit(b),
-                "readmit parity, {}",
-                ctx(seed)
-            );
-            trace.push(300);
-        } else if roll < 43 {
-            // Direct invocation through the host, on whichever shard
-            // the rotation lands on.
-            let k = rng.bounded_u64(installed.len() as u64) as usize;
-            let (a, b) = installed[k];
-            let aa = rng.bounded_u64(1000) as i64;
-            let bb = rng.bounded_u64(4) as i64;
-            let r1 = single.invoke(a, &[aa, bb]);
-            let r2 = vs.next_shard().invoke(b, &[aa, bb]);
-            match (&r1, &r2) {
-                (Ok(x), Ok(y)) => assert_eq!(x, y, "invoke value, {}", ctx(seed)),
-                (Err(x), Err(y)) => {
-                    assert!(same_error(x, y), "invoke error {x} vs {y}, {}", ctx(seed))
-                }
-                _ => panic!("invoke divergence {r1:?} vs {r2:?}, {}", ctx(seed)),
+                Op::Dispatch(rng.bounded_u64(1000) as i64, rng.bounded_u64(5) as i64)
             }
-            trace.push(encode_result(&r1));
-        } else if roll < 48 {
-            // Kernel-side marshalling failure: charged to the host's
-            // failure counter, never to the graft.
-            let v1 = single.dispatch(POINT, |_| Err(marshal_err()));
-            let v2 = vs.dispatch(POINT, |_| Err(marshal_err()));
-            assert_eq!(v1, v2, "marshal-failure verdict, {}", ctx(seed));
-            trace.push(400);
-        } else {
-            let aa = rng.bounded_u64(1000) as i64;
-            let bb = rng.bounded_u64(5) as i64;
-            let v1 = single.dispatch(POINT, |_| Ok(vec![aa, bb]));
-            let v2 = vs.dispatch(POINT, |_| Ok(vec![aa, bb]));
-            assert_eq!(v1, v2, "dispatch verdict ({aa},{bb}), {}", ctx(seed));
-            trace.push(encode_verdict(v1));
-        }
-    }
-
-    // Merge every shard's private ledgers before reading the totals.
-    vs.flush_all();
-
-    // Control-plane statistics agree exactly, field for field.
-    assert_eq!(single.stats(), sharded.stats(), "host stats, {}", ctx(seed));
-
-    // Per-graft ledgers and lifecycle states agree for every graft
-    // still installed (wall-clock ns is the one legitimately
-    // machine-dependent field; everything countable must match).
-    for &(a, b) in &installed {
-        let l1 = *single.ledger(a).expect("scalar ledger");
-        let l2 = sharded.ledger(b).expect("sharded ledger");
-        assert_eq!(l1.invocations, l2.invocations, "invocations, {}", ctx(seed));
-        assert_eq!(l1.traps, l2.traps, "traps, {}", ctx(seed));
-        assert_eq!(l1.fuel_used, l2.fuel_used, "fuel, {}", ctx(seed));
-        assert_eq!(l1.trap_counts, l2.trap_counts, "trap kinds, {}", ctx(seed));
-        assert_eq!(single.state(a), sharded.state(b), "state, {}", ctx(seed));
-        trace.push(l1.invocations as i64);
-        trace.push(l1.traps as i64);
-    }
-
-    // Every shard sees the same membership as the scalar host.
-    for s in 0..vs.len() {
-        assert_eq!(
-            single.active_len(POINT),
-            vs.shard_mut(s).active_len(POINT),
-            "shard {s} active chain, {}",
-            ctx(seed)
-        );
-        assert_eq!(
-            single.chain(POINT).len(),
-            vs.shard_mut(s).chain(POINT).len(),
-            "shard {s} chain length, {}",
-            ctx(seed)
-        );
-    }
-    trace
+        })
+        .collect();
+    (shards, program)
 }
 
-/// `ShardedHost::install_front` with the same shape as the scalar call.
-fn vs_install_front(host: &ShardedHost, engine: Box<dyn graftbench::api::ExtensionEngine>) -> GraftId {
-    host.install_front(POINT, "pure", engine).expect("install front")
+/// The first difference between the model's outcome and a host's, or
+/// `Ok` when the host matches. Events are compared only when the host
+/// recorded them.
+fn compare(model: &Outcome, host: &Outcome) -> Result<(), String> {
+    let steps = model.steps.iter().zip(&host.steps);
+    if let Some(i) = steps.clone().position(|(m, h)| m != h) {
+        let (m, h) = steps.clone().nth(i).unwrap();
+        return Err(format!("op {i}: model {m:?}, host {h:?}"));
+    }
+    check("op count", &model.steps.len(), &host.steps.len())?;
+    check("host stats", &model.stats, &host.stats)?;
+    check("ledgers and states", &model.grafts, &host.grafts)?;
+    check("detaches", &model.detaches, &host.detaches)?;
+    check("membership", &model.membership, &host.membership)?;
+    if host.events.is_some() {
+        check("event stream", &model.events, &host.events)?;
+    }
+    Ok(())
+}
+
+fn check<T: PartialEq + Debug>(what: &str, model: &T, host: &T) -> Result<(), String> {
+    if model == host {
+        return Ok(());
+    }
+    Err(format!("{what}: model {model:?}, host {host:?}"))
+}
+
+/// The reference model's outcome for `ops`, every graft a fresh bare
+/// engine of `tech`.
+fn model(
+    manager: &GraftManager,
+    spec: &GraftSpec,
+    tech: Technology,
+    config: HostConfig,
+    ops: &[Op],
+) -> Outcome {
+    reference::run(config, POINT, ops, || {
+        manager.load(spec, tech).expect("model load")
+    })
+}
+
+/// What a host reports after a run, in the model's terms. `chain` is
+/// the installed grafts in chain order; `steps` what each op returned.
+fn host_outcome(
+    (host, vs): (&ShardedHost, &mut VirtualShards),
+    chain: &[GraftId],
+    steps: Vec<Step>,
+    traced: bool,
+    postmortems: &[PostmortemReport],
+) -> Outcome {
+    // Merge every shard's private ledgers before reading the totals.
+    vs.flush_all();
+    let grafts = chain
+        .iter()
+        .map(|&id| Standing {
+            ledger: GraftLedger {
+                cum_ns: 0,
+                ..host.ledger(id).expect("ledger")
+            },
+            state: host.state(id).expect("state"),
+        })
+        .collect();
+    // A postmortem freezes the *detaching shard's* ledger: it saw at
+    // least the fatal strike and never more than the graft's global
+    // total (strikes on other shards merge after the report is cut).
+    // When recorded, its tail ends on the fatal trap.
+    for pm in postmortems {
+        let total = host.ledger(GraftId(pm.graft_id)).map_or(0, |l| l.traps);
+        assert!(
+            (1..=total).contains(&pm.ledger.traps),
+            "postmortem ledger {pm:?}"
+        );
+        if let Some(last) = pm.events.last() {
+            assert_eq!(
+                (last.verdict, last.value),
+                (TRACE_VERDICT_TRAP, pm.reason as i64),
+                "tail {pm:?}"
+            );
+        }
+    }
+    let detaches = postmortems
+        .iter()
+        .map(|pm| Detach {
+            reason: pm.reason,
+            strikes: pm.strikes,
+            quarantines: pm.quarantines,
+            backoff_remaining: pm.backoff_remaining,
+            state: pm.state,
+        })
+        .collect();
+    // Every shard must see the same membership: distinct views are
+    // reported separately, so a disagreeing shard shows up as a second
+    // entry the model never has.
+    let membership: BTreeSet<(usize, usize)> = (0..vs.len())
+        .map(|s| {
+            let h = vs.shard_mut(s);
+            (h.active_len(POINT), h.chain(POINT).len())
+        })
+        .collect();
+    Outcome {
+        steps,
+        grafts,
+        stats: host.stats(),
+        events: traced.then(|| vs.merged_timeline().iter().map(|e| e.semantics()).collect()),
+        detaches,
+        membership: membership.into_iter().collect(),
+    }
+}
+
+/// Runs `ops` on a `shards`-shard host under the seeded interleaving.
+/// The flight recorder's toggle is process-global and only ever armed
+/// by this binary, never disarmed: armed at the start means armed for
+/// the whole run, so the event stream is complete.
+fn run_host(
+    manager: &GraftManager,
+    spec: &GraftSpec,
+    tech: Technology,
+    config: HostConfig,
+    (shards, ops): (usize, &[Op]),
+    seed: u64,
+) -> Outcome {
+    let traced = graftbench::telemetry::tracing();
+    let mut host = ShardedHost::with_config(shards, config);
+    let mut vs = VirtualShards::new(&mut host, seed ^ 0xA5A5_5A5A);
+    let mut chain: Vec<GraftId> = Vec::new();
+    let steps = ops
+        .iter()
+        .map(|&op| match op {
+            Op::Install(front) => {
+                let engine = manager.load(spec, tech).expect("host load");
+                let id = if front {
+                    host.install_front(POINT, "pure", engine)
+                } else {
+                    host.install(POINT, "pure", engine)
+                }
+                .expect("install");
+                chain.insert(if front { 0 } else { chain.len() }, id);
+                Step::Installed
+            }
+            Op::Uninstall(k) => Step::Uninstalled(host.uninstall(chain.remove(k))),
+            Op::Readmit(k) => Step::Readmitted(host.readmit(chain[k])),
+            // Direct invocation on whichever shard the rotation lands on.
+            Op::Invoke(k, a, b) => Step::Invoked(
+                vs.next_shard()
+                    .invoke(chain[k], &[a, b])
+                    .map_err(|e| Refusal::of(&e)),
+            ),
+            Op::MarshalFail => Step::Verdict(vs.dispatch(POINT, |_| Err(marshal_err()))),
+            Op::Dispatch(a, b) => Step::Verdict(vs.dispatch(POINT, |_| Ok(vec![a, b]))),
+        })
+        .collect();
+    let postmortems = host.take_postmortems();
+    host_outcome((&host, &mut vs), &chain, steps, traced, &postmortems)
+}
+
+/// One seeded interleaving on the host, checked against the model.
+/// Returns the host's outcome so the determinism test can compare two
+/// runs of the same seed.
+fn check_one(manager: &GraftManager, spec: &GraftSpec, tech: Technology, seed: u64) -> Outcome {
+    let (shards, ops) = random_program(seed);
+    let config = HostConfig::default();
+    let want = model(manager, spec, tech, config, &ops);
+    let got = run_host(manager, spec, tech, config, (shards, &ops), seed);
+    if let Err(divergence) = compare(&want, &got) {
+        panic!("{tech} seed {seed:#x} on {shards} shard(s): {divergence}");
+    }
+    got
 }
 
 /// >= 200 seeded interleavings for one technology.
@@ -324,8 +364,44 @@ fn interleavings_replay_identically_from_the_same_seed() {
         let seed = 0xD00D_F00D ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let first = check_one(&manager, &spec, Technology::SafeCompiled, seed);
         let again = check_one(&manager, &spec, Technology::SafeCompiled, seed);
-        assert_eq!(first, again, "seed {seed:#x} did not replay");
+        let key = |o: &Outcome| (o.steps.clone(), o.grafts.clone(), o.stats);
+        assert_eq!(key(&first), key(&again), "seed {seed:#x} did not replay");
     }
+}
+
+#[test]
+fn model_backed_property_rejects_a_wrong_host() {
+    // The oracle must be able to fail. Take the first seeded
+    // interleaving whose outcome depends on the trap threshold, run it
+    // on a host with the default threshold of 3, and compare it with a
+    // model told the threshold is 4: the comparison has to report a
+    // divergence, while the right model still matches.
+    let manager = GraftManager::new();
+    let spec = pure_spec();
+    let tech = Technology::SafeCompiled;
+    let right = HostConfig::default();
+    let wrong = HostConfig {
+        trap_threshold: right.trap_threshold + 1,
+        ..right
+    };
+    let (seed, program, model_right, model_wrong) = (0..64u64)
+        .map(|i| 0x53 ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+        .find_map(|seed| {
+            let program = random_program(seed);
+            let r = model(&manager, &spec, tech, right, &program.1);
+            let w = model(&manager, &spec, tech, wrong, &program.1);
+            compare(&r, &w).is_err().then_some((seed, program, r, w))
+        })
+        .expect("some seed must depend on the threshold");
+    let (shards, ops) = program;
+    let host = run_host(&manager, &spec, tech, right, (shards, &ops), seed);
+    assert!(
+        host.stats.quarantine_trips > 0,
+        "seed {seed:#x} never tripped the supervisor"
+    );
+    assert_eq!(compare(&model_right, &host), Ok(()), "seed {seed:#x}");
+    let divergence = compare(&model_wrong, &host).expect_err("a wrong model went unnoticed");
+    assert!(!divergence.is_empty());
 }
 
 // ---------------------------------------------------------------------
@@ -448,7 +524,11 @@ fn scheduled_saboteur_replays_identically() {
         let mut rng = SmallRng::seed_from_u64(seed);
         let mut host = ShardedHost::new(3);
         let id = host
-            .install(POINT, "saboteur", manager.load(&spec, Technology::Bytecode).unwrap())
+            .install(
+                POINT,
+                "saboteur",
+                manager.load(&spec, Technology::Bytecode).unwrap(),
+            )
             .unwrap();
         let mut vs = VirtualShards::new(&mut host, seed);
         let mut step = 0u64;
@@ -470,8 +550,8 @@ fn scheduled_saboteur_replays_identically() {
 
 // ---------------------------------------------------------------------
 // Flight-recorder properties: the merged cross-shard timeline is
-// causally ordered and semantically identical to the scalar host's
-// event stream over the same operation sequence.
+// causally ordered and semantically identical to the reference
+// model's event stream over the same operation sequence.
 // ---------------------------------------------------------------------
 
 /// Arms the flight recorder. The toggles are process-global, so every
@@ -548,38 +628,28 @@ fn merged_timeline_matches_the_scalar_event_stream() {
     if !arm_recorder() {
         return;
     }
+    // Same dispatches, same chain, same traps: the merged 4-shard
+    // timeline carries exactly the model's event sequence —
+    // (point, tech, verdict, value) for every invocation, in the same
+    // order (trace ids and shard stamps are host details).
     let manager = GraftManager::new();
     let spec = pure_spec();
+    let tech = Technology::SafeCompiled;
     for seed in [1u64, 0xBEEF, 0x1234_5678] {
         let mut rng = SmallRng::seed_from_u64(seed);
-        let mut single = GraftHost::new();
-        let mut sharded = ShardedHost::new(4);
-        let e1 = manager.load(&spec, Technology::SafeCompiled).expect("load");
-        let e2 = manager.load(&spec, Technology::SafeCompiled).expect("load");
-        single.install(POINT, "pure", e1).expect("install");
-        sharded.install(POINT, "pure", e2).expect("install");
-        let mut vs = VirtualShards::new(&mut sharded, seed);
-        for _ in 0..40 {
-            let a = rng.bounded_u64(1000) as i64;
-            let b = rng.bounded_u64(4) as i64; // b == 0 traps
-            let v1 = single.dispatch(POINT, |_| Ok(vec![a, b]));
-            let v2 = vs.dispatch(POINT, |_| Ok(vec![a, b]));
-            assert_eq!(v1, v2, "verdict parity, seed {seed:#x}");
-        }
-        single.flush();
-        vs.flush_all();
-        // Same dispatches, same chain, same traps: the merged sharded
-        // timeline carries exactly the scalar host's event sequence —
-        // (point, tech, verdict, value) for every invocation, in the
-        // same order (trace ids and shard stamps legitimately differ).
-        let scalar: Vec<_> = single.trace_events().iter().map(|e| e.semantics()).collect();
-        let merged: Vec<_> = vs
-            .merged_timeline()
-            .iter()
-            .map(|e| e.semantics())
-            .collect();
-        assert!(!scalar.is_empty(), "seed {seed:#x}: scalar recorded nothing");
-        assert_eq!(scalar, merged, "event streams diverge, seed {seed:#x}");
+        let mut ops = vec![Op::Install(false)];
+        // b == 0 traps, so the stream covers the detach too.
+        ops.extend(
+            (0..40).map(|_| Op::Dispatch(rng.bounded_u64(1000) as i64, rng.bounded_u64(4) as i64)),
+        );
+        let config = HostConfig::default();
+        let want = model(&manager, &spec, tech, config, &ops);
+        let got = run_host(&manager, &spec, tech, config, (4, &ops), seed);
+        assert!(
+            got.events.as_ref().is_some_and(|e| !e.is_empty()),
+            "seed {seed:#x}: nothing recorded"
+        );
+        assert_eq!(compare(&want, &got), Ok(()), "seed {seed:#x}");
     }
 }
 
@@ -630,24 +700,52 @@ fn one_fuel_exhaustion_detaches_globally() {
 }
 
 // ---------------------------------------------------------------------
-// Adaptive dispatch plane: work-stealing interleavings replayed against
-// the scalar host. The sharded run drives a keyed trace through
+// Adaptive dispatch plane: work-stealing interleavings replayed through
+// the reference model. The host drives a keyed trace through
 // [`RunQueues`] with stealing on, recording the order items actually
-// completed (home drains, diversions, and steals included); the scalar
-// host then replays the identical items in that completion order, one
+// completed (home drains, diversions, and steals included); the model
+// then replays the identical items in that completion order, one
 // dispatch each. Verdict-for-verdict equality plus ledger, lifecycle,
-// and postmortem parity proves a stolen dispatch is charged exactly
-// once and quarantine semantics survive cross-shard handoff.
+// and detach parity proves a stolen dispatch is charged exactly once
+// and quarantine semantics survive cross-shard handoff.
 // ---------------------------------------------------------------------
 
-/// One stealing interleaving against the scalar replay. Returns the
-/// replay trace so determinism can be asserted over repeated runs.
+/// One work item's arguments and the verdict it completed with.
+type Completed = ((i64, i64), Verdict);
+
+/// Checks a plane run that completed `order` on the single graft `id`
+/// against the model's replay of the same completion order.
+fn check_completion_order(
+    manager: &GraftManager,
+    spec: &GraftSpec,
+    tech: Technology,
+    (host, vs, id): (&ShardedHost, &mut VirtualShards, GraftId),
+    (order, traced, postmortems): (&[Completed], bool, &[PostmortemReport]),
+    ctx: &str,
+) -> Outcome {
+    let ops: Vec<Op> = std::iter::once(Op::Install(false))
+        .chain(order.iter().map(|&((a, b), _)| Op::Dispatch(a, b)))
+        .collect();
+    let steps = std::iter::once(Step::Installed)
+        .chain(order.iter().map(|&(_, v)| Step::Verdict(v)))
+        .collect();
+    let want = model(manager, spec, tech, HostConfig::default(), &ops);
+    let got = host_outcome((host, vs), &[id], steps, traced, postmortems);
+    if let Err(divergence) = compare(&want, &got) {
+        panic!("{ctx}: {divergence}");
+    }
+    got
+}
+
+/// One stealing interleaving checked against the model. Returns the
+/// host's outcome so determinism can be asserted over repeated runs.
 fn check_one_stealing(
     manager: &GraftManager,
     spec: &GraftSpec,
     tech: Technology,
     seed: u64,
-) -> Vec<i64> {
+) -> Outcome {
+    let traced = graftbench::telemetry::tracing();
     let mut rng = SmallRng::seed_from_u64(seed);
     let shards = 2 + rng.bounded_u64(3) as usize; // stealing needs a peer
     let mut sharded = ShardedHost::new(shards);
@@ -664,7 +762,7 @@ fn check_one_stealing(
     // shard's queue).
     let total = 24 + rng.bounded_u64(40) as usize;
     let mut submitted = 0usize;
-    let mut order: Vec<((i64, i64), Verdict)> = Vec::new();
+    let mut order: Vec<Completed> = Vec::new();
     let to_args = |&(a, b): &(i64, i64)| vec![a, b];
     while submitted < total || q.total_depth() > 0 {
         if submitted < total && rng.bounded_u64(3) != 0 {
@@ -687,72 +785,16 @@ fn check_one_stealing(
         }
         vs.drive_queue_with(&q, POINT, to_args, |w, v| order.push((w.payload, v)));
     }
-    vs.flush_all();
     assert_eq!(order.len(), total, "plane lost or duplicated items, {ctx}");
-
-    // Scalar replay in the sharded plane's completion order.
-    let mut single = GraftHost::new();
-    let sid = single
-        .install(POINT, "pure", manager.load(spec, tech).expect("scalar load"))
-        .expect("install");
-    let mut trace = vec![shards as i64];
-    for (i, ((a, b), sharded_verdict)) in order.iter().enumerate() {
-        let v = single.dispatch(POINT, |_| Ok(vec![*a, *b]));
-        assert_eq!(v, *sharded_verdict, "verdict {i}/{total}, {ctx}");
-        trace.push(encode_verdict(v));
-    }
-
-    // Ledger parity: every stolen dispatch charged exactly once.
-    let l1 = *single.ledger(sid).expect("scalar ledger");
-    let l2 = sharded.ledger(id).expect("sharded ledger");
-    assert_eq!(l1.invocations, l2.invocations, "invocations, {ctx}");
-    assert_eq!(l1.traps, l2.traps, "traps, {ctx}");
-    assert_eq!(l1.fuel_used, l2.fuel_used, "fuel, {ctx}");
-    assert_eq!(l1.trap_counts, l2.trap_counts, "trap kinds, {ctx}");
-    trace.push(l1.invocations as i64);
-    trace.push(l1.traps as i64);
-
-    // Lifecycle parity: a trace with >= 3 traps quarantined both hosts
-    // at the same completion index, or neither.
-    assert_eq!(single.state(sid), sharded.state(id), "state, {ctx}");
-    assert_eq!(
-        single.is_quarantined(sid),
-        sharded.is_quarantined(id),
-        "quarantine, {ctx}"
-    );
-
-    // Postmortem parity, tail included: same reason, same strike count,
-    // same frozen ledger, and the fatal event at the end of the tail
-    // carries the same semantics. The sharded report additionally names
-    // the shard that tripped the supervisor — which, mid-steal, is the
-    // thief, not the item's home.
-    let pm2 = sharded.take_postmortems();
-    let pm1 = single.postmortems();
-    assert_eq!(pm1.len(), pm2.len(), "postmortem count, {ctx}");
-    for (x, y) in pm1.iter().zip(&pm2) {
-        assert_eq!(x.reason, y.reason, "postmortem reason, {ctx}");
-        assert_eq!(x.strikes, y.strikes, "postmortem strikes, {ctx}");
-        // The sharded report freezes the *detaching shard's* local
-        // ledger: it saw at least the fatal strike, never more than
-        // the scalar (global) total — strikes on other shards merge at
-        // flush time, after the report is cut.
-        assert!(
-            (1..=x.ledger.traps).contains(&y.ledger.traps),
-            "postmortem ledger traps {} outside [1, {}], {ctx}",
-            y.ledger.traps,
-            x.ledger.traps
-        );
-        assert!(y.shard.is_some(), "sharded postmortem lost its shard, {ctx}");
-        if let (Some(ex), Some(ey)) = (x.events.last(), y.events.last()) {
-            assert_eq!(
-                ex.semantics(),
-                ey.semantics(),
-                "postmortem tail diverges, {ctx}"
-            );
-        }
-        trace.push(i64::from(x.strikes));
-    }
-    trace
+    let postmortems = sharded.take_postmortems();
+    check_completion_order(
+        manager,
+        spec,
+        tech,
+        (&sharded, &mut vs, id),
+        (&order, traced, &postmortems),
+        &ctx,
+    )
 }
 
 /// >= 200 seeded stealing interleavings for one technology.
@@ -809,7 +851,8 @@ fn stealing_interleavings_replay_identically_from_the_same_seed() {
         let seed = 0x57EA_D00D ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
         let first = check_one_stealing(&manager, &spec, Technology::Bytecode, seed);
         let again = check_one_stealing(&manager, &spec, Technology::Bytecode, seed);
-        assert_eq!(first, again, "seed {seed:#x} did not replay");
+        let key = |o: &Outcome| (o.steps.clone(), o.grafts.clone(), o.stats);
+        assert_eq!(key(&first), key(&again), "seed {seed:#x} did not replay");
     }
 }
 
@@ -819,8 +862,8 @@ fn saboteur_quarantined_mid_steal_names_the_thief_and_counts_once() {
     // half of its queue — exactly the slice a thief steals. The
     // supervisor must trip on the thief (the postmortem names it), the
     // strikes must count exactly once despite the cross-shard handoff,
-    // and the scalar replay of the completion order must agree verdict
-    // for verdict.
+    // and the model's replay of the completion order must agree
+    // verdict for verdict.
     let manager = GraftManager::new();
     let spec = pure_spec();
     for tech in [
@@ -828,6 +871,7 @@ fn saboteur_quarantined_mid_steal_names_the_thief_and_counts_once() {
         Technology::Bytecode,
         Technology::RustNative,
     ] {
+        let traced = graftbench::telemetry::tracing();
         let mut host = ShardedHost::new(2);
         let threshold = host.config().trap_threshold as u64;
         let id = host
@@ -845,19 +889,23 @@ fn saboteur_quarantined_mid_steal_names_the_thief_and_counts_once() {
         }
         let mut vs = VirtualShards::new(&mut host, 0x7EEF);
         let to_args = |&(a, b): &(i64, i64)| vec![a, b];
-        let mut order: Vec<((i64, i64), Verdict)> = Vec::new();
-        let stolen = vs.shard_mut(thief).drain_queue_with(&q, POINT, to_args, |w, v| {
-            order.push((w.payload, v));
-        });
+        let mut order: Vec<Completed> = Vec::new();
+        let stolen = vs
+            .shard_mut(thief)
+            .drain_queue_with(&q, POINT, to_args, |w, v| {
+                order.push((w.payload, v));
+            });
         assert_eq!(stolen, 5, "{tech}: thief did not steal the back half");
         assert!(host.is_quarantined(id), "{tech}: saboteur survived");
         // The home shard mops up its remaining front half against a
         // detached chain.
         let mut rest = 0;
         while q.total_depth() > 0 {
-            rest += vs.shard_mut(home).drain_queue_with(&q, POINT, to_args, |w, v| {
-                order.push((w.payload, v));
-            });
+            rest += vs
+                .shard_mut(home)
+                .drain_queue_with(&q, POINT, to_args, |w, v| {
+                    order.push((w.payload, v));
+                });
         }
         assert_eq!(rest, 5, "{tech}: home lost its front half");
         vs.flush_all();
@@ -867,21 +915,23 @@ fn saboteur_quarantined_mid_steal_names_the_thief_and_counts_once() {
         assert_eq!(ledger.invocations, 5, "{tech}: stolen batch miscounted");
         let pm = host.take_postmortems();
         assert_eq!(pm.len(), 1, "{tech}");
-        assert_eq!(pm[0].shard, Some(thief as u32), "{tech}: wrong shard blamed");
+        assert_eq!(pm[0].shard, thief as u32, "{tech}: wrong shard blamed");
         assert_eq!(pm[0].strikes as u64, threshold, "{tech}");
 
-        // Scalar replay in completion order.
-        let mut single = GraftHost::new();
-        let sid = single
-            .install(POINT, "saboteur", manager.load(&spec, tech).expect("load"))
-            .expect("install");
-        for (i, ((a, b), sharded_verdict)) in order.iter().enumerate() {
-            let v = single.dispatch(POINT, |_| Ok(vec![*a, *b]));
-            assert_eq!(v, *sharded_verdict, "{tech}: verdict {i}");
-        }
-        let l1 = single.ledger(sid).expect("scalar ledger");
-        assert_eq!(l1.traps, ledger.traps, "{tech}");
-        assert_eq!(l1.invocations, ledger.invocations, "{tech}");
-        assert!(single.is_quarantined(sid), "{tech}");
+        let got = check_completion_order(
+            &manager,
+            &spec,
+            tech,
+            (&host, &mut vs, id),
+            (&order, traced, &pm),
+            &format!("{tech}"),
+        );
+        assert!(
+            matches!(
+                got.grafts[0].state,
+                graftbench::kernel::GraftState::Quarantined { .. }
+            ),
+            "{tech}"
+        );
     }
 }

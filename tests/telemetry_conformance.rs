@@ -14,7 +14,7 @@ use graftbench::api::{
     GraftClass, GraftError, GraftSpec, Motivation, RegionStore, Technology, Trap, Verdict,
 };
 use graftbench::core::GraftManager;
-use graftbench::kernel::{AttachPoint, GraftHost, ShardedHost, VirtualShards};
+use graftbench::kernel::{AttachPoint, ShardedHost, VirtualShards};
 use graftbench::telemetry;
 
 const POINT: AttachPoint = AttachPoint::VmEvict;
@@ -71,9 +71,11 @@ fn disabled_telemetry_records_nothing_through_dispatch() {
     let manager = GraftManager::new();
     let spec = pure_spec();
 
-    // Scalar host: clean dispatches, direct invokes, a marshalling
-    // failure, and enough traps to trip the quarantine supervisor.
-    let mut single = GraftHost::new();
+    // Single-threaded (1-shard) host: clean dispatches, direct
+    // invokes, a marshalling failure, and enough traps to trip the
+    // quarantine supervisor.
+    let mut single = ShardedHost::new(1);
+    let mut shard = single.take_handle(0).expect("fresh host");
     let threshold = single.config().trap_threshold;
     let id = single
         .install(POINT, "pure", manager.load(&spec, Technology::SafeCompiled).unwrap())
@@ -81,12 +83,12 @@ fn disabled_telemetry_records_nothing_through_dispatch() {
     for _ in 0..8 {
         // (7 + 1) % 7 - 3 = -2: the graft declines, the kernel default
         // wins, and the chain keeps being consulted.
-        let v = single.dispatch(POINT, |_| Ok(vec![7, 1]));
+        let v = shard.dispatch(POINT, |_| Ok(vec![7, 1]));
         assert_eq!(v, Verdict::Continue);
     }
     // (3 + 2) % 7 - 3 = 2: direct invocation still works.
-    assert_eq!(single.invoke(id, &[3, 2]).unwrap(), 2);
-    let _ = single.dispatch(POINT, |_| {
+    assert_eq!(shard.invoke(id, &[3, 2]).unwrap(), 2);
+    let _ = shard.dispatch(POINT, |_| {
         Err(GraftError::Unavailable {
             graft: "pure-pick".into(),
             missing: "kernel-side marshalling (injected)".into(),
@@ -94,13 +96,14 @@ fn disabled_telemetry_records_nothing_through_dispatch() {
     });
     let mut trapped = 0;
     while !single.is_quarantined(id) && trapped < 4 * threshold {
-        single.dispatch(POINT, |_| Ok(vec![9, 0]));
+        shard.dispatch(POINT, |_| Ok(vec![9, 0]));
         trapped += 1;
     }
     assert!(single.is_quarantined(id), "saboteur never quarantined");
+    shard.flush();
     single.flush();
 
-    // Sharded host through the deterministic interleaver.
+    // A 4-shard host through the deterministic interleaver.
     let mut sharded = ShardedHost::new(4);
     let sid = sharded
         .install(POINT, "pure", manager.load(&spec, Technology::SafeCompiled).unwrap())
@@ -110,9 +113,10 @@ fn disabled_telemetry_records_nothing_through_dispatch() {
         vs.dispatch(POINT, |_| Ok(vec![i, 1 + (i % 3)]));
     }
     vs.flush_all();
+    sharded.flush();
 
     // The hosts did real work and kept their own books...
-    let ledger = *single.ledger(id).expect("ledger");
+    let ledger = single.ledger(id).expect("ledger");
     assert!(ledger.invocations > 0);
     assert_eq!(ledger.traps, u64::from(threshold));
     assert!(sharded.ledger(sid).expect("ledger").invocations > 0);
@@ -144,7 +148,7 @@ fn disabled_telemetry_records_nothing_through_dispatch() {
         "trace events were published"
     );
     // And the per-host flight recorders stayed empty too.
-    assert!(single.trace_events().is_empty());
+    assert!(shard.trace_events().is_empty());
     assert!(vs.merged_timeline().is_empty());
 }
 
