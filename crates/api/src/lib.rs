@@ -5,7 +5,8 @@
 //! 1996), the extension-technology enumeration from Section 4, the
 //! kernel/graft shared-memory ABI ([`RegionStore`]), the runtime error and
 //! trap model, and the [`ExtensionEngine`] trait that all execution engines
-//! (threaded code, bytecode VM, script interpreter, native Rust) implement.
+//! (load-time machine code, bytecode VM, script interpreter, native Rust)
+//! implement.
 //!
 //! The crate is deliberately dependency-free so that engines, the kernel
 //! simulator, and the benchmark harness can all depend on it without

@@ -39,9 +39,9 @@ impl fmt::Display for TrustModel {
 ///
 /// | Paper            | Variant                     | Engine                              |
 /// |------------------|-----------------------------|-------------------------------------|
-/// | C (`gcc -O`)     | [`CompiledUnchecked`]       | threaded code, no checks            |
-/// | Modula-3         | [`SafeCompiled`]            | threaded code + bounds/NIL checks   |
-/// | Omniware (SFI)   | [`Sfi`]                     | threaded code + mask instrumentation|
+/// | C (`gcc -O`)     | [`CompiledUnchecked`]       | machine code, no checks             |
+/// | Modula-3         | [`SafeCompiled`]            | machine code + bounds/NIL checks    |
+/// | Omniware (SFI)   | [`Sfi`]                     | machine code + mask instrumentation |
 /// | Java             | [`Bytecode`]                | stack bytecode interpreter          |
 /// | Tcl              | [`Script`]                  | string-substitution interpreter     |
 /// | user-level server| [`UserLevel`]               | cross-thread upcall wrapper         |

@@ -19,8 +19,8 @@ use graft_telemetry::MetricsSnapshot;
 use kernsim::stats::Sample;
 
 use crate::experiment::{
-    Figure1, RunConfig, Table1, Table11, Table12, Table13, Table14, Table2, Table3, Table4, Table5,
-    Table6, Table7, Table8, Table9,
+    CompileCost, Figure1, RunConfig, Table1, Table11, Table12, Table13, Table14, Table2, Table3,
+    Table4, Table5, Table6, Table7, Table8, Table9,
 };
 
 /// Schema identifier embedded in every artifact.
@@ -387,6 +387,22 @@ pub fn table1_json(t: &Table1) -> Json {
     obj
 }
 
+/// A compiled row's machine-code compile cost, or null.
+fn compile_json(cost: Option<&CompileCost>) -> Json {
+    let Some(c) = cost else {
+        return Json::Null;
+    };
+    let mut obj = Json::object();
+    obj.set("compile_ns", dur_ns(c.compile))
+        .set("loop_ns", c.loop_ns)
+        .set("jit_ns", c.jit_ns);
+    match c.payback() {
+        Some(n) => obj.set("payback_invocations", n),
+        None => obj.set("payback_invocations", Json::Null),
+    };
+    obj
+}
+
 /// Table 2 as JSON.
 pub fn table2_json(t: &Table2) -> Json {
     let rows: Vec<Json> = t
@@ -399,7 +415,8 @@ pub fn table2_json(t: &Table2) -> Json {
                 .set("normalized", r.normalized)
                 .set("vs_native", r.vs_native)
                 .set("break_even", r.break_even)
-                .set("reduced_iters", r.reduced_iters);
+                .set("reduced_iters", r.reduced_iters)
+                .set("compile", compile_json(r.compile.as_ref()));
             row
         })
         .collect();
@@ -469,7 +486,8 @@ pub fn table5_json(t: &Table5) -> Json {
                 .set("normalized", r.normalized)
                 .set("vs_native", r.vs_native)
                 .set("md5_over_disk", r.md5_over_disk)
-                .set("bytes", r.bytes);
+                .set("bytes", r.bytes)
+                .set("compile", compile_json(r.compile.as_ref()));
             row
         })
         .collect();

@@ -33,7 +33,8 @@ pub use table7::{table7, Table7, Table7Row};
 pub use table8::{table8, Table8, Table8Cell, Table8Row, LADDER};
 pub use table9::{table9, Table9, Table9Crash, Table9Row};
 pub use tables::{
-    table2, table5, table6, Table2, Table2Row, Table5, Table5Row, Table6, Table6Row, Table6Sharded,
+    table2, table5, table6, CompileCost, Table2, Table2Row, Table5, Table5Row, Table6, Table6Row,
+    Table6Sharded,
 };
 
 /// Iteration counts and workload sizes for a whole experiment run.

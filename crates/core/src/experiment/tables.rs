@@ -2,7 +2,8 @@
 
 use std::time::{Duration, Instant};
 
-use graft_api::{GraftError, Technology};
+use engine_native::Tier;
+use graft_api::{ExtensionEngine, GraftError, GraftSpec, Technology};
 use graft_kernel::{AttachPoint, ShardedHost, StealPolicy};
 use grafts::{eviction, logdisk as ld_graft, md5 as md5_graft};
 use kernsim::stats::{measure, measure_per_iter, Sample};
@@ -29,6 +30,61 @@ fn duration_of(sample: &Sample) -> Duration {
     sample.best()
 }
 
+/// What a compiled row's machine code costs to make, and how soon it
+/// pays for itself against the decoded loop.
+#[derive(Debug, Clone, Copy)]
+pub struct CompileCost {
+    /// Load-time compile of the graft, median of [`COMPILE_LOADS`].
+    pub compile: Duration,
+    /// One invocation on the decoded loop, ns.
+    pub loop_ns: f64,
+    /// One invocation on the machine code, ns.
+    pub jit_ns: f64,
+}
+
+impl CompileCost {
+    /// Invocations after which the machine code has saved its compile
+    /// time; `None` when it saves nothing per invocation.
+    pub fn payback(&self) -> Option<f64> {
+        let saved = self.loop_ns - self.jit_ns;
+        (saved > 0.0).then(|| self.compile.as_nanos() as f64 / saved)
+    }
+}
+
+/// Loads timed per compile cost.
+const COMPILE_LOADS: usize = 5;
+
+/// `tech`'s compile cost for `spec`, or `None` for a row this host does
+/// not compile to machine code. `per_invoke` times one invocation on
+/// an engine, in ns; `jit_ns` is the row's own figure.
+fn compile_cost(
+    manager: &GraftManager,
+    spec: &GraftSpec,
+    tech: Technology,
+    jit_ns: f64,
+    per_invoke: impl FnOnce(&mut dyn ExtensionEngine) -> Result<f64, GraftError>,
+) -> Result<Option<CompileCost>, GraftError> {
+    if manager.mode(tech).is_none() || Tier::AVAILABLE[0] != Tier::Jit {
+        return Ok(None);
+    }
+    let mut compiles = Vec::with_capacity(COMPILE_LOADS);
+    for _ in 0..COMPILE_LOADS {
+        match manager.load_compiled(spec, tech, Tier::Jit) {
+            Ok(engine) => compiles.push(engine.compile_time()),
+            // The host refused executable pages: the row ran the loop.
+            Err(GraftError::Unavailable { .. }) => return Ok(None),
+            Err(err) => return Err(err),
+        }
+    }
+    compiles.sort();
+    let mut looped = manager.load_compiled(spec, tech, Tier::Loop)?;
+    Ok(Some(CompileCost {
+        compile: compiles[COMPILE_LOADS / 2],
+        loop_ns: per_invoke(&mut looped)?,
+        jit_ns,
+    }))
+}
+
 /// One row of Table 2.
 #[derive(Debug, Clone)]
 pub struct Table2Row {
@@ -48,6 +104,9 @@ pub struct Table2Row {
     pub break_even: f64,
     /// True when the row used the reduced script iteration count.
     pub reduced_iters: bool,
+    /// Machine-code compile cost (compiled rows on hosts with a code
+    /// generator).
+    pub compile: Option<CompileCost>,
 }
 
 /// Table 2: the VM page-eviction graft.
@@ -77,14 +136,6 @@ pub fn table2(cfg: &RunConfig, fault: Duration) -> Result<Table2, GraftError> {
     let manager = GraftManager::new();
     let mut rows = Vec::new();
     for tech in ROW_ORDER {
-        let mut engine = manager.load(&spec, tech)?;
-        let (lru, hot) = scenario.marshal(engine.as_mut())?;
-        // Two-phase ABI: resolve the entry name once at load time; the
-        // measured loop below runs entirely on the pre-bound handle.
-        let victim = engine.bind_entry("select_victim")?;
-        // Sanity before timing: the graft must answer correctly.
-        let got = engine.invoke_id(victim, &[lru, hot])?;
-        debug_assert_eq!(got, scenario.reference_victim() as i64);
         let reduced = tech == Technology::Script;
         let iters = if reduced {
             cfg.script_evict_iters
@@ -96,9 +147,22 @@ pub fn table2(cfg: &RunConfig, fault: Duration) -> Result<Table2, GraftError> {
         } else {
             cfg.evict_iters
         };
-        let sample = measure_per_iter(cfg.runs, iters, || {
-            let _ = engine.invoke_id(victim, &[lru, hot]);
-        });
+        // Two-phase ABI: resolve the entry name once at load time; the
+        // measured loop runs entirely on the pre-bound handle.
+        let time = |engine: &mut dyn ExtensionEngine| -> Result<Sample, GraftError> {
+            let (lru, hot) = scenario.marshal(engine)?;
+            let victim = engine.bind_entry("select_victim")?;
+            // Sanity before timing: the graft must answer correctly.
+            let got = engine.invoke_id(victim, &[lru, hot])?;
+            debug_assert_eq!(got, scenario.reference_victim() as i64);
+            Ok(measure_per_iter(cfg.runs, iters, || {
+                let _ = engine.invoke_id(victim, &[lru, hot]);
+            }))
+        };
+        let sample = time(manager.load(&spec, tech)?.as_mut())?;
+        let compile = compile_cost(&manager, &spec, tech, sample.best_ns(), |e| {
+            time(e).map(|s| s.best_ns())
+        })?;
         rows.push(Table2Row {
             tech,
             sample,
@@ -106,6 +170,7 @@ pub fn table2(cfg: &RunConfig, fault: Duration) -> Result<Table2, GraftError> {
             vs_native: 0.0,
             break_even: break_even(fault, duration_of(&sample)),
             reduced_iters: reduced,
+            compile,
         });
     }
     let c_ns = rows
@@ -151,6 +216,9 @@ pub struct Table5Row {
     pub md5_over_disk: f64,
     /// Bytes actually hashed (differs from 1 MB for reduced rows).
     pub bytes: usize,
+    /// Machine-code compile cost, per graft invocation of a
+    /// fingerprint (see [`md5_graft::invocations`]).
+    pub compile: Option<CompileCost>,
 }
 
 /// Table 5: MD5 fingerprinting.
@@ -182,22 +250,28 @@ pub fn table5(cfg: &RunConfig, disk_mb: Duration) -> Result<Table5, GraftError> 
             cfg.md5_bytes
         };
         let data = md5_workload(bytes);
-        let mut engine = manager.load(&spec, tech)?;
-        // Correctness before timing.
-        let digest = md5_graft::digest_via(engine.as_mut(), &data)?;
-        assert_eq!(
-            digest,
-            graft_md5::digest(&data),
-            "{tech} computes a wrong fingerprint"
-        );
         let runs = if tech == Technology::Script {
             cfg.runs.min(3)
         } else {
             cfg.runs.min(10)
         };
-        let sample = measure(runs, || {
-            let _ = md5_graft::digest_via(engine.as_mut(), &data);
-        });
+        let time = |engine: &mut dyn ExtensionEngine| -> Result<Sample, GraftError> {
+            // Correctness before timing.
+            let digest = md5_graft::digest_via(engine, &data)?;
+            assert_eq!(
+                digest,
+                graft_md5::digest(&data),
+                "{tech} computes a wrong fingerprint"
+            );
+            Ok(measure(runs, || {
+                let _ = md5_graft::digest_via(engine, &data);
+            }))
+        };
+        let sample = time(manager.load(&spec, tech)?.as_mut())?;
+        let calls = md5_graft::invocations(bytes) as f64;
+        let compile = compile_cost(&manager, &spec, tech, sample.best_ns() / calls, |e| {
+            time(e).map(|s| s.best_ns() / calls)
+        })?;
         let scale = (1 << 20) as f64 / bytes as f64;
         let per_mb = Duration::from_nanos((sample.best_ns() * scale) as u64);
         rows.push(Table5Row {
@@ -208,6 +282,7 @@ pub fn table5(cfg: &RunConfig, disk_mb: Duration) -> Result<Table5, GraftError> 
             vs_native: 0.0,
             md5_over_disk: per_mb.as_secs_f64() / disk_mb.as_secs_f64(),
             bytes,
+            compile,
         });
     }
     let c_ns = rows

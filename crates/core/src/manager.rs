@@ -1,9 +1,10 @@
 //! Loading grafts under a chosen technology.
 
 use engine_bytecode::BytecodeEngine;
-use engine_native::{CompiledEngine, SafetyMode};
+use engine_native::{CompiledEngine, SafetyMode, Tier};
 use engine_script::ScriptEngine;
 use graft_api::{ExtensionEngine, GraftError, GraftSpec, NativeEngine, Technology};
+use graft_ir::Module;
 use kernsim::upcall::UpcallEngine;
 
 /// Loads [`GraftSpec`]s under any [`Technology`], applying the paper's
@@ -72,21 +73,10 @@ impl GraftManager {
                     factory.clone(),
                 )?))
             }
-            Technology::CompiledUnchecked => {
-                Ok(Box::new(self.load_compiled(spec, SafetyMode::Unchecked)?))
+            Technology::CompiledUnchecked | Technology::SafeCompiled | Technology::Sfi => {
+                let (module, mode) = self.compiled_module(spec, tech)?;
+                Ok(Box::new(CompiledEngine::load(module, mode)?))
             }
-            Technology::SafeCompiled => Ok(Box::new(self.load_compiled(
-                spec,
-                SafetyMode::Safe {
-                    nil_checks: self.nil_checks,
-                },
-            )?)),
-            Technology::Sfi => Ok(Box::new(self.load_compiled(
-                spec,
-                SafetyMode::Sfi {
-                    read_protect: self.sfi_read_protect,
-                },
-            )?)),
             Technology::Bytecode => {
                 let grail = spec
                     .grail
@@ -108,11 +98,42 @@ impl GraftManager {
         }
     }
 
-    fn load_compiled(
+    /// The translation mode this manager gives a compiled technology.
+    pub fn mode(&self, tech: Technology) -> Option<SafetyMode> {
+        match tech {
+            Technology::CompiledUnchecked => Some(SafetyMode::Unchecked),
+            Technology::SafeCompiled => Some(SafetyMode::Safe {
+                nil_checks: self.nil_checks,
+            }),
+            Technology::Sfi => Some(SafetyMode::Sfi {
+                read_protect: self.sfi_read_protect,
+            }),
+            _ => None,
+        }
+    }
+
+    /// Loads `spec` under a compiled technology on exactly `tier` (the
+    /// tables time the decoded loop against the machine code this way);
+    /// [`GraftError::Unavailable`] for a tier the host cannot run.
+    pub fn load_compiled(
         &self,
         spec: &GraftSpec,
-        mode: SafetyMode,
+        tech: Technology,
+        tier: Tier,
     ) -> Result<CompiledEngine, GraftError> {
+        let (module, mode) = self.compiled_module(spec, tech)?;
+        CompiledEngine::load_on(module, mode, tier)
+    }
+
+    /// `spec`'s lowered module and the mode `tech` translates it in.
+    fn compiled_module(
+        &self,
+        spec: &GraftSpec,
+        tech: Technology,
+    ) -> Result<(Module, SafetyMode), GraftError> {
+        let mode = self
+            .mode(tech)
+            .ok_or_else(|| Self::missing(spec, "a compiled technology"))?;
         let grail = spec
             .grail
             .as_ref()
@@ -122,7 +143,7 @@ impl GraftManager {
         if self.optimize {
             graft_ir::optimize(&mut module);
         }
-        CompiledEngine::load(module, mode)
+        Ok((module, mode))
     }
 }
 
@@ -207,5 +228,24 @@ mod tests {
         )
         .unwrap();
         assert!(b.module().code_len() > a.module().code_len());
+    }
+
+    #[test]
+    fn load_compiled_runs_exactly_the_requested_tier() {
+        let spec = grafts::acl::spec();
+        let manager = GraftManager::new();
+        for &tier in Tier::AVAILABLE {
+            let engine = manager
+                .load_compiled(&spec, Technology::SafeCompiled, tier)
+                .unwrap();
+            assert_eq!(engine.tier(), tier);
+        }
+        let absent = [Tier::Jit, Tier::Loop]
+            .into_iter()
+            .filter(|tier| !Tier::AVAILABLE.contains(tier));
+        for tier in absent {
+            let err = manager.load_compiled(&spec, Technology::SafeCompiled, tier);
+            assert!(matches!(err, Err(GraftError::Unavailable { .. })));
+        }
     }
 }

@@ -7,8 +7,8 @@ use std::fmt::Write as _;
 use std::time::Duration;
 
 use crate::experiment::{
-    Figure1, Skew, Table1, Table11, Table12, Table13, Table13Cell, Table14, Table2, Table3, Table4,
-    Table5, Table6, Table7, Table8, Table9,
+    CompileCost, Figure1, Skew, Table1, Table11, Table12, Table13, Table13Cell, Table14, Table2,
+    Table3, Table4, Table5, Table6, Table7, Table8, Table9,
 };
 
 fn dur(d: Duration) -> String {
@@ -66,9 +66,21 @@ pub fn render_table1(t: &Table1) -> String {
     out
 }
 
+/// A compiled row's compile time and payback, in two columns.
+fn compile_cells(cost: Option<&CompileCost>) -> [String; 2] {
+    match cost {
+        Some(c) => [
+            format!("{:.0}\u{00b5}s", c.compile.as_secs_f64() * 1e6),
+            c.payback()
+                .map_or("never".into(), |n| format!("{:.0}", n.ceil())),
+        ],
+        None => [String::new(), String::new()],
+    }
+}
+
 /// Renders Table 2.
 pub fn render_table2(t: &Table2) -> String {
-    let widths = [20, 30, 8, 11, 12, 6];
+    let widths = [20, 30, 8, 11, 12, 9, 9, 6];
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -78,11 +90,21 @@ pub fn render_table2(t: &Table2) -> String {
     );
     line(
         &mut out,
-        &["technology", "raw", "vs C", "vs native", "break-even", "note"],
+        &[
+            "technology",
+            "raw",
+            "vs C",
+            "vs native",
+            "break-even",
+            "compile",
+            "payback",
+            "note",
+        ],
         &widths,
     );
     for row in &t.rows {
         let note = if row.reduced_iters { "(reduced)" } else { "" };
+        let [compile, payback] = compile_cells(row.compile.as_ref());
         line(
             &mut out,
             &[
@@ -91,13 +113,20 @@ pub fn render_table2(t: &Table2) -> String {
                 &format!("{:.2}", row.normalized),
                 &format!("{:.1}", row.vs_native),
                 &format!("{:.0}", row.break_even),
+                &compile,
+                &payback,
                 note,
             ],
             &widths,
         );
     }
+    out.push_str(COMPILE_NOTE);
     out
 }
+
+/// The compile and payback columns, explained under Tables 2 and 5.
+const COMPILE_NOTE: &str = "  compile: load-time machine-code compile per graft; payback: \
+graft invocations until it beats the decoded loop\n";
 
 /// Renders Table 3.
 pub fn render_table3(t: &Table3) -> String {
@@ -156,7 +185,7 @@ pub fn render_table4(t: &Table4) -> String {
 
 /// Renders Table 5.
 pub fn render_table5(t: &Table5) -> String {
-    let widths = [20, 12, 8, 11, 10, 14];
+    let widths = [20, 12, 8, 11, 10, 14, 9, 9];
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -165,10 +194,11 @@ pub fn render_table5(t: &Table5) -> String {
     );
     line(
         &mut out,
-        &["technology", "per MB", "vs C", "vs native", "MD5/disk", "hashed bytes"],
+        &["technology", "per MB", "vs C", "vs native", "MD5/disk", "hashed bytes", "compile", "payback"],
         &widths,
     );
     for row in &t.rows {
+        let [compile, payback] = compile_cells(row.compile.as_ref());
         line(
             &mut out,
             &[
@@ -178,10 +208,13 @@ pub fn render_table5(t: &Table5) -> String {
                 &format!("{:.1}", row.vs_native),
                 &format!("{:.2}", row.md5_over_disk),
                 &format!("{}", row.bytes),
+                &compile,
+                &payback,
             ],
             &widths,
         );
     }
+    out.push_str(COMPILE_NOTE);
     out
 }
 

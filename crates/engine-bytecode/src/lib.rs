@@ -8,7 +8,7 @@
 //! byte-by-byte, an operand stack with checked pushes and pops, frames
 //! allocated per call, and a preemption check per instruction. That is
 //! the interpretation technology of 1995 Java (Alpha 3) — the paper's
-//! Section 4.3 — and its cost relative to the threaded-code engine is
+//! Section 4.3 — and its cost relative to the compiled engine is
 //! the quantity Tables 2, 5, and 6 report in the "Java" column.
 //!
 //! Unlike the compiled engines there is no unchecked mode: like Java,
@@ -317,6 +317,34 @@ mod tests {
         let err = e.invoke("f", &[0]).unwrap_err();
         assert_eq!(err.as_trap(), Some(&Trap::DivByZero));
         assert_eq!(e.invoke("f", &[5]).unwrap(), 2);
+    }
+
+    /// The twin of the compiled engine's division test: by a register
+    /// and by a literal `-1`, the results are `ops::binary`'s, and
+    /// `i64::MIN / -1` wraps instead of faulting the host.
+    #[test]
+    fn division_edge_cases_wrap_like_ops_binary() {
+        use graft_lang::hir::{ops, BinOp};
+        let src = r#"
+            fn div(a: int, b: int) -> int { return a / b; }
+            fn rem(a: int, b: int) -> int { return a % b; }
+            fn div_m1(a: int) -> int { return a / -1; }
+            fn rem_m1(a: int) -> int { return a % -1; }
+        "#;
+        let mut e = engine(src, &[]);
+        for a in [i64::MIN, i64::MIN + 1, -17, -1, 0, 1, 17, i64::MAX] {
+            for b in [-1, 1, 16, -16, 3, i64::MIN, i64::MAX, 0] {
+                for (entry, op) in [("div", BinOp::Div), ("rem", BinOp::Rem)] {
+                    let want = ops::binary(op, a, b).ok_or(Trap::DivByZero);
+                    let got = e
+                        .invoke(entry, &[a, b])
+                        .map_err(|e| e.as_trap().cloned().unwrap());
+                    assert_eq!(got, want, "{a} {op:?} {b}");
+                }
+            }
+            assert_eq!(e.invoke("div_m1", &[a]).unwrap(), a.wrapping_neg(), "{a}");
+            assert_eq!(e.invoke("rem_m1", &[a]).unwrap(), 0, "{a}");
+        }
     }
 
     #[test]

@@ -1,4 +1,6 @@
-//! The dispatch loop shared by all compiled modes.
+//! The dispatch loop shared by all compiled modes: the [`crate::Tier::Loop`]
+//! that runs a module where this target has no code generator, and that
+//! tests hold the machine code to.
 //!
 //! [`run`] executes the op stream [`crate::decode`] built at load time.
 //! It is one loop, generic over a [`Protection`] type, so each mode's
@@ -183,7 +185,7 @@ impl Protection for Sfi {
 }
 
 #[cold]
-fn oob(module: &Module, mem: MemRef, index: i64) -> GraftError {
+pub(crate) fn oob(module: &Module, mem: MemRef, index: i64) -> GraftError {
     let (region, len) = match mem {
         MemRef::Region(r) => {
             let spec = &module.regions[r as usize];
@@ -195,7 +197,7 @@ fn oob(module: &Module, mem: MemRef, index: i64) -> GraftError {
 }
 
 #[cold]
-fn nil(module: &Module, mem: MemRef) -> GraftError {
+pub(crate) fn nil(module: &Module, mem: MemRef) -> GraftError {
     let region = match mem {
         MemRef::Region(r) => module.regions[r as usize].name.clone(),
         MemRef::Pool(p) => format!("pool#{p}"),
@@ -247,7 +249,7 @@ pub(crate) fn run<P: Protection>(
 ) -> Result<i64, GraftError> {
     let CompiledEngine {
         module,
-        decoded,
+        program,
         memory,
         globals,
         fuel,
@@ -262,6 +264,7 @@ pub(crate) fn run<P: Protection>(
             "memory layout does not match the mode".into(),
         ));
     };
+    let decoded = &program.decoded;
     let code = &decoded.ops[..];
     calls.clear();
 
@@ -472,8 +475,17 @@ pub(crate) fn run<P: Protection>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{load_grail, SafetyMode};
+    use crate::{load_grail_on, SafetyMode, Tier};
     use graft_api::ExtensionEngine;
+
+    /// These tests pin the loop itself, whatever `load` would pick.
+    fn load_grail(
+        src: &str,
+        regions: &[graft_api::RegionSpec],
+        mode: SafetyMode,
+    ) -> Result<CompiledEngine, GraftError> {
+        load_grail_on(src, regions, mode, Tier::Loop)
+    }
 
     #[test]
     fn deep_but_bounded_recursion_is_fine() {

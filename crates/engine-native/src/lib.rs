@@ -24,19 +24,59 @@
 //!   verifier ([`sfi::verify_sfi`]) then proves every arena access is
 //!   masked, mirroring Wahbe et al.'s load-time check.
 //!
-//! All three modes execute the same op stream, decoded once at load
-//! time ([`decode`]), on one dispatch loop in [`interp`] specialised per
-//! mode, so the *only* difference between technologies is the checking
-//! work — which is the property that makes the paper's normalized
-//! comparisons meaningful.
+//! All three modes run the same op stream, decoded once at load time
+//! ([`decode`]). On x86-64 Linux the load then compiles it to machine
+//! code, one template per op specialised per mode (`jit`); elsewhere,
+//! and as the tests' differential oracle, one dispatch loop in
+//! [`interp`] specialised per mode runs it. Either way the *only*
+//! difference between technologies is the checking work — which is the
+//! property that makes the paper's normalized comparisons meaningful.
 
 mod decode;
 pub mod interp;
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+mod jit;
 pub mod memory;
 pub mod sfi;
 
+/// No code generator for this target: every module runs on the
+/// decoded loop.
+#[cfg(not(all(target_arch = "x86_64", target_os = "linux")))]
+mod jit {
+    use graft_api::GraftError;
+
+    pub(crate) enum Code {}
+
+    impl Code {
+        pub(crate) fn len(&self) -> usize {
+            match *self {}
+        }
+    }
+
+    pub(crate) fn compile(
+        _: &graft_ir::Module,
+        _: &crate::decode::Decoded,
+        _: crate::SafetyMode,
+        _: &crate::memory::Memory,
+    ) -> Result<Code, GraftError> {
+        Err(GraftError::Unavailable {
+            graft: "machine-code tier".into(),
+            missing: "an x86-64 Linux host".into(),
+        })
+    }
+
+    pub(crate) fn run(
+        _: &mut crate::CompiledEngine,
+        _: usize,
+        _: &[i64],
+    ) -> Result<i64, GraftError> {
+        Err(GraftError::Verify("module has no machine code".into()))
+    }
+}
+
 use std::collections::HashMap;
 use std::sync::Arc;
+use std::time::Duration;
 
 use graft_api::{EntryId, ExtensionEngine, GraftError, RegionId, Technology};
 use graft_ir::Module;
@@ -84,15 +124,47 @@ impl SafetyMode {
     }
 }
 
+/// What runs a loaded module's code. Picked once, at load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Tier {
+    /// Machine code compiled from the decoded ops at load (x86-64
+    /// Linux only).
+    Jit,
+    /// The decoded ops' dispatch loop in [`interp`]: the fallback on
+    /// other targets, and the machine code's differential oracle.
+    Loop,
+}
+
+impl Tier {
+    /// The tiers this target can run, the one [`CompiledEngine::load`]
+    /// picks first.
+    pub const AVAILABLE: &'static [Tier] = if cfg!(all(target_arch = "x86_64", target_os = "linux"))
+    {
+        &[Tier::Jit, Tier::Loop]
+    } else {
+        &[Tier::Loop]
+    };
+}
+
+/// A loaded module's executable forms, shared by every fork.
+pub(crate) struct Program {
+    pub(crate) decoded: decode::Decoded,
+    /// Machine code for `decoded`; `None` on the decoded loop.
+    pub(crate) code: Option<jit::Code>,
+    /// Time the load spent compiling `code`.
+    compile_time: Duration,
+}
+
 /// Per-invoke SFI operation tally.
 ///
-/// Plain (non-atomic) words bumped only from the four SFI-only dispatch
-/// arms in [`interp`], so the Unchecked and Safe modes never touch them
-/// and pay nothing. [`CompiledEngine::invoke`] zeroes the tally before
-/// each run and flushes it to `graft-telemetry` counters afterwards —
-/// one flush per invocation, no atomics in the dispatch loop.
-#[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct SfiTally {
+/// Plain (non-atomic) words bumped only by the four SFI-only ops — in
+/// the decoded loop's arms, or in registers by the machine code — so
+/// the Unchecked and Safe modes never touch them and pay nothing.
+/// [`CompiledEngine::invoke`] zeroes the tally before each run and
+/// flushes it to `graft-telemetry` counters afterwards — one flush per
+/// invocation, no atomics while graft code runs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SfiTally {
     /// `Mask` instructions executed (address sandboxing ops).
     pub masks: u64,
     /// `MaskedLoad`s executed (read protection on).
@@ -106,8 +178,8 @@ pub(crate) struct SfiTally {
 /// A graft module loaded under one of the compiled technologies.
 pub struct CompiledEngine {
     module: Arc<Module>,
-    /// The module's op stream, shared by every fork.
-    decoded: Arc<decode::Decoded>,
+    /// The module's ops and machine code, shared by every fork.
+    program: Arc<Program>,
     mode: SafetyMode,
     memory: memory::Memory,
     globals: Vec<i64>,
@@ -119,18 +191,39 @@ pub struct CompiledEngine {
     sfi_tally: SfiTally,
     /// Register frames of the running call chain.
     stack: Vec<i64>,
-    /// Return addresses of the running call chain.
+    /// Return addresses of the decoded loop's running call chain.
     calls: Vec<interp::Return>,
+    /// Region and pool base addresses, refreshed for each machine-code
+    /// run.
+    bases: Vec<usize>,
 }
 
 impl CompiledEngine {
-    /// Translates `module` at load time under `mode`.
+    /// Translates `module` at load time under `mode`, to machine code
+    /// where this target has a code generator.
     ///
     /// Runs the structural IR verifier; under SFI additionally
     /// instruments the code and runs the SFI verifier. Rejected modules
-    /// never execute. The verified code is then decoded once into the
-    /// dispatch loop's op stream.
+    /// never execute. The verified code is then decoded once into an op
+    /// stream and compiled ([`Tier::Jit`]). Should the host refuse
+    /// executable pages, the module runs on the decoded loop instead.
     pub fn load(module: Module, mode: SafetyMode) -> Result<Self, GraftError> {
+        Self::load_tier(module, mode, Tier::AVAILABLE[0], true)
+    }
+
+    /// [`load`](Self::load) on a given tier: tests hold the machine
+    /// code to the decoded loop this way. Fails with
+    /// [`GraftError::Unavailable`] for a tier the host cannot run.
+    pub fn load_on(module: Module, mode: SafetyMode, tier: Tier) -> Result<Self, GraftError> {
+        Self::load_tier(module, mode, tier, false)
+    }
+
+    fn load_tier(
+        module: Module,
+        mode: SafetyMode,
+        tier: Tier,
+        fallback: bool,
+    ) -> Result<Self, GraftError> {
         graft_ir::verify(&module)?;
         let (module, memory) = match mode {
             SafetyMode::Sfi { read_protect } => {
@@ -147,6 +240,20 @@ impl CompiledEngine {
             }
         };
         let decoded = decode::decode(&module)?;
+        let started = std::time::Instant::now();
+        let (code, compile_time) = match tier {
+            Tier::Jit => match jit::compile(&module, &decoded, mode, &memory) {
+                Ok(code) => {
+                    let took = started.elapsed();
+                    graft_telemetry::histogram!("compiled.compile_ns").record_duration(took);
+                    graft_telemetry::counter!("compiled.code_bytes").add(code.len() as u64);
+                    (Some(code), took)
+                }
+                Err(GraftError::Unavailable { .. }) if fallback => (None, Duration::ZERO),
+                Err(err) => return Err(err),
+            },
+            Tier::Loop => (None, Duration::ZERO),
+        };
         let globals = module.globals.clone();
         let region_ids = module
             .regions
@@ -156,7 +263,11 @@ impl CompiledEngine {
             .collect();
         Ok(CompiledEngine {
             module: Arc::new(module),
-            decoded: Arc::new(decoded),
+            program: Arc::new(Program {
+                decoded,
+                code,
+                compile_time,
+            }),
             mode,
             memory,
             globals,
@@ -168,12 +279,33 @@ impl CompiledEngine {
             sfi_tally: SfiTally::default(),
             stack: Vec::new(),
             calls: Vec::new(),
+            bases: Vec::new(),
         })
     }
 
     /// The translation mode this engine was loaded under.
     pub fn mode(&self) -> SafetyMode {
         self.mode
+    }
+
+    /// The tier this engine's code runs on.
+    pub fn tier(&self) -> Tier {
+        match self.program.code {
+            Some(_) => Tier::Jit,
+            None => Tier::Loop,
+        }
+    }
+
+    /// Time the load spent compiling to machine code (zero on the
+    /// decoded loop).
+    pub fn compile_time(&self) -> Duration {
+        self.program.compile_time
+    }
+
+    /// The SFI operations the last invocation executed (all zero
+    /// outside SFI).
+    pub fn sfi_tally(&self) -> SfiTally {
+        self.sfi_tally
     }
 
     /// The (possibly SFI-instrumented) module, for inspection in tests
@@ -230,6 +362,7 @@ impl ExtensionEngine for CompiledEngine {
         self.fuel = if metered { self.fuel_limit } else { u64::MAX };
         self.sfi_tally = SfiTally::default();
         let result = match self.mode {
+            _ if self.program.code.is_some() => jit::run(self, func, args),
             SafetyMode::Unchecked => interp::run::<interp::Unchecked>(self, func, args),
             SafetyMode::Safe { nil_checks: true } => {
                 interp::run::<interp::Safe<true>>(self, func, args)
@@ -244,8 +377,8 @@ impl ExtensionEngine for CompiledEngine {
         } else {
             0
         };
-        // Telemetry flush point: the dispatch loop only bumps plain
-        // locals on the engine; the counter atomics happen once per
+        // Telemetry flush point: graft code only bumps plain words on
+        // the engine; the counter atomics happen once per
         // invocation, and only under the SFI technology.
         if matches!(self.mode, SafetyMode::Sfi { .. }) && graft_telemetry::enabled() {
             let t = self.sfi_tally;
@@ -344,13 +477,14 @@ impl ExtensionEngine for CompiledEngine {
 
     fn fork_for_shard(&self, _shard: usize) -> Result<Box<dyn ExtensionEngine>, GraftError> {
         // Share the translated (and, under SFI, instrumented + verified)
-        // module and its decoded ops via their `Arc`s; re-running `load`
-        // here would instrument and decode twice. Memory and globals are
+        // module, its decoded ops and its machine code via their `Arc`s;
+        // re-running `load` here would instrument, decode and compile
+        // again. Memory and globals are
         // snapshotted so install-time marshalling propagates; fuel
         // accounting starts fresh.
         Ok(Box::new(CompiledEngine {
             module: Arc::clone(&self.module),
-            decoded: Arc::clone(&self.decoded),
+            program: Arc::clone(&self.program),
             mode: self.mode,
             memory: self.memory.clone(),
             globals: self.globals.clone(),
@@ -362,6 +496,7 @@ impl ExtensionEngine for CompiledEngine {
             sfi_tally: SfiTally::default(),
             stack: Vec::new(),
             calls: Vec::new(),
+            bases: Vec::new(),
         }))
     }
 }
@@ -375,6 +510,17 @@ pub fn load_grail(
     let hir = graft_lang::compile(source, regions)?;
     let module = graft_ir::lower(&hir);
     CompiledEngine::load(module, mode)
+}
+
+/// [`load_grail`] on a given tier (see [`CompiledEngine::load_on`]).
+pub fn load_grail_on(
+    source: &str,
+    regions: &[graft_api::RegionSpec],
+    mode: SafetyMode,
+    tier: Tier,
+) -> Result<CompiledEngine, GraftError> {
+    let hir = graft_lang::compile(source, regions)?;
+    CompiledEngine::load_on(graft_ir::lower(&hir), mode, tier)
 }
 
 #[cfg(test)]
@@ -391,13 +537,19 @@ mod tests {
         SafetyMode::Sfi { read_protect: true },
     ];
 
+    /// `src` loaded under `mode` on every tier this target runs.
+    fn tiers(src: &str, regions: &[RegionSpec], mode: SafetyMode) -> Vec<CompiledEngine> {
+        Tier::AVAILABLE
+            .iter()
+            .map(|&tier| load_grail_on(src, regions, mode, tier).unwrap())
+            .collect()
+    }
+
     fn run_all(src: &str, regions: &[RegionSpec], entry: &str, args: &[i64]) -> Vec<i64> {
         MODES
             .iter()
-            .map(|&mode| {
-                let mut e = load_grail(src, regions, mode).unwrap();
-                e.invoke(entry, args).unwrap()
-            })
+            .flat_map(|&mode| tiers(src, regions, mode))
+            .map(|mut e| e.invoke(entry, args).unwrap())
             .collect()
     }
 
@@ -436,10 +588,11 @@ mod tests {
             fn forever(n: int) -> int { return forever(n + 1); }
         "#;
         for &mode in &MODES {
-            let mut e = load_grail(src, &[], mode).unwrap();
-            assert_eq!(e.invoke("fib", &[15]).unwrap(), 610);
-            let err = e.invoke("forever", &[0]).unwrap_err();
-            assert_eq!(err.as_trap(), Some(&Trap::StackOverflow));
+            for mut e in tiers(src, &[], mode) {
+                assert_eq!(e.invoke("fib", &[15]).unwrap(), 610);
+                let err = e.invoke("forever", &[0]).unwrap_err();
+                assert_eq!(err.as_trap(), Some(&Trap::StackOverflow));
+            }
         }
     }
 
@@ -448,14 +601,16 @@ mod tests {
         let src = "fn poke(i: int) -> int { buf[i] = 42; return buf[i]; }";
         let regions = [RegionSpec::data("buf", 8)];
 
-        let mut safe = load_grail(src, &regions, SafetyMode::Safe { nil_checks: true }).unwrap();
-        let err = safe.invoke("poke", &[100]).unwrap_err();
-        assert!(matches!(err.as_trap(), Some(Trap::OutOfBounds { .. })));
+        for mut safe in tiers(src, &regions, SafetyMode::Safe { nil_checks: true }) {
+            let err = safe.invoke("poke", &[100]).unwrap_err();
+            assert!(matches!(err.as_trap(), Some(Trap::OutOfBounds { .. })));
+        }
 
         // Unsafe C does not trap; the store lands somewhere in the
         // graft's own allocation (wrapped), like a stray pointer.
-        let mut unchecked = load_grail(src, &regions, SafetyMode::Unchecked).unwrap();
-        assert_eq!(unchecked.invoke("poke", &[100]).unwrap(), 42);
+        for mut unchecked in tiers(src, &regions, SafetyMode::Unchecked) {
+            assert_eq!(unchecked.invoke("poke", &[100]).unwrap(), 42);
+        }
     }
 
     #[test]
@@ -481,9 +636,10 @@ mod tests {
         let src = "fn chase() -> int { return queue[0]; }";
         let regions = [RegionSpec::linked("queue", 8)];
 
-        let mut safe = load_grail(src, &regions, SafetyMode::Safe { nil_checks: true }).unwrap();
-        let err = safe.invoke("chase", &[]).unwrap_err();
-        assert!(matches!(err.as_trap(), Some(Trap::NilDeref { .. })));
+        for mut safe in tiers(src, &regions, SafetyMode::Safe { nil_checks: true }) {
+            let err = safe.invoke("chase", &[]).unwrap_err();
+            assert!(matches!(err.as_trap(), Some(Trap::NilDeref { .. })));
+        }
 
         // The Solaris configuration: no explicit check emitted.
         let mut relaxed =
@@ -494,24 +650,127 @@ mod tests {
         assert_eq!(unchecked.invoke("chase", &[]).unwrap(), 0);
     }
 
+    /// One function `f` of `arity` parameters over `regs` registers.
+    fn ir_module(arity: usize, regs: usize, code: Vec<graft_ir::Inst>) -> Module {
+        Module {
+            funcs: vec![graft_ir::IrFunc {
+                name: "f".into(),
+                arity,
+                regs,
+                code,
+            }],
+            globals: Vec::new(),
+            const_pools: Vec::new(),
+            regions: Vec::new(),
+            func_index: [("f".to_string(), 0)].into_iter().collect(),
+        }
+    }
+
+    /// Division and remainder, by a register and by an immediate, give
+    /// `ops::binary`'s result in every mode on every tier: a zero
+    /// divisor traps, and `i64::MIN / -1` wraps (x86 `idiv` faults on
+    /// it, so the machine code must never reach it).
     #[test]
     fn division_by_zero_traps_in_every_mode() {
-        let src = "fn f(a: int, b: int) -> int { return a / b; }";
-        for &mode in &MODES {
-            let mut e = load_grail(src, &[], mode).unwrap();
-            let err = e.invoke("f", &[1, 0]).unwrap_err();
-            assert_eq!(err.as_trap(), Some(&Trap::DivByZero));
+        use graft_ir::module::BinOp;
+        use graft_ir::Inst;
+        use graft_lang::hir::ops;
+        let dividends = [
+            i64::MIN,
+            i64::MIN + 1,
+            -17,
+            -16,
+            -1,
+            0,
+            1,
+            15,
+            16,
+            17,
+            i64::MAX,
+        ];
+        let divisors = [-1, 1, 2, 16, -16, 3, -7, 1 << 62, i64::MIN, i64::MAX, 0];
+        for op in [BinOp::Div, BinOp::Rem] {
+            let by_reg = ir_module(
+                2,
+                3,
+                vec![
+                    Inst::Bin {
+                        op,
+                        dst: 2,
+                        a: 0,
+                        b: 1,
+                    },
+                    Inst::Ret { src: Some(2) },
+                ],
+            );
+            for &b in &divisors {
+                let by_imm = ir_module(
+                    1,
+                    3,
+                    vec![
+                        Inst::Const { dst: 1, value: b },
+                        Inst::Bin {
+                            op,
+                            dst: 2,
+                            a: 0,
+                            b: 1,
+                        },
+                        Inst::Ret { src: Some(2) },
+                    ],
+                );
+                for &mode in &MODES {
+                    for &tier in Tier::AVAILABLE {
+                        let load =
+                            |m: &Module| CompiledEngine::load_on(m.clone(), mode, tier).unwrap();
+                        let (mut reg, mut imm) = (load(&by_reg), load(&by_imm));
+                        // A non-zero constant divisor fuses into `DivI`/`RemI`.
+                        let fused = imm.program.decoded.ops.iter().any(|o| {
+                            matches!(o, decode::Op::DivI { .. } | decode::Op::RemI { .. })
+                        });
+                        assert_eq!(fused, b != 0, "{op:?} {b}");
+                        for &a in &dividends {
+                            let want = ops::binary(op, a, b).ok_or(Trap::DivByZero);
+                            let ctx = format!("{mode:?} {tier:?}: {a} {op:?} {b}");
+                            for got in [reg.invoke("f", &[a, b]), imm.invoke("f", &[a])] {
+                                assert_eq!(
+                                    got.map_err(|e| e.as_trap().cloned().unwrap()),
+                                    want,
+                                    "{ctx}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
         }
+        assert_eq!(ops::binary(BinOp::Div, i64::MIN, -1), Some(i64::MIN));
+        assert_eq!(ops::binary(BinOp::Rem, i64::MIN, -1), Some(0));
+    }
+
+    /// `load` picks machine code where the target has a code generator.
+    #[test]
+    fn load_picks_the_first_available_tier() {
+        let e = load_grail("fn f() -> int { return 1; }", &[], SafetyMode::Unchecked).unwrap();
+        assert_eq!(e.tier(), Tier::AVAILABLE[0]);
+        let e = load_grail_on(
+            "fn f() -> int { return 1; }",
+            &[],
+            SafetyMode::Unchecked,
+            Tier::Loop,
+        )
+        .unwrap();
+        assert_eq!(e.tier(), Tier::Loop);
     }
 
     #[test]
     fn fuel_preempts_runaway_safe_code_but_not_unchecked() {
         let src = "fn spin() -> int { let i = 0; while true { i = i + 1; if i > 100000000 { return i; } } return 0; }";
-        let mut safe = load_grail(src, &[], SafetyMode::Safe { nil_checks: true }).unwrap();
-        safe.set_fuel(Some(10_000));
-        let err = safe.invoke("spin", &[]).unwrap_err();
-        assert_eq!(err.as_trap(), Some(&Trap::FuelExhausted));
-        assert_eq!(safe.fuel_used(), Some(10_000));
+        for mut safe in tiers(src, &[], SafetyMode::Safe { nil_checks: true }) {
+            safe.set_fuel(Some(10_000));
+            let err = safe.invoke("spin", &[]).unwrap_err();
+            assert_eq!(err.as_trap(), Some(&Trap::FuelExhausted));
+            assert_eq!(safe.fuel_used(), Some(10_000));
+        }
 
         // The unprotected technology ignores metering — the paper's
         // complaint about unsafe in-kernel code. Use a short loop so the
@@ -526,14 +785,15 @@ mod tests {
     fn zero_fuel_traps_at_the_first_metered_event() {
         let src = "fn f() -> int { return 1; } fn g() -> int { return f(); }";
         for mode in [SafetyMode::Safe { nil_checks: true }, MODES[2], MODES[3]] {
-            let mut e = load_grail(src, &[], mode).unwrap();
-            e.set_fuel(Some(0));
-            // Nothing metered: no backward branch, no call.
-            assert_eq!(e.invoke("f", &[]).unwrap(), 1, "{mode:?}");
-            assert_eq!(e.fuel_used(), Some(0));
-            let err = e.invoke("g", &[]).unwrap_err();
-            assert_eq!(err.as_trap(), Some(&Trap::FuelExhausted), "{mode:?}");
-            assert_eq!(e.fuel_used(), Some(0), "{mode:?}");
+            for mut e in tiers(src, &[], mode) {
+                e.set_fuel(Some(0));
+                // Nothing metered: no backward branch, no call.
+                assert_eq!(e.invoke("f", &[]).unwrap(), 1, "{mode:?}");
+                assert_eq!(e.fuel_used(), Some(0));
+                let err = e.invoke("g", &[]).unwrap_err();
+                assert_eq!(err.as_trap(), Some(&Trap::FuelExhausted), "{mode:?}");
+                assert_eq!(e.fuel_used(), Some(0), "{mode:?}");
+            }
         }
     }
 
@@ -573,9 +833,10 @@ mod tests {
     fn abort_builtin_traps_with_code() {
         let src = "fn f() -> int { abort(42); }";
         for &mode in &MODES {
-            let mut e = load_grail(src, &[], mode).unwrap();
-            let err = e.invoke("f", &[]).unwrap_err();
-            assert_eq!(err.as_trap(), Some(&Trap::Abort(42)));
+            for mut e in tiers(src, &[], mode) {
+                let err = e.invoke("f", &[]).unwrap_err();
+                assert_eq!(err.as_trap(), Some(&Trap::Abort(42)));
+            }
         }
     }
 

@@ -84,6 +84,11 @@ impl Buf {
         }
     }
 
+    /// The first word of the padded buffer, for the machine-code tier.
+    pub(crate) fn as_mut_ptr(&mut self) -> *mut i64 {
+        self.data.as_mut_ptr()
+    }
+
     fn words(&self) -> &[i64] {
         &self.data[..self.len]
     }

@@ -315,9 +315,9 @@ impl NativeGraft for NativeMd5 {
             "md5_blocks" => {
                 let n = args[0] as usize;
                 let msg_id = regions.id("msg")?;
-                let msg = regions.region(msg_id).words().to_vec();
+                let msg = regions.region(msg_id).words();
                 for k in 0..n {
-                    self.block(&msg, k * 64);
+                    self.block(msg, k * 64);
                 }
                 self.total += (n * 64) as u64;
                 Ok(0)
@@ -336,10 +336,9 @@ impl NativeGraft for NativeMd5 {
                 for j in 0..8 {
                     msg[len - 8 + j] = ((bits >> (j * 8)) & 255) as i64;
                 }
-                let snapshot = msg.to_vec();
-                self.block(&snapshot, 0);
+                self.block(msg, 0);
                 if blocks == 2 {
-                    self.block(&snapshot, 64);
+                    self.block(msg, 64);
                 }
                 Ok(0)
             }
@@ -452,6 +451,13 @@ impl<'e> Md5Graft<'e> {
     }
 }
 
+/// Graft invocations [`digest_via`] makes to fingerprint `len` bytes:
+/// `md5_init`, one `md5_blocks` per [`CHUNK`] of whole blocks,
+/// `md5_final`, and four `md5_state`.
+pub fn invocations(len: usize) -> usize {
+    6 + (len - len % 64).div_ceil(CHUNK)
+}
+
 /// One-shot fingerprint through a graft engine.
 pub fn digest_via(engine: &mut dyn ExtensionEngine, data: &[u8]) -> Result<[u8; 16], GraftError> {
     let mut g = Md5Graft::start(engine)?;
@@ -552,6 +558,15 @@ mod tests {
                 "len {len}"
             );
         }
+    }
+
+    #[test]
+    fn invocation_count_covers_every_call_digest_via_makes() {
+        assert_eq!(invocations(10), 6);
+        assert_eq!(invocations(64), 7);
+        assert_eq!(invocations(CHUNK), 7);
+        assert_eq!(invocations(CHUNK + 64), 8);
+        assert_eq!(invocations(1 << 20), 6 + (1 << 20) / CHUNK);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! This is the analogue of the "machine independent code" the paper's
 //! Omniware compiler emits and of the object code a Modula-3 or C
 //! compiler would hand to the kernel's load-time translator. Grail HIR is
-//! lowered here once; the threaded-code engine in `engine-native` then
+//! lowered here once; the compiled engine in `engine-native` then
 //! translates the IR at *load time* under one of three safety modes
 //! (unchecked / safe-checked / SFI-instrumented), exactly the placement
 //! the paper describes for load-time translation (Section 4.2).

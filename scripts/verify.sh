@@ -4,8 +4,9 @@
 #
 # Usage: scripts/verify.sh [--full] [--threads]
 #   --full     use paper-scale iteration counts for the artifact run,
-#              and run the generated-program differential and the
-#              logdisk retention-pass differential at 200 seeds
+#              and run the generated-program differential (machine
+#              code against the decoded loop and the bytecode engine)
+#              and the logdisk retention-pass differential at 200 seeds
 #   --threads  long conformance pass: replay the threaded server
 #              against the deterministic reference for 200 seeds and
 #              run the wire fuzzer at 200 seeds (release)
@@ -68,10 +69,11 @@ fi
 
 # Generated-program differential: every technology agrees on value or
 # trap kind for seeded programs with loops, region traffic, calls and
-# traps. The 32-seed version already ran in the workspace test step;
-# --full buys the long pass.
+# traps, and each compiled mode's machine code agrees exactly with its
+# decoded loop (value or error, fuel, SFI counts). The 32-seed version
+# already ran in the workspace test step; --full buys the long pass.
 if [ "$MODE" = --full ]; then
-    echo "==> generated-program differential, 200 seeds (release)"
+    echo "==> generated-program differential, tiers and engines, 200 seeds (release)"
     GRAFT_DIFF_SEEDS=200 cargo test -q --offline --release \
         --test differential engines_agree_on_generated_programs
     # Retention passes vs a reference built from the write stream

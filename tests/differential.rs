@@ -9,7 +9,7 @@ use graft_rng::{Rng, SliceRandom, SmallRng};
 
 use graftbench::api::{ExtensionEngine, RegionSpec};
 use graftbench::bytecode::BytecodeEngine;
-use graftbench::native::{load_grail, SafetyMode};
+use graftbench::native::{load_grail, load_grail_on, CompiledEngine, SafetyMode, Tier};
 use graftbench::script::ScriptEngine;
 
 /// A random arithmetic expression over three integer parameters.
@@ -155,36 +155,140 @@ fn tickle_agrees_on_random_expressions() {
     }
 }
 
-/// Region traffic: random store/load sequences behave like a plain
-/// array under every technology.
-#[test]
-fn region_semantics_match_a_flat_array() {
-    let mut rng = SmallRng::seed_from_u64(0x4E6);
-    for _case in 0..16 {
-        let grail = r#"
-            fn put(i: int, v: int) { buf[i] = v; }
-            fn get(i: int) -> int { return buf[i]; }
-        "#;
-        let regions = [RegionSpec::data("buf", 32)];
-        let mut engines: Vec<Box<dyn ExtensionEngine>> = vec![
-            Box::new(load_grail(grail, &regions, SafetyMode::Unchecked).unwrap()),
-            Box::new(load_grail(grail, &regions, SafetyMode::Safe { nil_checks: true }).unwrap()),
-            Box::new(load_grail(grail, &regions, SafetyMode::Sfi { read_protect: false }).unwrap()),
-            Box::new(BytecodeEngine::load_grail(grail, &regions).unwrap()),
-        ];
-        let mut model = [0i64; 32];
-        let nops = rng.gen_range(1usize..40);
-        for _ in 0..nops {
-            let i = rng.gen_range(0usize..32);
-            let v = rng.next_u64() as u32 as i32 as i64;
-            model[i] = v;
-            for eng in engines.iter_mut() {
-                eng.invoke("put", &[i as i64, v]).unwrap();
+/// What one compiled mode makes of an access to `buf`, modelled without
+/// the engine's own memory code.
+enum RegionModel {
+    /// Unsafe C: a flat array padded to the next power of two; a stray
+    /// index wraps into the padding.
+    Padded(Vec<i64>),
+    /// Modula-3 (and the bytecode engine): the region's own words, and
+    /// an `OutOfBounds` trap naming the exact index and length.
+    Checked(Vec<i64>),
+    /// Omniware: one arena holding every pool and region where
+    /// `ArenaLayout` places them, with every address masked into it.
+    Arena { words: Vec<i64>, base: i64 },
+}
+
+impl RegionModel {
+    fn arena(layout: &graftbench::native::sfi::ArenaLayout, pools: &[Vec<i64>]) -> Self {
+        let mut words = vec![0; layout.total.max(2).next_power_of_two()];
+        for (&(at, _), pool) in layout.pools.iter().zip(pools) {
+            words[at as usize..at as usize + pool.len()].copy_from_slice(pool);
+        }
+        RegionModel::Arena {
+            words,
+            base: i64::from(layout.regions[0].0),
+        }
+    }
+
+    /// The word `i` reaches, or the trap.
+    fn word(&mut self, i: i64) -> Result<&mut i64, Trap> {
+        match self {
+            RegionModel::Padded(words) => {
+                let mask = words.len() - 1;
+                Ok(&mut words[i as usize & mask])
+            }
+            RegionModel::Checked(words) => {
+                let len = words.len();
+                usize::try_from(i)
+                    .ok()
+                    .and_then(|at| words.get_mut(at))
+                    .ok_or(Trap::OutOfBounds {
+                        region: "buf".into(),
+                        index: i,
+                        len,
+                    })
+            }
+            RegionModel::Arena { words, base } => {
+                let mask = words.len() - 1;
+                Ok(&mut words[i.wrapping_add(*base) as usize & mask])
             }
         }
-        for (i, &want) in model.iter().enumerate() {
-            for eng in engines.iter_mut() {
-                assert_eq!(eng.invoke("get", &[i as i64]).unwrap(), want);
+    }
+}
+
+/// Region traffic. In range, every technology behaves like a plain
+/// array. Out of range and negative — on a region of 20 words, so its
+/// power-of-two padding and the arena's other contents are reachable —
+/// each compiled mode, on every tier, matches its own model (see
+/// [`RegionModel`]), as the bytecode engine matches the checked one.
+#[test]
+fn region_semantics_match_a_flat_array() {
+    const LEN: usize = 20;
+    let grail = r#"
+        const K[3] = { 7, 8, 9 };
+        fn put(i: int, v: int) { buf[i] = v; }
+        fn get(i: int) -> int { return buf[i]; }
+        fn k(i: int) -> int { return K[i]; }
+    "#;
+    let regions = [RegionSpec::data("buf", LEN)];
+    let module = graftbench::ir::lower(&graftbench::lang::compile(grail, &regions).unwrap());
+    let layout = graftbench::native::sfi::ArenaLayout::for_module(&module);
+    assert!(
+        layout.regions[0].0 > 0,
+        "the pool must sit below the region"
+    );
+    let mut rng = SmallRng::seed_from_u64(0x4E6);
+    for _case in 0..16 {
+        let mut engines: Vec<(String, Box<dyn ExtensionEngine>, RegionModel)> = Vec::new();
+        let modes = [
+            SafetyMode::Unchecked,
+            SafetyMode::Safe { nil_checks: true },
+            SafetyMode::Sfi {
+                read_protect: false,
+            },
+            SafetyMode::Sfi { read_protect: true },
+        ];
+        for mode in modes {
+            for &tier in Tier::AVAILABLE {
+                let model = match mode {
+                    SafetyMode::Unchecked => RegionModel::Padded(vec![0; LEN.next_power_of_two()]),
+                    SafetyMode::Safe { .. } => RegionModel::Checked(vec![0; LEN]),
+                    SafetyMode::Sfi { .. } => RegionModel::arena(&layout, &module.const_pools),
+                };
+                let engine = load_grail_on(grail, &regions, mode, tier).unwrap();
+                engines.push((format!("{mode:?} {tier:?}"), Box::new(engine), model));
+            }
+        }
+        engines.push((
+            "bytecode".into(),
+            Box::new(BytecodeEngine::load_grail(grail, &regions).unwrap()),
+            RegionModel::Checked(vec![0; LEN]),
+        ));
+        let nops = rng.gen_range(1usize..40);
+        for _ in 0..nops {
+            let wild = rng.gen_bool(0.4);
+            let i = if wild {
+                match rng.gen_range(0u32..4) {
+                    0 => rng.gen_range(LEN as i64..LEN as i64 + 16),
+                    1 => rng.gen_range(-16i64..0),
+                    2 => rng.next_u64() as i64,
+                    _ => *[i64::MIN, i64::MAX, 1 << 40].choose(&mut rng).unwrap(),
+                }
+            } else {
+                rng.gen_range(0..LEN as i64)
+            };
+            let v = rng.next_u64() as u32 as i32 as i64;
+            let get = rng.gen_bool(0.5);
+            for (name, eng, model) in engines.iter_mut() {
+                let (got, want) = if get {
+                    let want = model.word(i).map(|w| *w);
+                    (eng.invoke("get", &[i]), want)
+                } else {
+                    let want = model.word(i).map(|w| {
+                        *w = v;
+                        0
+                    });
+                    (eng.invoke("put", &[i, v]), want)
+                };
+                let got = got.map_err(|e| e.as_trap().cloned().expect("a trap"));
+                assert_eq!(got, want, "{name}: {} {i}", if get { "get" } else { "put" });
+            }
+        }
+        for (name, eng, model) in engines.iter_mut() {
+            for i in 0..LEN as i64 {
+                let want = *model.word(i).unwrap();
+                assert_eq!(eng.invoke("get", &[i]).unwrap(), want, "{name}: get {i}");
             }
         }
     }
@@ -564,12 +668,39 @@ fn outcome(result: Result<i64, GraftError>) -> Outcome {
     }
 }
 
+/// Invokes `entry` on one mode's engines, one per tier. The machine
+/// code and the decoded loop must agree exactly: on the value or the
+/// whole error, on the fuel burned and on the SFI operations counted.
+fn invoke_tiers(
+    tiers: &mut [CompiledEngine],
+    entry: &str,
+    args: &[i64],
+    ctx: &str,
+) -> Result<i64, GraftError> {
+    let mut runs = tiers.iter_mut().map(|e| {
+        let out = e.invoke(entry, args);
+        (e.tier(), out, e.fuel_used(), e.sfi_tally())
+    });
+    let (tier, out, fuel, tally) = runs.next().expect("at least one tier");
+    for other in runs {
+        assert_eq!(
+            (&other.1, other.2, other.3),
+            (&out, fuel, tally),
+            "{:?} vs {tier:?}: {entry}{args:?}, {ctx}",
+            other.0
+        );
+    }
+    out
+}
+
 /// Property: on generated programs, the Modula-3 analogue and the
 /// bytecode engine agree on every value or trap kind and on the state
 /// they leave behind. On programs whose accesses stay in range, unsafe
 /// C and both SFI configurations agree too, and the two metered
 /// compiled technologies burn the same fuel, with a roomy budget and
-/// with a budget small enough to preempt them.
+/// with a budget small enough to preempt them. Every compiled mode runs
+/// on every tier, and the tiers agree exactly, hostile programs
+/// included (see [`invoke_tiers`]).
 #[test]
 fn engines_agree_on_generated_programs() {
     let regions = [
@@ -597,10 +728,17 @@ fn engines_agree_on_generated_programs() {
         hostile += gen.hostile as u32;
         let mut bytecode =
             BytecodeEngine::load_grail(&src, &regions).unwrap_or_else(|e| panic!("{e}\n{ctx}"));
-        let mut compiled: Vec<_> = modes
+        // Per mode, one engine per tier.
+        let mut compiled: Vec<Vec<CompiledEngine>> = modes
             .iter()
             .map(|&mode| {
-                load_grail(&src, &regions, mode).unwrap_or_else(|e| panic!("{mode:?}: {e}\n{ctx}"))
+                Tier::AVAILABLE
+                    .iter()
+                    .map(|&tier| {
+                        load_grail_on(&src, &regions, mode, tier)
+                            .unwrap_or_else(|e| panic!("{mode:?} {tier:?}: {e}\n{ctx}"))
+                    })
+                    .collect()
             })
             .collect();
         for round in 0..4 {
@@ -621,29 +759,30 @@ fn engines_agree_on_generated_programs() {
                 (false, 3) => METERED,
                 (false, _) => compiled.len(),
             };
-            for e in &mut compiled[..METERED] {
+            for e in compiled[..METERED].iter_mut().flatten() {
                 e.set_fuel(Some(budget));
             }
-            let want = outcome(compiled[0].invoke("main", &args));
-            for (mode, e) in modes.iter().zip(&mut compiled).take(agreeing).skip(1) {
-                assert_eq!(
-                    outcome(e.invoke("main", &args)),
-                    want,
-                    "{mode:?} main{args:?}, {ctx}"
-                );
-            }
-            for e in &mut compiled[agreeing..] {
-                // Confined or garbage, but never a host panic.
-                let _ = e.invoke("main", &args);
+            let outcomes: Vec<_> = modes
+                .iter()
+                .zip(&mut compiled)
+                .map(|(mode, tiers)| {
+                    let out = invoke_tiers(tiers, "main", &args, &ctx);
+                    (mode, out, tiers[0].fuel_used())
+                })
+                .collect();
+            // Confined or garbage past `agreeing`, but never a host panic.
+            let want = outcome(outcomes[0].1.clone());
+            for (mode, out, _) in &outcomes[1..agreeing] {
+                assert_eq!(outcome(out.clone()), want, "{mode:?} main{args:?}, {ctx}");
             }
             if !gen.hostile {
-                let fuel: Vec<_> = compiled[..METERED].iter().map(|e| e.fuel_used()).collect();
+                let fuel: Vec<_> = outcomes[..METERED].iter().map(|o| o.2).collect();
                 assert!(
                     fuel.windows(2).all(|w| w[0] == w[1]),
                     "fuel {fuel:?}, {ctx}"
                 );
             }
-            for e in &mut compiled[..METERED] {
+            for e in compiled[..METERED].iter_mut().flatten() {
                 e.set_fuel(Some(ROOMY));
             }
             if round < 3 {
@@ -654,18 +793,17 @@ fn engines_agree_on_generated_programs() {
                     "bytecode main{args:?}, {ctx}"
                 );
             }
-            let digest = compiled[0].invoke("digest", &[]).unwrap();
-            for (mode, e) in modes.iter().zip(&mut compiled).take(agreeing) {
-                assert_eq!(
-                    e.invoke("digest", &[]).unwrap(),
-                    digest,
-                    "{mode:?} state, {ctx}"
-                );
+            let digests: Vec<_> = compiled
+                .iter_mut()
+                .map(|tiers| invoke_tiers(tiers, "digest", &[], &ctx).unwrap())
+                .collect();
+            for (mode, d) in modes.iter().zip(&digests).take(agreeing) {
+                assert_eq!(*d, digests[0], "{mode:?} state, {ctx}");
             }
             if round < 3 {
                 assert_eq!(
                     bytecode.invoke("digest", &[]).unwrap(),
-                    digest,
+                    digests[0],
                     "bytecode state, {ctx}"
                 );
             }
