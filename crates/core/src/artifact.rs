@@ -683,6 +683,9 @@ pub fn table14_json(t: &Table14) -> Json {
                 .set("lsn", p.lsn)
                 .set("restore", sample_json(&p.restore))
                 .set("mappings", p.mappings);
+            if let Some((audit, replay)) = p.split {
+                point.set("audit_ns", audit).set("replay_ns", replay);
+            }
             point
         })
         .collect();

@@ -9,7 +9,9 @@
 //! 1. **Restore-to-LSN cost vs distance** — a retention-merged history
 //!    disk ([`CleaningDisk::with_retention`]) is rolled back to
 //!    progressively older LSNs; each [`restore_to_lsn`] audits the full
-//!    retained history and replays the prefix idempotently.
+//!    retained history and replays the prefix idempotently. Each point
+//!    also splits the restore into audit and replay, as the library's
+//!    own `ld.restore.*` histograms timed them.
 //! 2. **Scrub throughput** — a full checksum audit of the retained
 //!    history, reported in million entries per second — and the cost
 //!    of one retention pass (audit, fold and seal), timed over every
@@ -50,6 +52,7 @@ use std::collections::HashSet;
 use std::time::{Duration, Instant};
 
 use graft_api::{GraftError, Technology};
+use graft_telemetry::MetricsSnapshot;
 use grafts::logdisk as ld_graft;
 use kernsim::stats::Sample;
 use kernsim::{DiskModel, FaultPlan, FaultStats, FaultyDisk};
@@ -93,6 +96,10 @@ pub struct RestorePoint {
     pub lsn: u64,
     /// `restore_to_lsn` cost (audit + idempotent replay).
     pub restore: Sample,
+    /// Mean audit and replay time per restore, ns, as the library's
+    /// `ld.restore.audit_ns` / `ld.restore.replay_ns` histograms saw
+    /// them; `None` when telemetry is off.
+    pub split: Option<(f64, f64)>,
     /// Mapped blocks in the restored map.
     pub mappings: u64,
 }
@@ -244,6 +251,7 @@ fn restore_curve(disk: &mut CleaningDisk, runs: usize) -> Vec<RestorePoint> {
             let lsn = durable - distance;
             let mut times = Vec::with_capacity(runs);
             let mut mappings = 0u64;
+            let before = graft_telemetry::snapshot();
             for _ in 0..runs {
                 let t0 = Instant::now();
                 let map = disk
@@ -253,10 +261,19 @@ fn restore_curve(disk: &mut CleaningDisk, runs: usize) -> Vec<RestorePoint> {
                 times.push(t0.elapsed());
                 mappings = map.iter().filter(|&&p| p != UNMAPPED).count() as u64;
             }
+            let after = graft_telemetry::snapshot();
+            let mean = |name| {
+                let totals = |snap: &MetricsSnapshot| {
+                    snap.histogram(name).map_or((0, 0), |h| (h.sum, h.count))
+                };
+                let ((s0, n0), (s1, n1)) = (totals(&before), totals(&after));
+                (n1 > n0).then(|| (s1 - s0) as f64 / (n1 - n0) as f64)
+            };
             RestorePoint {
                 distance,
                 lsn,
                 restore: Sample::from_runs(&times),
+                split: mean("ld.restore.audit_ns").zip(mean("ld.restore.replay_ns")),
                 mappings,
             }
         })
@@ -660,6 +677,10 @@ mod tests {
         for p in &t.restore_curve {
             assert!(p.restore.best_ns() > 0.0);
             assert!(p.mappings > 0);
+            // Other tests toggle telemetry, so the split may be absent.
+            if let Some((audit, replay)) = p.split {
+                assert!(audit > 0.0 && replay > 0.0);
+            }
         }
         // Distances are distinct and the curve covers the whole window.
         let span = t.restore_curve.last().unwrap().distance;

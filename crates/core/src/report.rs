@@ -6,6 +6,8 @@
 use std::fmt::Write as _;
 use std::time::Duration;
 
+use kernsim::stats::fmt_ns;
+
 use crate::experiment::{
     CompileCost, Figure1, Skew, Table1, Table11, Table12, Table13, Table13Cell, Table14, Table2,
     Table3, Table4, Table5, Table6, Table7, Table8, Table9,
@@ -443,15 +445,25 @@ pub fn render_table14(t: &Table14) -> String {
         t.writes, t.blocks, t.retention_window, t.retained_entries, t.pruned_entries
     );
     out.push_str("  restore-to-LSN cost vs distance behind the durable head:\n");
-    let widths = [14, 14, 18, 12];
-    line(&mut out, &["distance", "lsn", "restore", "mappings"], &widths);
+    let widths = [14, 14, 18, 12, 12, 12];
+    line(
+        &mut out,
+        &["distance", "lsn", "restore", "audit", "replay", "mappings"],
+        &widths,
+    );
     for p in &t.restore_curve {
+        let (audit, replay) = match p.split {
+            Some((audit, replay)) => (fmt_ns(audit), fmt_ns(replay)),
+            None => ("-".to_string(), "-".to_string()),
+        };
         line(
             &mut out,
             &[
                 &p.distance.to_string(),
                 &p.lsn.to_string(),
                 &p.restore.robust_style(),
+                &audit,
+                &replay,
                 &p.mappings.to_string(),
             ],
             &widths,

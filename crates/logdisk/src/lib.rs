@@ -30,8 +30,25 @@ pub mod workload;
 
 pub use pitr::{MergeReport, Replayer, RestoreError};
 
+use std::time::Instant;
+
 /// Sentinel for "logical block never written".
 pub const UNMAPPED: i64 = -1;
+
+/// Starts timing a stage of a restore or rebuild: `None`, with no clock
+/// read, unless telemetry is recording.
+fn stage_clock() -> Option<Instant> {
+    graft_telemetry::enabled().then(Instant::now)
+}
+
+/// Records the stage that began at `start` in `hist` and starts the
+/// next one.
+fn lap(start: Option<Instant>, hist: &graft_telemetry::Histogram) -> Option<Instant> {
+    let start = start?;
+    let now = Instant::now();
+    hist.record_duration(now - start);
+    Some(now)
+}
 
 /// Paper defaults: 1 GB disk, 4 KB blocks, 16-block (64 KB) segments.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,17 +140,17 @@ impl SealedSegment {
     /// The digest over summary fields and payload (everything except
     /// the stored checksum itself).
     pub fn compute_checksum(&self, seed: u64) -> u64 {
-        let summary = [
-            self.base_lsn,
-            self.physical_start,
-            self.merged as u64,
-            self.entries.len() as u64,
-        ];
-        let payload = self
-            .entries
-            .iter()
-            .flat_map(|e| [e.lsn, e.logical, e.physical]);
-        checksum::checksum_words(seed, summary.into_iter().chain(payload))
+        let mut c = checksum::Checksummer::new(seed);
+        c.word(self.base_lsn);
+        c.word(self.physical_start);
+        c.word(self.merged as u64);
+        c.word(self.entries.len() as u64);
+        for e in &self.entries {
+            c.word(e.lsn);
+            c.word(e.logical);
+            c.word(e.physical);
+        }
+        c.finish()
     }
 
     /// Stamps the checksum (done once, at seal time).
@@ -545,9 +562,15 @@ impl LogicalDisk {
     /// flushed state); only writes still buffered at crash time are
     /// absent, and [`crash`] returned exactly those for redo.
     ///
+    /// While telemetry records, the audit and the replay-plus-cursor
+    /// stage land in the `ld.rebuild.audit_ns` and `ld.rebuild.map_ns`
+    /// histograms; otherwise no clock is read.
+    ///
     /// [`crash`]: LogicalDisk::crash
     pub fn rebuild_map(&mut self) -> u64 {
+        let clock = stage_clock();
         self.audit_quarantine();
+        let clock = lap(clock, graft_telemetry::histogram!("ld.rebuild.audit_ns"));
         self.open_segment.clear();
         let mut replayer = Replayer::new(self.config.blocks);
         let mut replayed = 0u64;
@@ -564,6 +587,7 @@ impl LogicalDisk {
             .max()
             .unwrap_or(0);
         self.next_physical = high.div_ceil(sb) * sb;
+        lap(clock, graft_telemetry::histogram!("ld.rebuild.map_ns"));
         self.stats.rebuilds += 1;
         self.stats.rebuilt_mappings += replayed;
         replayed

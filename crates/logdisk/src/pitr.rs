@@ -29,7 +29,7 @@
 //!
 //! [`CleaningDisk::with_retention`]: crate::cleaner::CleaningDisk::with_retention
 
-use crate::{LogicalDisk, MapEntry, SealedSegment, UNMAPPED};
+use crate::{lap, stage_clock, LogicalDisk, MapEntry, SealedSegment, UNMAPPED};
 
 /// Why a [`LogicalDisk::restore_to_lsn`] request was refused.
 ///
@@ -209,6 +209,11 @@ impl LogicalDisk {
     /// The live disk is not modified (only statistics move): the
     /// returned map can be adopted via [`LogicalDisk::with_map`] or
     /// handed to a graft.
+    ///
+    /// While telemetry records, the two stages land in the
+    /// `ld.restore.audit_ns` (every restore past the range checks) and
+    /// `ld.restore.replay_ns` (accepted restores) histograms; otherwise
+    /// no clock is read.
     pub fn restore_to_lsn(&mut self, lsn: u64) -> Result<Vec<i64>, RestoreError> {
         if lsn < self.retention_floor {
             return Err(RestoreError::BelowRetention {
@@ -224,6 +229,7 @@ impl LogicalDisk {
         // cannot even be trusted about which LSNs it claims to hold.
         // A refusal is loud in telemetry too, but read-only: the
         // mismatches are counted, nothing is quarantined here.
+        let clock = stage_clock();
         let seed = self.checksum_seed;
         let mut corrupt = self
             .segments
@@ -231,8 +237,10 @@ impl LogicalDisk {
             .enumerate()
             .filter(|(_, s)| !s.verify(seed))
             .map(|(i, _)| i);
-        if let Some(index) = corrupt.next() {
-            self.stats.checksum_failures += 1 + corrupt.count() as u64;
+        let refused = corrupt.next().map(|index| (index, corrupt.count() as u64));
+        let clock = lap(clock, graft_telemetry::histogram!("ld.restore.audit_ns"));
+        if let Some((index, more)) = refused {
+            self.stats.checksum_failures += 1 + more;
             return Err(RestoreError::CorruptSegment { index });
         }
         let mut replayer = Replayer::new(self.config.blocks);
@@ -244,6 +252,7 @@ impl LogicalDisk {
                 replayer.apply(e);
             }
         }
+        lap(clock, graft_telemetry::histogram!("ld.restore.replay_ns"));
         self.stats.restores += 1;
         self.stats.restored_mappings += replayer.advanced();
         Ok(replayer.into_map())
@@ -590,6 +599,86 @@ mod tests {
                 assert_eq!(after_pass.failures, 1, "{what}: rot laundered");
                 assert_eq!(after_pass.redo_spans, without_pass.redo_spans, "{what}");
             }
+        }
+    }
+
+    /// Every audit site refuses a whole overwritten word, not just a
+    /// flipped bit: once in the merged base, once in the newest fresh
+    /// segment, each rotted word replaced by a planted address no write
+    /// ever got, on an entry whose mapping would otherwise survive into
+    /// the replayed map.
+    #[test]
+    fn every_audit_site_refuses_a_whole_overwritten_word() {
+        const PLANTED: u64 = 0xDEAD_BEEF;
+        let cfg = LdConfig {
+            blocks: 1024,
+            segment_blocks: 16,
+        };
+        let mut intact = LogicalDisk::new(cfg);
+        for l in 0..cfg.blocks as u64 {
+            intact.write(l);
+        }
+        for l in workload::trace(cfg.blocks, 4096, 17, 800, 200) {
+            intact.write(l);
+        }
+        intact.merge_below_watermark(intact.durable_lsn() - 1024);
+        assert!(intact.segments()[0].merged);
+        let newest = intact.segments().len() - 1;
+        let live = |d: &LogicalDisk, index: usize| {
+            d.segments()[index]
+                .entries
+                .iter()
+                .position(|e| d.read(e.logical) == Some(e.physical))
+                .expect("some entry still maps its block")
+        };
+        for (index, what) in [(0, "merged base"), (newest, "fresh segment")] {
+            let slot = live(&intact, index);
+            let mut rotted = intact.clone();
+            rotted.segments[index].entries[slot].physical = PLANTED;
+            let target = rotted.segments[index].clone();
+            let planted = |map: &[i64]| map.contains(&(PLANTED as i64));
+            let mut blind = Replayer::new(cfg.blocks);
+            for s in rotted.segments() {
+                blind.apply_segment(s);
+            }
+            assert!(
+                planted(blind.map()),
+                "{what}: an unaudited replay shows the rot"
+            );
+
+            let mut d = rotted.clone();
+            let report = d.scrub();
+            assert_eq!(report.failures, 1, "{what}: scrub");
+            assert!(!d.segments().contains(&target), "{what}: scrub kept it");
+            assert_eq!(d.stats().checksum_failures, 1, "{what}: scrub");
+            assert_eq!(d.stats().quarantined_segments, 1, "{what}: scrub");
+
+            let mut d = rotted.clone();
+            let durable = d.durable_lsn();
+            assert_eq!(
+                d.restore_to_lsn(durable),
+                Err(RestoreError::CorruptSegment { index }),
+                "{what}: restore"
+            );
+            assert_eq!(d.stats().checksum_failures, 1, "{what}: restore");
+
+            let mut d = rotted.clone();
+            let report = d.merge_below_watermark(durable);
+            assert!(report.refused(), "{what}: retention pass");
+            assert_eq!(
+                d.segments(),
+                rotted.segments(),
+                "{what}: pass moved history"
+            );
+            assert_eq!(d.stats().checksum_failures, 1, "{what}: retention pass");
+
+            let mut d = rotted.clone();
+            d.crash();
+            d.rebuild_map();
+            assert!(!d.segments().contains(&target), "{what}: rebuild kept it");
+            assert!(!planted(d.map()), "{what}: rebuild replayed the rot");
+            assert_eq!(d.stats().checksum_failures, 1, "{what}: rebuild");
+            assert_eq!(d.stats().quarantined_segments, 1, "{what}: rebuild");
         }
     }
 

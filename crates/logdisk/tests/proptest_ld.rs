@@ -4,6 +4,7 @@
 use std::collections::HashMap;
 
 use graft_rng::{Rng, SmallRng};
+use logdisk::checksum::{checksum_words, Checksummer};
 use logdisk::{
     cleaner::CleaningDisk, workload, LdConfig, LogicalDisk, MapEntry, Replayer, SealedSegment,
     UNMAPPED,
@@ -424,4 +425,179 @@ fn cleaner_preserves_all_live_blocks() {
             assert!(disk.disk().read(b).is_some(), "block {} lost", b);
         }
     }
+}
+
+/// The words a segment's checksum covers, in the order it feeds them:
+/// four summary words, then `(lsn, logical, physical)` per entry.
+fn checksummed_words(s: &SealedSegment) -> Vec<u64> {
+    let mut words = vec![s.base_lsn, s.physical_start, s.merged as u64, s.entries.len() as u64];
+    words.extend(s.entries.iter().flat_map(|e| [e.lsn, e.logical, e.physical]));
+    words
+}
+
+/// Seeded subjects for the detection tests, sealed under a seeded
+/// checksum family: the merged base a retention pass leaves over a
+/// 10,240-block disk (one entry per block), then fresh 16-entry records
+/// from the skewed stream after it.
+fn checksum_subjects(seed: u64) -> (u64, Vec<SealedSegment>) {
+    let config = LdConfig {
+        blocks: 10_240,
+        segment_blocks: 16,
+    };
+    let checksum_seed = SmallRng::seed_from_u64(seed).next_u64();
+    let mut ld = LogicalDisk::new(config).with_checksum_seed(checksum_seed);
+    for l in 0..config.blocks as u64 {
+        ld.write(l);
+    }
+    for l in workload::trace(config.blocks, 8_192, seed, 800, 200) {
+        ld.write(l);
+    }
+    ld.merge_below_watermark(ld.durable_lsn() - 4_096);
+    let segments = ld.segments();
+    assert!(segments[0].merged && segments[0].entries.len() >= 10_000);
+    let mut subjects = vec![segments[0].clone()];
+    subjects.extend(segments[1..].iter().step_by(64).take(4).cloned());
+    assert!(subjects[1..].iter().all(|s| !s.merged && s.entries.len() == 16));
+    (checksum_seed, subjects)
+}
+
+/// The word-level detection tests below speak for the segment only if
+/// the segment digest is exactly the checksum of those words.
+#[test]
+fn a_segment_digest_is_the_checksum_of_its_words() {
+    let (seed, subjects) = checksum_subjects(0xC5_0001);
+    for s in &subjects {
+        assert!(s.verify(seed));
+        assert_eq!(checksum_words(seed, checksummed_words(s)), s.checksum);
+    }
+}
+
+/// Replacing any one summary or payload word with any other value is
+/// detected, at every position: for fresh segments with many values
+/// per position, for the merged base with one seeded value per
+/// position (extreme, complemented, off-by-one, another word of the
+/// record, or drawn).
+#[test]
+fn replacing_any_one_word_is_detected_at_every_position() {
+    let (seed, subjects) = checksum_subjects(0xC5_0002);
+    let mut rng = SmallRng::seed_from_u64(0xC5_0003);
+    for (k, s) in subjects.iter().enumerate() {
+        let words = checksummed_words(s);
+        let n = words.len();
+        // The accumulator before each word, so a replacement at `i`
+        // re-feeds only `words[i..]`.
+        let mut prefix = Vec::with_capacity(n);
+        let mut c = Checksummer::new(seed);
+        for &w in &words {
+            prefix.push(c);
+            c.word(w);
+        }
+        assert_eq!(c.finish(), s.checksum);
+        for i in 0..n {
+            let old = words[i];
+            let mut candidates = vec![
+                0,
+                u64::MAX,
+                !old,
+                old.wrapping_add(1),
+                words[(i + n / 2) % n],
+                rng.next_u64(),
+            ];
+            if s.merged {
+                // One per position keeps the 30k-word record to one
+                // re-feed per position; the kinds rotate along it.
+                candidates = vec![candidates[i % candidates.len()]];
+            }
+            for v in candidates.into_iter().filter(|&v| v != old) {
+                let mut c = prefix[i];
+                c.word(v);
+                for &w in &words[i + 1..] {
+                    c.word(w);
+                }
+                assert_ne!(
+                    c.finish(),
+                    s.checksum,
+                    "subject {k}: word {i} {old:#x} -> {v:#x} undetected"
+                );
+            }
+        }
+    }
+}
+
+/// Swapping two different words — adjacent, inside one entry, or far
+/// apart — dropping or appending an entry, and changing the seed each
+/// change the digest. A fold that did not key terms by position would
+/// pass every swap here.
+#[test]
+fn swaps_drops_appends_and_reseeds_change_the_digest() {
+    let (seed, subjects) = checksum_subjects(0xC5_0004);
+    let mut rng = SmallRng::seed_from_u64(0xC5_0005);
+    let mut swaps = 0u64;
+    for (k, s) in subjects.iter().enumerate() {
+        let words = checksummed_words(s);
+        let n = words.len();
+        let entries = s.entries.len();
+        // Pairs (i, j) to swap: every pair in a fresh record; in the
+        // merged base, seeded adjacent, in-entry and far pairs.
+        let pairs: Vec<(usize, usize)> = if s.merged {
+            (0..64)
+                .flat_map(|_| {
+                    let i = rng.gen_range(0..n - 1);
+                    let e = 4 + 3 * rng.gen_range(0..entries);
+                    let far = rng.gen_range(0..n / 2);
+                    [
+                        (i, i + 1),
+                        (e, e + 1),
+                        (e + 1, e + 2),
+                        (e, e + 2),
+                        (far, far + n / 2),
+                    ]
+                })
+                .collect()
+        } else {
+            (0..n)
+                .flat_map(|i| (i + 1..n).map(move |j| (i, j)))
+                .collect()
+        };
+        for (i, j) in pairs {
+            if words[i] == words[j] {
+                continue;
+            }
+            let mut swapped = words.clone();
+            swapped.swap(i, j);
+            swaps += 1;
+            assert_ne!(
+                checksum_words(seed, swapped),
+                s.checksum,
+                "subject {k}: swap of words {i} and {j} undetected"
+            );
+        }
+        let drops: Vec<usize> = if s.merged {
+            vec![0, entries / 2, entries - 1]
+        } else {
+            (0..entries).collect()
+        };
+        for at in drops {
+            let mut dropped = s.clone();
+            dropped.entries.remove(at);
+            assert!(
+                !dropped.verify(seed),
+                "subject {k}: dropped entry {at} undetected"
+            );
+        }
+        let mut appended = s.clone();
+        let last = *s.entries.last().unwrap();
+        appended.entries.push(MapEntry {
+            lsn: last.lsn + 1,
+            ..last
+        });
+        assert!(
+            !appended.verify(seed),
+            "subject {k}: appended entry undetected"
+        );
+        for other in [seed ^ 1, !seed, seed.rotate_left(1), rng.next_u64()] {
+            assert!(!s.verify(other), "subject {k}: seed {other:#x} verified it");
+        }
+    }
+    assert!(swaps > 1_000, "only {swaps} swaps exercised");
 }
