@@ -1,10 +1,16 @@
-//! `graftstat`: summarize or diff the JSON run artifacts that the
-//! table/figure binaries write with `--json`.
+//! `graftstat`: summarize, diff or check the JSON run artifacts that
+//! the table/figure binaries write with `--json`.
 //!
-//! With one artifact it prints a summary (tables, sample count, distinct
-//! metrics, wall clock). With two it diffs them per indexed sample
-//! (robust `min_ns` estimates) and per counter, and declares drift when
-//! any sample moved by more than the threshold.
+//! With one artifact it prints a summary (tables, every sample, counter
+//! and histogram, and two warnings). With two it diffs them per indexed
+//! sample (robust `min_ns` estimates) and per counter, and declares
+//! drift when any sample moved by more than the threshold.
+//!
+//! `graftstat check <baseline.json> <run.json>` is the verification
+//! gate: it evaluates every typed gate the run recorded (see
+//! `graft_core::gate`) and holds every baseline table and sample to the
+//! run within a fixed 200% `min_ns` envelope, prints one line per gate,
+//! lists every failure, and exits 1 if there was any.
 //!
 //! Two subcommands read the flight recorder's output back out of an
 //! artifact: `graftstat timeline <run.json>` prints the recorded trace
@@ -25,7 +31,7 @@ fn emit(text: &str) {
     let _ = std::io::stdout().write_all(text.as_bytes());
 }
 
-const USAGE: &str = "usage: graftstat <baseline.json> [candidate.json] [--threshold <pct>]\n       graftstat timeline <run.json>\n       graftstat postmortem <run.json>";
+const USAGE: &str = "usage: graftstat <baseline.json> [candidate.json] [--threshold <pct>]\n       graftstat check <baseline.json> <run.json>\n       graftstat timeline <run.json>\n       graftstat postmortem <run.json>";
 
 /// Relative change of one indexed sample between two artifacts.
 #[derive(Debug, Clone, PartialEq)]
@@ -137,7 +143,8 @@ fn fmt_ns(ns: f64) -> String {
     }
 }
 
-/// One-artifact mode: a human summary of what the run recorded.
+/// One-artifact mode: a human summary of what the run recorded —
+/// every sample, counter and histogram — plus [`warnings`].
 fn summarize(path: &str, a: &RunArtifact) -> String {
     let mut out = String::new();
     let _ = writeln!(out, "artifact {path}");
@@ -157,9 +164,8 @@ fn summarize(path: &str, a: &RunArtifact) -> String {
     for (key, ns) in keyed {
         let _ = writeln!(out, "  {key:<44} {:>12}", fmt_ns(ns));
     }
-    // The ABI-level counters — bind cache behaviour, batching, and
-    // buffer reuse on the upcall transport — plus everything else the
-    // telemetry registry recorded during the run.
+    // Everything the telemetry registry recorded during the run; each
+    // counter's meaning is in docs/telemetry.md.
     let mut counters = counters_of(a);
     counters.sort();
     if !counters.is_empty() {
@@ -168,314 +174,80 @@ fn summarize(path: &str, a: &RunArtifact) -> String {
             let _ = writeln!(out, "    {name:<42} {v:>12}");
         }
     }
-    if let Some(hists) = a.metrics.get("histograms").and_then(Json::as_arr) {
-        for h in hists {
-            let (Some(name), Some(count)) = (
-                h.get("name").and_then(Json::as_str),
-                h.get("count").and_then(Json::as_u64),
-            ) else {
-                continue;
-            };
-            let mean = h.get("mean").and_then(Json::as_f64).unwrap_or(0.0);
-            let p50 = h.get("p50").and_then(Json::as_f64).unwrap_or(0.0);
-            let _ = writeln!(out, "    hist {name:<37} n={count} mean={mean:.1} p50={p50:.0}");
-        }
-    }
-    out.push_str(&summarize_kernel(a));
-    out.push_str(&summarize_shards(a));
-    out.push_str(&summarize_recovery(a));
-    out.push_str(&summarize_durable(a));
-    out.push_str(&summarize_server(a));
-    out
-}
-
-/// The durable-logdisk section: scrub/audit activity, checksum
-/// failures and quarantines, point-in-time restores, and how much
-/// history the disk retains, from the `ld.*` durability namespace.
-/// Empty when the run never scrubbed, restored, or merged. Checksum
-/// failures outside a bit-rot fault drill mean real (not injected)
-/// corruption, so they get a WARN bar.
-fn summarize_durable(a: &RunArtifact) -> String {
-    let mut out = String::new();
-    let scrub_passes = a.counter("ld.scrub.passes");
-    let restores = a.counter("ld.restores");
-    let merges = a.counter("ld.merge.passes");
-    if scrub_passes == 0 && restores == 0 && merges == 0 {
-        return out;
-    }
-    let _ = writeln!(out, "  durable logdisk:");
-    let scrubbed = a.counter("ld.scrub.segments");
-    let failures = a.counter("ld.checksum_failures");
-    let _ = writeln!(
-        out,
-        "    scrub: passes {scrub_passes}  segments {scrubbed}  checksum failures {failures}  quarantined {}",
-        a.counter("ld.quarantined"),
-    );
-    let _ = writeln!(
-        out,
-        "    restores: {restores}  mappings materialized {}",
-        a.counter("ld.restored_mappings"),
-    );
-    let _ = writeln!(
-        out,
-        "    retention: merges {merges}  merged segments {}  pruned entries {}  retained {} entries / {} segments  refused {}",
-        a.counter("ld.merge.merged_segments"),
-        a.counter("ld.merge.pruned_entries"),
-        a.counter("ld.retained_entries"),
-        a.counter("ld.retained_segments"),
-        a.counter("ld.merge.refused"),
-    );
-    if failures > 0 && a.counter("disk.faults.bitrot") == 0 {
-        out.push_str(
-            "  !! WARN: checksum failures with no bit-rot drill armed — real corruption\n",
-        );
-    }
-    out
-}
-
-/// The recovery section: supervisor salvage activity, fault-injection
-/// accounting, and Logical Disk crash/rebuild traffic from the
-/// `kernel.recovery.*`, `disk.faults.*`, and `ld.*` namespaces. Empty
-/// when the run neither salvaged nor injected nor crashed.
-fn summarize_recovery(a: &RunArtifact) -> String {
-    let mut out = String::new();
-    let salvages = a.counter("kernel.recovery.salvages");
-    let injected = a.counter("disk.faults.injected");
-    let crashes = a.counter("ld.crashes") + a.counter("disk.faults.crashes");
-    if salvages == 0 && injected == 0 && crashes == 0 {
-        return out;
-    }
-    let _ = writeln!(out, "  recovery:");
-    let _ = writeln!(
-        out,
-        "    salvages {salvages}  salvaged words {}  lost mappings {}  auto-readmits {}  bans {}",
-        a.counter("kernel.recovery.salvaged_words"),
-        a.counter("kernel.recovery.lost_mappings"),
-        a.counter("kernel.recovery.auto_readmits"),
-        a.counter("kernel.recovery.bans"),
-    );
-    let _ = writeln!(
-        out,
-        "    fault injection: ios {}  injected {injected}  retries {}  torn writes {}  exhausted {}  crashes {}",
-        a.counter("disk.faulty_ios"),
-        a.counter("disk.retries"),
-        a.counter("disk.torn_writes"),
-        a.counter("disk.faults.exhausted"),
-        a.counter("disk.faults.crashes"),
-    );
-    let _ = writeln!(
-        out,
-        "    logical disk: crashes {}  rebuilds {}  replayed mappings {}",
-        a.counter("ld.crashes"),
-        a.counter("ld.rebuilds"),
-        a.counter("ld.rebuilt_mappings"),
-    );
-    out
-}
-
-/// The graft-server section: admission outcomes, tenant standing, and
-/// service latency from the `server.*` namespace. Empty when the run
-/// never served a wire request.
-fn summarize_server(a: &RunArtifact) -> String {
-    let mut out = String::new();
-    let requests = a.counter("server.requests");
-    if requests == 0 {
-        return out;
-    }
-    let _ = writeln!(out, "  graft-server:");
-    let _ = writeln!(
-        out,
-        "    requests {requests}  served {}  replies {}  conns {}  in-flight peak {}",
-        a.counter("server.served"),
-        a.counter("server.replies"),
-        a.counter("server.conns"),
-        a.counter("server.inflight.peak"),
-    );
-    let _ = writeln!(
-        out,
-        "    admission: rejected overloaded {}  quota {}  quarantined {}  malformed frames {}",
-        a.counter("server.rejected.overloaded"),
-        a.counter("server.rejected.quota"),
-        a.counter("server.rejected.quarantined"),
-        a.counter("server.malformed"),
-    );
-    let _ = writeln!(
-        out,
-        "    tenants: {}  quarantined {}",
-        a.counter("server.tenants"),
-        a.counter("server.tenants.quarantined"),
-    );
-    let service = a
-        .metrics
-        .get("histograms")
-        .and_then(Json::as_arr)
-        .and_then(|hs| {
-            hs.iter()
-                .find(|h| h.get("name").and_then(Json::as_str) == Some("server.service_ns"))
-        });
-    if let Some(h) = service {
-        let p = |k: &str| h.get(k).and_then(Json::as_f64).unwrap_or(0.0);
-        let _ = writeln!(
-            out,
-            "    service latency: p50={} p99={} p999={} ({} samples)",
-            fmt_ns(p("p50")),
-            fmt_ns(p("p99")),
-            fmt_ns(p("p999")),
-            h.get("count").and_then(Json::as_u64).unwrap_or(0),
-        );
-    }
-    out
-}
-
-/// The sharded-kernel section: the counts only a sharded host has —
-/// shard count, epoch/mailbox membership traffic, per-shard load and
-/// balance, and the adaptive plane — from the `kernel.shard.*`
-/// namespace. Dispatch and control-plane totals are in the
-/// `graft-host:` section. Empty when no host published its shards.
-fn summarize_shards(a: &RunArtifact) -> String {
-    let mut out = String::new();
-    let shards = a.counter("kernel.shard.count");
-    if shards == 0 {
-        return out;
-    }
-    let _ = writeln!(out, "  graft-host (sharded):");
-    let _ = writeln!(
-        out,
-        "    shards {shards}  epoch {}  epoch syncs {}  mailbox ops {}  flushes {}",
-        a.counter("kernel.shard.epoch"),
-        a.counter("kernel.shard.epoch_syncs"),
-        a.counter("kernel.shard.mailbox_ops"),
-        a.counter("kernel.shard.flushes"),
-    );
-    let hist = |name: &str| {
-        a.metrics
-            .get("histograms")
-            .and_then(Json::as_arr)
-            .and_then(|hs| {
-                hs.iter()
-                    .find(|h| h.get("name").and_then(Json::as_str) == Some(name))
-            })
-    };
-    if let Some(h) = hist("kernel.shard.load") {
-        let mean = h.get("mean").and_then(Json::as_f64).unwrap_or(0.0);
-        let count = h.get("count").and_then(Json::as_u64).unwrap_or(0);
-        let _ = writeln!(
-            out,
-            "    shard load: {count} shard lifetimes, mean {mean:.0} dispatches each"
-        );
-    }
-    let stealing = a.counter("kernel.shard.steal_mode") > 0;
-    let enqueued = a.counter("kernel.shard.enqueued");
-    if enqueued > 0 {
-        let _ = writeln!(
-            out,
-            "    adaptive plane: enqueued {enqueued}  diverted {}  steals {}  steal fails {}  batches {}",
-            a.counter("kernel.shard.diverted"),
-            a.counter("kernel.shard.steals"),
-            a.counter("kernel.shard.steal_fail"),
-            a.counter("kernel.shard.batches"),
-        );
-        if let Some(h) = hist("kernel.shard.queue_depth") {
-            let mean = h.get("mean").and_then(Json::as_f64).unwrap_or(0.0);
-            let p99 = h.get("p99").and_then(Json::as_f64).unwrap_or(0.0);
-            let _ = writeln!(
-                out,
-                "    queue depth after drain: mean={mean:.1} p99={p99:.0}"
-            );
-        }
-    }
-    if let Some(h) = hist("kernel.shard.imbalance_pct") {
-        let mean = h.get("mean").and_then(Json::as_f64).unwrap_or(0.0);
-        let p99 = h.get("p99").and_then(Json::as_f64).unwrap_or(0.0);
-        // With hash placement only, ≥20% means the dispatch keys are
-        // skewing the shards badly enough that the ladder's scaling
-        // numbers stop being about the dispatch plane. When the run
-        // used the work-stealing plane the bar tightens to the Table 13
-        // gate: stealing is supposed to hold (max-min)/mean under 5%
-        // even on a 99/1 key skew, so anything above that means the
-        // plane is misbehaving, not the keys.
-        let threshold = if stealing { 5.0 } else { 20.0 };
-        let warn = match (stealing, mean >= threshold) {
-            (_, false) => "",
-            (true, true) => "  !! WARN: imbalance >= 5% with stealing on, plane is misbehaving",
-            (false, true) => "  !! WARN: imbalance >= 20%, dispatch keys are skewed",
+    for h in histograms_of(a) {
+        let (Some(name), Some(count)) = (
+            h.get("name").and_then(Json::as_str),
+            h.get("count").and_then(Json::as_u64),
+        ) else {
+            continue;
         };
-        let _ = writeln!(
-            out,
-            "    imbalance (max-min)/mean: mean={mean:.1}% p99={p99:.0}%{warn}"
-        );
-    }
-    out
-}
-
-/// The graft-host section of the summary: dispatch volume, the verdict
-/// mix, supervisor activity, and the chain-depth histogram, all from
-/// the `kernel.*` telemetry namespace. Empty when the run never touched
-/// a host.
-fn summarize_kernel(a: &RunArtifact) -> String {
-    let mut out = String::new();
-    let dispatches = a.counter("kernel.dispatches");
-    if dispatches == 0 {
-        return out;
-    }
-    let pct = |n: u64| n as f64 * 100.0 / dispatches as f64;
-    let (over, cont, def) = (
-        a.counter("kernel.verdict_override"),
-        a.counter("kernel.verdict_continue"),
-        a.counter("kernel.verdict_default"),
-    );
-    let _ = writeln!(out, "  graft-host:");
-    let _ = writeln!(
-        out,
-        "    dispatches {dispatches}  invocations {}  traps {}",
-        a.counter("kernel.invocations"),
-        a.counter("kernel.traps"),
-    );
-    let _ = writeln!(
-        out,
-        "    verdict mix: override {over} ({:.1}%)  continue {cont} ({:.1}%)  default {def} ({:.1}%)",
-        pct(over),
-        pct(cont),
-        pct(def),
-    );
-    let _ = writeln!(
-        out,
-        "    supervisor: quarantine trips {}  readmits {}  installs {}  uninstalls {}  marshal failures {}",
-        a.counter("kernel.quarantine_trips"),
-        a.counter("kernel.readmits"),
-        a.counter("kernel.installs"),
-        a.counter("kernel.uninstalls"),
-        a.counter("kernel.marshal_failures"),
-    );
-    let depth = a
-        .metrics
-        .get("histograms")
-        .and_then(Json::as_arr)
-        .and_then(|hs| {
-            hs.iter()
-                .find(|h| h.get("name").and_then(Json::as_str) == Some("kernel.chain_depth"))
-        });
-    if let Some(h) = depth {
-        let mean = h.get("mean").and_then(Json::as_f64).unwrap_or(0.0);
-        let p99 = h.get("p99").and_then(Json::as_f64).unwrap_or(0.0);
+        let q = |k: &str| h.get(k).and_then(Json::as_f64).unwrap_or(0.0);
         let buckets: Vec<String> = h
             .get("buckets")
             .and_then(Json::as_arr)
-            .map(|bs| {
-                bs.iter()
-                    .filter_map(|b| {
-                        let arr = b.as_arr()?;
-                        let (lo, n) = (arr.first()?.as_u64()?, arr.get(1)?.as_u64()?);
-                        (n > 0).then(|| format!("\u{2265}{lo}:{n}"))
-                    })
-                    .collect()
+            .unwrap_or_default()
+            .iter()
+            .filter_map(|b| {
+                let (lo, n) = (b.as_arr()?.first()?.as_u64()?, b.as_arr()?.get(1)?.as_u64()?);
+                (n > 0).then(|| format!("\u{2265}{lo}:{n}"))
             })
-            .unwrap_or_default();
+            .collect();
         let _ = writeln!(
             out,
-            "    chain depth: mean={mean:.2} p99={p99:.0}  [{}]",
+            "    hist {name:<37} n={count} mean={:.1} p50={:.0} p99={:.0} p999={:.0}  [{}]",
+            q("mean"),
+            q("p50"),
+            q("p99"),
+            q("p999"),
             buckets.join(" ")
         );
+    }
+    for warning in warnings(a) {
+        let _ = writeln!(out, "  !! WARN: {warning}");
+    }
+    out
+}
+
+/// Histogram objects of an artifact's metrics snapshot.
+fn histograms_of(a: &RunArtifact) -> &[Json] {
+    a.metrics
+        .get("histograms")
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+}
+
+/// The two readings a counter dump cannot make on its own.
+///
+/// Shard imbalance: with hash placement only, a mean (max-min)/mean of
+/// 20% or more means the dispatch keys skew the shards badly enough
+/// that the ladder's scaling numbers stop being about the dispatch
+/// plane. With the work-stealing plane on (`kernel.shard.steal_mode`)
+/// the bar is Table 13's 5%: stealing should hold it there even on a
+/// 99/1 key skew, so anything above means the plane misbehaves.
+///
+/// Checksum failures outside a bit-rot drill (`disk.faults.bitrot` 0)
+/// mean real, not injected, corruption.
+fn warnings(a: &RunArtifact) -> Vec<String> {
+    let mut out = Vec::new();
+    let imbalance = histograms_of(a)
+        .iter()
+        .find(|h| h.get("name").and_then(Json::as_str) == Some("kernel.shard.imbalance_pct"))
+        .and_then(|h| h.get("mean").and_then(Json::as_f64));
+    if let Some(mean) = imbalance {
+        let stealing = a.counter("kernel.shard.steal_mode") > 0;
+        if stealing && mean >= 5.0 {
+            out.push(format!(
+                "imbalance >= 5% with stealing on (mean {mean:.1}%), plane is misbehaving"
+            ));
+        } else if !stealing && mean >= 20.0 {
+            out.push(format!("imbalance >= 20% (mean {mean:.1}%), dispatch keys are skewed"));
+        }
+    }
+    let failures = a.counter("ld.checksum_failures");
+    if failures > 0 && a.counter("disk.faults.bitrot") == 0 {
+        out.push(format!(
+            "{failures} checksum failures with no bit-rot drill armed — real corruption"
+        ));
     }
     out
 }
@@ -694,6 +466,72 @@ fn render_diff(base_path: &str, cand_path: &str, report: &Report, threshold: f64
     (out, code)
 }
 
+/// How far a baseline sample's `min_ns` may move in a `check` run, in
+/// percent. Shared-container timing is noisy, so the envelope is
+/// generous: it catches order-of-magnitude regressions (a string lookup
+/// sneaking back onto a hot path), not scheduler jitter.
+const ENVELOPE_PCT: f64 = 200.0;
+
+/// `check` mode: every gate the run recorded, then every baseline
+/// table and sample against the run. A failing or malformed gate, a
+/// baseline table or sample missing from the run, and a sample outside
+/// [`ENVELOPE_PCT`] each fail; samples only the run has are listed.
+/// Returns the report and whether the run passed.
+fn check(base_path: &str, run_path: &str, base: &RunArtifact, run: &RunArtifact) -> (String, bool) {
+    let mut out = String::new();
+    let mut failures = 0;
+    let _ = writeln!(
+        out,
+        "# graftstat check: {run_path} against {base_path} (envelope {ENVELOPE_PCT}% on min_ns)"
+    );
+    let gates = run.gates();
+    for (table, gate) in &gates {
+        match gate {
+            Ok(g) => {
+                failures += usize::from(!g.passes());
+                let _ = writeln!(out, "  gate {table}/{g}");
+            }
+            Err(err) => {
+                failures += 1;
+                let _ = writeln!(out, "  gate {table}: malformed ({err}) FAIL");
+            }
+        }
+    }
+    for table in base.tables.keys().filter(|t| !run.tables.contains_key(*t)) {
+        failures += 1;
+        let _ = writeln!(out, "  table {table}: in baseline, missing from run FAIL");
+    }
+    let report = diff(base, run);
+    let drifted = report.drifted(ENVELOPE_PCT);
+    for d in &drifted {
+        let _ = writeln!(
+            out,
+            "  sample {:<44} {:>12} -> {:>12}  {:>+8.2}% FAIL",
+            d.key,
+            fmt_ns(d.base_ns),
+            fmt_ns(d.cand_ns),
+            d.pct()
+        );
+    }
+    failures += drifted.len();
+    for (key, in_base) in &report.missing {
+        if *in_base {
+            failures += 1;
+            let _ = writeln!(out, "  sample {key}: in baseline, missing from run FAIL");
+        } else {
+            let _ = writeln!(out, "  sample {key}: run only, not compared");
+        }
+    }
+    let _ = writeln!(
+        out,
+        "check: {} gates, {} of {} shared samples within {ENVELOPE_PCT}%; {failures} failure(s)",
+        gates.len(),
+        report.samples.len() - drifted.len(),
+        report.samples.len(),
+    );
+    (out, failures == 0)
+}
+
 fn load(path: &str) -> RunArtifact {
     let text = match std::fs::read_to_string(path) {
         Ok(t) => t,
@@ -730,11 +568,20 @@ fn main() {
                     std::process::exit(2);
                 }
             },
-            sub @ ("timeline" | "postmortem") if mode.is_none() && paths.is_empty() => {
+            sub @ ("timeline" | "postmortem" | "check") if mode.is_none() && paths.is_empty() => {
                 mode = Some(sub.to_string());
             }
             other => paths.push(other.to_string()),
         }
+    }
+    if mode.as_deref() == Some("check") {
+        let [base, run] = paths.as_slice() else {
+            eprintln!("{USAGE}");
+            std::process::exit(2);
+        };
+        let (text, passed) = check(base, run, &load(base), &load(run));
+        emit(&text);
+        std::process::exit(if passed { 0 } else { 1 });
     }
     if let Some(mode) = mode {
         let [one] = paths.as_slice() else {
@@ -766,8 +613,9 @@ fn main() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use graft_core::artifact::{sample_json, table3_json, RunArtifact};
-    use graft_core::experiment::{table3, RunConfig};
+    use graft_core::artifact::{sample_json, table2_json, table3_json, table9_json, RunArtifact};
+    use graft_core::experiment::{table2, table3, table9, RunConfig};
+    use graft_core::gate::{Cmp, Gate};
     use kernsim::stats::Sample;
     use kernsim::DiskModel;
     use std::time::Duration;
@@ -811,268 +659,145 @@ mod tests {
         assert_eq!(zero.pct(), 0.0);
     }
 
-    #[test]
-    fn kernel_section_summarizes_verdict_mix_and_chain_depth() {
-        let mut art = artifact();
-        // A run that never touched a host prints no graft-host section.
-        assert!(!summarize("x.json", &art).contains("graft-host:"));
+    /// A metrics snapshot with the given counters and histograms.
+    fn metrics(counters: &[(&str, u64)], histograms: Vec<Json>) -> Json {
+        let mut c = Json::object();
+        for (name, v) in counters {
+            c.set(name, *v);
+        }
+        let mut m = Json::object();
+        m.set("counters", c).set("histograms", histograms);
+        m
+    }
 
-        let mut counters = Json::object();
-        counters
-            .set("kernel.dispatches", 100u64)
-            .set("kernel.invocations", 120u64)
-            .set("kernel.traps", 3u64)
-            .set("kernel.verdict_override", 60u64)
-            .set("kernel.verdict_continue", 30u64)
-            .set("kernel.verdict_default", 10u64)
-            .set("kernel.quarantine_trips", 1u64)
-            .set("kernel.installs", 2u64);
-        let mut depth = Json::object();
-        depth
-            .set("name", "kernel.chain_depth")
-            .set("count", 100u64)
-            .set("mean", 1.4)
+    fn histogram(name: &str, mean: f64, buckets: &[(u64, u64)]) -> Json {
+        let pair = |&(lo, n): &(u64, u64)| Json::Arr(vec![Json::from(lo), Json::from(n)]);
+        let mut h = Json::object();
+        h.set("name", name)
+            .set("count", buckets.iter().map(|b| b.1).sum::<u64>())
+            .set("mean", mean)
             .set("p50", 1.0)
             .set("p99", 2.0)
-            .set(
-                "buckets",
-                vec![
-                    Json::Arr(vec![Json::from(1u64), Json::from(60u64)]),
-                    Json::Arr(vec![Json::from(2u64), Json::from(40u64)]),
-                ],
-            );
-        let mut metrics = Json::object();
-        metrics
-            .set("counters", counters)
-            .set("histograms", vec![depth]);
-        art.metrics = metrics;
-
-        let text = summarize("x.json", &art);
-        assert!(text.contains("graft-host:"), "{text}");
-        assert!(
-            text.contains("override 60 (60.0%)  continue 30 (30.0%)  default 10 (10.0%)"),
-            "{text}"
-        );
-        assert!(text.contains("quarantine trips 1"), "{text}");
-        assert!(text.contains("chain depth: mean=1.40 p99=2"), "{text}");
-        assert!(text.contains("\u{2265}1:60 \u{2265}2:40"), "{text}");
+            .set("p999", 3.0)
+            .set("buckets", buckets.iter().map(pair).collect::<Vec<_>>());
+        h
     }
 
-    #[test]
-    fn shard_section_summarizes_load_and_imbalance() {
+    fn summary_of(counters: &[(&str, u64)], histograms: Vec<Json>) -> String {
         let mut art = artifact();
-        assert!(!summarize("x.json", &art).contains("graft-host (sharded):"));
-
-        let mut counters = Json::object();
-        counters
-            .set("kernel.shard.count", 4u64)
-            .set("kernel.shard.epoch", 3u64)
-            .set("kernel.shard.epoch_syncs", 12u64)
-            .set("kernel.shard.mailbox_ops", 8u64)
-            .set("kernel.shard.flushes", 4u64)
-            .set("kernel.shard.enqueued", 360u64)
-            .set("kernel.shard.diverted", 14u64)
-            .set("kernel.shard.steals", 96u64)
-            .set("kernel.shard.steal_fail", 5u64)
-            .set("kernel.shard.batches", 40u64);
-        let mut load = Json::object();
-        load.set("name", "kernel.shard.load")
-            .set("count", 4u64)
-            .set("mean", 100.0)
-            .set("p50", 100.0)
-            .set("p99", 101.0)
-            .set("buckets", Vec::<Json>::new());
-        let mut depth = Json::object();
-        depth
-            .set("name", "kernel.shard.queue_depth")
-            .set("count", 40u64)
-            .set("mean", 12.5)
-            .set("p50", 12.0)
-            .set("p99", 31.0)
-            .set("buckets", Vec::<Json>::new());
-        let mut imb = Json::object();
-        imb.set("name", "kernel.shard.imbalance_pct")
-            .set("count", 1u64)
-            .set("mean", 2.0)
-            .set("p50", 2.0)
-            .set("p99", 2.0)
-            .set("buckets", Vec::<Json>::new());
-        let mut metrics = Json::object();
-        metrics
-            .set("counters", counters)
-            .set("histograms", vec![load, depth, imb]);
-        art.metrics = metrics;
-
-        let text = summarize("x.json", &art);
-        assert!(text.contains("graft-host (sharded):"), "{text}");
-        assert!(
-            text.contains("shards 4  epoch 3  epoch syncs 12  mailbox ops 8  flushes 4"),
-            "{text}"
-        );
-        assert!(text.contains("4 shard lifetimes, mean 100 dispatches"), "{text}");
-        assert!(
-            text.contains(
-                "adaptive plane: enqueued 360  diverted 14  steals 96  steal fails 5  batches 40"
-            ),
-            "{text}"
-        );
-        assert!(
-            text.contains("queue depth after drain: mean=12.5 p99=31"),
-            "{text}"
-        );
-        assert!(text.contains("imbalance (max-min)/mean: mean=2.0% p99=2%"), "{text}");
+        art.metrics = metrics(counters, histograms);
+        summarize("x.json", &art)
     }
 
     #[test]
-    fn recovery_section_summarizes_salvage_and_fault_accounting() {
-        let mut art = artifact();
-        // A clean run prints no recovery section.
-        assert!(!summarize("x.json", &art).contains("recovery:"));
-
-        let mut counters = Json::object();
-        counters
-            .set("kernel.recovery.salvages", 6u64)
-            .set("kernel.recovery.salvaged_words", 1536u64)
-            .set("kernel.recovery.lost_mappings", 0u64)
-            .set("kernel.recovery.auto_readmits", 1u64)
-            .set("kernel.recovery.bans", 0u64)
-            .set("disk.faulty_ios", 32u64)
-            .set("disk.faults.injected", 3u64)
-            .set("disk.retries", 3u64)
-            .set("disk.torn_writes", 1u64)
-            .set("disk.faults.exhausted", 0u64)
-            .set("disk.faults.crashes", 1u64)
-            .set("ld.crashes", 1u64)
-            .set("ld.rebuilds", 3u64)
-            .set("ld.rebuilt_mappings", 240u64);
-        let mut metrics = Json::object();
-        metrics
-            .set("counters", counters)
-            .set("histograms", Vec::<Json>::new());
-        art.metrics = metrics;
-
-        let text = summarize("x.json", &art);
-        assert!(text.contains("recovery:"), "{text}");
-        assert!(
-            text.contains("salvages 6  salvaged words 1536  lost mappings 0"),
-            "{text}"
+    fn summary_prints_every_counter_and_histogram() {
+        let text = summary_of(
+            &[("server.requests", 4100), ("kernel.dispatches", 100), ("ld.scrub.passes", 5)],
+            vec![
+                histogram("kernel.chain_depth", 1.4, &[(1, 60), (2, 0), (4, 40)]),
+                histogram("server.service_ns", 0.0, &[]),
+            ],
         );
-        assert!(
-            text.contains("ios 32  injected 3  retries 3  torn writes 1  exhausted 0  crashes 1"),
-            "{text}"
-        );
-        assert!(
-            text.contains("logical disk: crashes 1  rebuilds 3  replayed mappings 240"),
-            "{text}"
-        );
-    }
-
-    #[test]
-    fn durable_section_summarizes_scrub_restores_and_retention() {
-        let art = artifact();
-        // A run that never scrubbed, restored, or merged prints nothing.
-        assert!(!summarize("x.json", &art).contains("durable logdisk:"));
-
-        let build = |failures: u64, bitrot: u64| {
-            let mut art = artifact();
-            let mut counters = Json::object();
-            counters
-                .set("ld.scrub.passes", 5u64)
-                .set("ld.scrub.segments", 2081u64)
-                .set("ld.checksum_failures", failures)
-                .set("ld.quarantined", failures)
-                .set("ld.restores", 12u64)
-                .set("ld.restored_mappings", 120_000u64)
-                .set("ld.merge.passes", 3u64)
-                .set("ld.merge.merged_segments", 900u64)
-                .set("ld.merge.pruned_entries", 26_381u64)
-                .set("ld.merge.refused", 1u64)
-                .set("ld.retained_entries", 41_699u64)
-                .set("ld.retained_segments", 2081u64)
-                .set("disk.faults.bitrot", bitrot);
-            let mut metrics = Json::object();
-            metrics
-                .set("counters", counters)
-                .set("histograms", Vec::<Json>::new());
-            art.metrics = metrics;
-            art
-        };
-
-        let text = summarize("x.json", &build(0, 0));
-        assert!(text.contains("durable logdisk:"), "{text}");
-        assert!(
-            text.contains("scrub: passes 5  segments 2081  checksum failures 0  quarantined 0"),
-            "{text}"
-        );
-        assert!(
-            text.contains("restores: 12  mappings materialized 120000"),
-            "{text}"
-        );
-        assert!(
-            text.contains(
-                "retention: merges 3  merged segments 900  pruned entries 26381  retained 41699 entries / 2081 segments  refused 1"
-            ),
-            "{text}"
-        );
+        let at = |name: &str| text.find(name).unwrap_or_else(|| panic!("{name}: {text}"));
+        assert!(at("kernel.dispatches") < at("ld.scrub.passes"));
+        assert!(at("ld.scrub.passes") < at("server.requests"));
+        assert!(text.contains("synthetic/sample"), "{text}");
+        // Tail quantiles and only the non-empty buckets.
+        let depth = "n=100 mean=1.4 p50=1 p99=2 p999=3  [\u{2265}1:60 \u{2265}4:40]";
+        assert!(text.contains(depth), "{text}");
+        assert!(text.contains("hist server.service_ns"), "{text}");
         assert!(!text.contains("!! WARN"), "{text}");
-
-        // Failures during a bit-rot drill are expected (injected)...
-        let drilled = summarize("x.json", &build(7, 7));
-        assert!(!drilled.contains("!! WARN"), "{drilled}");
-        // ...but failures with no drill armed are real corruption.
-        let rotted = summarize("x.json", &build(7, 0));
-        assert!(
-            rotted.contains("!! WARN: checksum failures with no bit-rot drill armed"),
-            "{rotted}"
-        );
     }
 
     #[test]
-    fn server_section_summarizes_admission_and_service_latency() {
-        let mut art = artifact();
-        // A run that never served a wire request prints no section.
-        assert!(!summarize("x.json", &art).contains("graft-server:"));
+    fn checksum_failures_warn_only_outside_a_bitrot_drill() {
+        let build = |failures, bitrot| {
+            summary_of(&[("ld.checksum_failures", failures), ("disk.faults.bitrot", bitrot)], vec![])
+        };
+        assert!(!build(0, 0).contains("!! WARN"));
+        // Failures during a bit-rot drill are expected (injected)...
+        assert!(!build(7, 7).contains("!! WARN"));
+        // ...but failures with no drill armed are real corruption.
+        let rotted = build(7, 0);
+        let warn = "!! WARN: 7 checksum failures with no bit-rot drill armed";
+        assert!(rotted.contains(warn), "{rotted}");
+    }
 
-        let mut counters = Json::object();
-        counters
-            .set("server.requests", 4100u64)
-            .set("server.served", 4000u64)
-            .set("server.replies", 4100u64)
-            .set("server.conns", 130u64)
-            .set("server.inflight.peak", 48u64)
-            .set("server.rejected.overloaded", 2u64)
-            .set("server.rejected.quota", 1u64)
-            .set("server.rejected.quarantined", 29u64)
-            .set("server.malformed", 3u64)
-            .set("server.tenants", 96u64)
-            .set("server.tenants.quarantined", 1u64);
-        let mut hist = Json::object();
-        hist.set("name", "server.service_ns")
-            .set("count", 4000u64)
-            .set("sum", 8_000_000u64)
-            .set("mean", 2000.0)
-            .set("p50", 1500.0)
-            .set("p99", 9000.0)
-            .set("p999", 21000.0);
-        let mut metrics = Json::object();
-        metrics.set("counters", counters).set("histograms", vec![hist]);
-        art.metrics = metrics;
+    /// A real offline artifact, read back from its JSON text, with a
+    /// timed engine table (Table 2's rows are indexed samples) and a
+    /// gated table (Table 9's gates are deterministic under its chaos
+    /// seed).
+    fn offline_artifact() -> RunArtifact {
+        let cfg = RunConfig::offline();
+        let mut art = RunArtifact::begin(&cfg);
+        art.add_table("table2", table2_json(&table2(&cfg, Duration::from_millis(13)).unwrap()));
+        art.add_table("table9", table9_json(&table9(&cfg).unwrap()));
+        art.finish(&graft_telemetry::snapshot());
+        RunArtifact::from_json_str(&art.to_pretty_string()).unwrap()
+    }
 
-        let text = summarize("x.json", &art);
-        assert!(text.contains("graft-server:"), "{text}");
-        assert!(
-            text.contains("requests 4100  served 4000  replies 4100  conns 130  in-flight peak 48"),
-            "{text}"
-        );
-        assert!(
-            text.contains("rejected overloaded 2  quota 1  quarantined 29  malformed frames 3"),
-            "{text}"
-        );
-        assert!(text.contains("tenants: 96  quarantined 1"), "{text}");
-        assert!(
-            text.contains("service latency: p50=1.500 µs p99=9.000 µs p999=21.000 µs (4000 samples)"),
-            "{text}"
-        );
+    /// `check`'s report for `run` against `base`, asserting its verdict.
+    fn checked(base: &RunArtifact, run: &RunArtifact, pass: bool) -> String {
+        let (text, passed) = check("base.json", "run.json", base, run);
+        assert_eq!(passed, pass, "{text}");
+        text
+    }
+
+    #[test]
+    fn check_passes_a_self_check_and_fails_each_planted_fault() {
+        let base = offline_artifact();
+        let text = checked(&base, &base, true);
+        assert!(text.contains("gate table9/lost mappings total = 0 (== 0) pass"), "{text}");
+
+        // A 4x min_ns slowdown on one engine row breaks the envelope.
+        let key = "table2/rows/C/sample";
+        let mut slow = base.clone();
+        let min = slow.sample_best_ns(key).unwrap();
+        slow.samples.get_mut(key).unwrap().set("min_ns", min * 4.0);
+        let text = checked(&base, &slow, false);
+        let line = text.lines().find(|l| l.contains(key)).unwrap_or_else(|| panic!("{text}"));
+        assert!(line.contains("+300.00% FAIL"), "{line}");
+        assert!(text.contains("1 failure(s)"), "{text}");
+
+        // A gate flipped past its threshold fails by name.
+        let mut flipped = base.clone();
+        let table = flipped.tables.get_mut("table9").unwrap();
+        let gates: Vec<Json> = table.get("gates").and_then(Json::as_arr).unwrap().to_vec();
+        let flip = |g: Json| match g.get("name").and_then(Json::as_str) {
+            Some("lost mappings total") => Gate::zero("lost mappings total", 1).to_json(),
+            _ => g,
+        };
+        table.set("gates", gates.into_iter().map(flip).collect::<Vec<_>>());
+        let text = checked(&base, &flipped, false);
+        assert!(text.contains("gate table9/lost mappings total = 1 (== 0) FAIL"), "{text}");
+    }
+
+    #[test]
+    fn check_fails_what_the_run_is_missing_and_lists_what_only_it_has() {
+        let base = offline_artifact();
+
+        // A gate whose cell was not measured (`null` value) fails.
+        let mut unmeasured = base.clone();
+        let gate = Gate::new("cell @16", None, Cmp::Le, 5.0).to_json();
+        unmeasured.tables.get_mut("table9").unwrap().set("gates", vec![gate]);
+        let text = checked(&base, &unmeasured, false);
+        assert!(text.contains("gate table9/cell @16 = unmeasured (<= 5) FAIL"), "{text}");
+
+        // A baseline table absent from the run fails.
+        let mut no_table = base.clone();
+        no_table.tables.remove("table9");
+        let text = checked(&base, &no_table, false);
+        assert!(text.contains("table table9: in baseline, missing from run FAIL"), "{text}");
+
+        // A baseline sample absent from the run fails; a sample only the
+        // run has is listed and passes.
+        let key = "table2/rows/Modula-3/sample";
+        let mut older = base.clone();
+        older.samples.remove(key);
+        let text = checked(&base, &older, false);
+        assert!(text.contains(&format!("sample {key}: in baseline, missing from run FAIL")));
+        let text = checked(&older, &base, true);
+        assert!(text.contains(&format!("sample {key}: run only, not compared")), "{text}");
     }
 
     fn trace_event(ts: u64, trace: u64, seq: u64, verdict: &str) -> Json {
@@ -1173,22 +898,10 @@ mod tests {
 
     #[test]
     fn imbalance_warning_fires_at_twenty_percent() {
-        let mut art = artifact();
-        let mut counters = Json::object();
-        counters.set("kernel.shard.count", 2u64);
-        let mut imb = Json::object();
-        imb.set("name", "kernel.shard.imbalance_pct")
-            .set("count", 1u64)
-            .set("mean", 25.0)
-            .set("p50", 25.0)
-            .set("p99", 25.0)
-            .set("buckets", Vec::<Json>::new());
-        let mut metrics = Json::object();
-        metrics
-            .set("counters", counters)
-            .set("histograms", vec![imb]);
-        art.metrics = metrics;
-        let text = summarize("x.json", &art);
+        let text = summary_of(
+            &[("kernel.shard.count", 2)],
+            vec![histogram("kernel.shard.imbalance_pct", 25.0, &[(16, 1)])],
+        );
         assert!(text.contains("!! WARN: imbalance >= 20%"), "{text}");
     }
 
@@ -1197,29 +910,14 @@ mod tests {
         // 8% imbalance: fine under hash placement, a plane failure when
         // the run had stealing on (`kernel.shard.steal_mode` > 0).
         let build = |stealing: bool| {
-            let mut art = artifact();
-            let mut counters = Json::object();
-            counters.set("kernel.shard.count", 2u64);
-            if stealing {
-                counters.set("kernel.shard.steal_mode", 1u64);
-            }
-            let mut imb = Json::object();
-            imb.set("name", "kernel.shard.imbalance_pct")
-                .set("count", 1u64)
-                .set("mean", 8.0)
-                .set("p50", 8.0)
-                .set("p99", 8.0)
-                .set("buckets", Vec::<Json>::new());
-            let mut metrics = Json::object();
-            metrics
-                .set("counters", counters)
-                .set("histograms", vec![imb]);
-            art.metrics = metrics;
-            art
+            summary_of(
+                &[("kernel.shard.count", 2), ("kernel.shard.steal_mode", u64::from(stealing))],
+                vec![histogram("kernel.shard.imbalance_pct", 8.0, &[(8, 1)])],
+            )
         };
-        let static_text = summarize("x.json", &build(false));
+        let static_text = build(false);
         assert!(!static_text.contains("!! WARN"), "{static_text}");
-        let steal_text = summarize("x.json", &build(true));
+        let steal_text = build(true);
         assert!(
             steal_text.contains("!! WARN: imbalance >= 5% with stealing on"),
             "{steal_text}"

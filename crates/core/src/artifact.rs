@@ -22,6 +22,7 @@ use crate::experiment::{
     CompileCost, Figure1, RunConfig, Table1, Table11, Table12, Table13, Table14, Table2, Table3,
     Table4, Table5, Table6, Table7, Table8, Table9,
 };
+use crate::gate::{gates_json, Gate};
 
 /// Schema identifier embedded in every artifact.
 pub const SCHEMA: &str = "graft-run-artifact/v1";
@@ -86,7 +87,8 @@ impl RunArtifact {
     /// The sample scan is structural: any nested object carrying both
     /// `mean_ns` and `runs` is a [`Sample`]. Path components come from
     /// object keys; rows (array elements) contribute their `tech` name
-    /// when they have one, their index otherwise.
+    /// when they have one, their index otherwise. A table's `gates`
+    /// array is verdict data, not timing, and is skipped.
     pub fn add_table(&mut self, name: &str, table: Json) {
         collect_samples(name, &table, &mut self.samples);
         self.tables.insert(name.to_string(), table);
@@ -169,6 +171,22 @@ impl RunArtifact {
             .unwrap_or(0)
     }
 
+    /// Every gate in the run as `(table, gate)`, in table order; a
+    /// malformed gate record is an error naming its table.
+    pub fn gates(&self) -> Vec<(&str, Result<Gate, String>)> {
+        let mut out = Vec::new();
+        for (table, doc) in &self.tables {
+            let Some(gates) = doc.get("gates") else {
+                continue;
+            };
+            match gates.as_arr() {
+                Some(arr) => out.extend(arr.iter().map(|g| (table.as_str(), Gate::from_json(g)))),
+                None => out.push((table.as_str(), Err("`gates` is not an array".to_string()))),
+            }
+        }
+        out
+    }
+
     /// Number of counters/histograms that recorded data.
     pub fn distinct_metrics(&self) -> usize {
         let counters = self
@@ -200,7 +218,7 @@ fn collect_samples(path: &str, node: &Json, out: &mut BTreeMap<String, Json>) {
                 out.insert(path.to_string(), node.clone());
                 return;
             }
-            for (k, v) in map {
+            for (k, v) in map.iter().filter(|(k, _)| k.as_str() != "gates") {
                 collect_samples(&format!("{path}/{k}"), v, out);
             }
         }
@@ -570,8 +588,8 @@ pub fn table7_json(t: &Table7) -> Json {
 
 /// Table 8 as JSON. Each technology row carries one object per ladder
 /// rung keyed `s<N>`, whose `per_access` sample (critical-path ns per
-/// aggregate access) lands in the flattened sample index — the surface
-/// the shard-scaling CI gate diffs.
+/// aggregate access) lands in the flattened sample index; `gates`
+/// holds [`Table8::gates`].
 pub fn table8_json(t: &Table8) -> Json {
     let rows: Vec<Json> = t
         .rows
@@ -599,14 +617,14 @@ pub fn table8_json(t: &Table8) -> Json {
             "ladder",
             t.ladder.iter().map(|&s| Json::from(s as u64)).collect::<Vec<_>>(),
         )
-        .set("runs", t.runs);
+        .set("runs", t.runs)
+        .set("gates", gates_json(&t.gates()));
     obj
 }
 
 /// Table 9 as JSON. Each row's `snapshot`/`salvage_detach`/`restore`
-/// samples land in the flattened index (the surface the recovery CI
-/// gate diffs); `lost_mappings` is the hard-zero correctness field the
-/// verify script asserts on.
+/// samples land in the flattened index; `gates` holds
+/// [`Table9::gates`].
 pub fn table9_json(t: &Table9) -> Json {
     let rows: Vec<Json> = t
         .rows
@@ -650,15 +668,14 @@ pub fn table9_json(t: &Table9) -> Json {
         .set("plan", plan)
         .set("writes", t.writes)
         .set("blocks", t.blocks)
-        .set("lost_total", t.lost_total())
-        .set("runs", t.runs);
+        .set("runs", t.runs)
+        .set("gates", gates_json(&t.gates()));
     obj
 }
 
 /// Table 14 as JSON. Each row's `adopt` sample and every curve point's
-/// `restore` sample land in the flattened index (the surface the
-/// durability CI gate diffs); the drill objects carry the full
-/// detection ledger, so a baseline diff also catches accounting drift.
+/// `restore` sample land in the flattened index; the drill objects
+/// carry the full detection ledger; `gates` holds [`Table14::gates`].
 pub fn table14_json(t: &Table14) -> Json {
     let rows: Vec<Json> = t
         .rows
@@ -732,17 +749,15 @@ pub fn table14_json(t: &Table14) -> Json {
         .set("pruned_entries", t.pruned_entries)
         .set("retained_entries", t.retained_entries)
         .set("restore_divergence", t.restore_divergence)
-        .set("detection_rate", t.detection_rate())
-        .set("silent_total", t.silent_total())
-        .set("min_post_over_base", t.min_post_over_base())
-        .set("runs", t.runs);
+        .set("runs", t.runs)
+        .set("gates", gates_json(&t.gates()));
     obj
 }
 
 /// Table 12 as JSON. Each row's `off`/`gated`/`recording` samples land
-/// in the flattened index (the surface the tracing-overhead CI gate
-/// diffs); the drill object embeds both [`PostmortemReport`]s — the
-/// machine-readable surface `graftstat postmortem` renders.
+/// in the flattened index; the drill object embeds both
+/// [`PostmortemReport`]s — the machine-readable surface `graftstat
+/// postmortem` renders; `gates` holds [`Table12::gates`].
 ///
 /// [`PostmortemReport`]: graft_kernel::PostmortemReport
 pub fn table12_json(t: &Table12) -> Json {
@@ -780,14 +795,17 @@ pub fn table12_json(t: &Table12) -> Json {
         .set("one_shard_postmortem", pm_json(&d.one_shard))
         .set("sharded_postmortem", pm_json(&d.sharded));
     let mut obj = Json::object();
-    obj.set("rows", rows).set("drill", drill).set("runs", t.runs);
+    obj.set("rows", rows)
+        .set("drill", drill)
+        .set("runs", t.runs)
+        .set("gates", gates_json(&t.gates()));
     obj
 }
 
 /// Table 13 as JSON. Rows are labeled `tech@skew` so every
 /// (technology, skew) pair lands under a distinct path in the
-/// flattened sample index (the surface the steal CI gate diffs); each
-/// cell carries both dispatch-plane modes side by side.
+/// flattened sample index; each cell carries both dispatch-plane modes
+/// side by side; `gates` holds [`Table13::gates`].
 pub fn table13_json(t: &Table13) -> Json {
     let mode_json = |m: &crate::experiment::ModeResult| {
         let mut mode = Json::object();
@@ -832,16 +850,17 @@ pub fn table13_json(t: &Table13) -> Json {
             "ladder",
             t.ladder.iter().map(|&s| Json::from(s as u64)).collect::<Vec<_>>(),
         )
-        .set("runs", t.runs);
+        .set("runs", t.runs)
+        .set("gates", gates_json(&t.gates()));
     obj
 }
 
 /// Table 11 as JSON. Rows are labeled `tech@arrival` so every
 /// (technology, arrival) pair lands under a distinct path in the
-/// flattened sample index (the surface the service CI gate diffs);
-/// each cell carries the per-request sample plus the latency
-/// percentiles and plane counters, and the drill object carries the
-/// noisy-neighbor verdicts.
+/// flattened sample index; each cell carries the per-request sample
+/// plus the latency percentiles and plane counters, the drill object
+/// carries the noisy-neighbor verdicts, and `gates` holds
+/// [`Table11::gates`].
 pub fn table11_json(t: &Table11) -> Json {
     let rows: Vec<Json> = t
         .rows
@@ -898,7 +917,8 @@ pub fn table11_json(t: &Table11) -> Json {
         .set("requests", t.requests)
         .set("leaked", t.leaked)
         .set("drill", drill)
-        .set("runs", t.runs);
+        .set("runs", t.runs)
+        .set("gates", gates_json(&t.gates()));
     obj
 }
 

@@ -23,8 +23,8 @@
 //! rep's critical path is `max(pump + reap, busiest shard)` — the wall
 //! clock on a machine with enough idle cores. The native graft carries
 //! a calibrated compute lever ([`SPIN`]) so the rung ladder measures
-//! worker scaling rather than framing overhead; the verify.sh gate is
-//! native ≥ 2.5x at 4 workers.
+//! worker scaling rather than framing overhead; its gate is native
+//! ≥ 2.5x at 4 workers.
 //!
 //! **Service hazards ride along.** Every cohort serves one *slowloris*
 //! frame — an invoke dribbled a few bytes per wave, admitted only when
@@ -50,8 +50,9 @@
 //! twice — once quiet, once alongside a saboteur tenant whose graft
 //! divides by zero until the supervisor quarantines it and the server
 //! bans the tenant — and compares victim p99 across the two runs. The
-//! verify.sh gates: ≥ 100k tenants, zero leakage, native worker
-//! scaling ≥ 2.5x at 4, saboteur quarantined, victim p99 within 2x.
+//! gates ([`Table11::gates`]): ≥ 100k tenants, zero leakage, native
+//! worker scaling ≥ 2.5x at 4, saboteur quarantined, victim p99 within
+//! 2x.
 
 use std::time::{Duration, Instant};
 
@@ -67,6 +68,7 @@ use kernsim::stats::Sample;
 
 use super::table13::Skew;
 use super::RunConfig;
+use crate::gate::{Cmp, Gate};
 use crate::manager::GraftManager;
 
 /// The service ladder: the paper-scale 1/2/4/8 worker rungs.
@@ -200,7 +202,7 @@ pub struct Table11Drill {
     pub quiet_p99_ns: u64,
     /// Victim p99 with the saboteur active (best rep).
     pub noisy_p99_ns: u64,
-    /// `noisy_p99 / quiet_p99` — the verify.sh 2x bound.
+    /// `noisy_p99 / quiet_p99`, gated at 2x (NaN or infinite fails).
     pub victim_p99_ratio: f64,
     /// Whether the saboteur tenant ended the noisy runs banned or
     /// parked (every rep).
@@ -258,6 +260,29 @@ impl Table11 {
             .flat_map(|r| &r.cells)
             .map(|c| c.service.slowloris)
             .sum()
+    }
+
+    /// The verdicts: the run is multi-tenant at scale (>= 100,000
+    /// tenants); native throughput at 4 drain workers beats 1 worker by
+    /// at least 2.5x on the uniform trace; no reply carries another
+    /// tenant's value; the victims' p99 under attack stays within 2x of
+    /// the quiet baseline; and the saboteur ends the drill quarantined.
+    pub fn gates(&self) -> Vec<Gate> {
+        let scaling = self
+            .row(Technology::RustNative, Skew::Uniform)
+            .and_then(|r| r.worker_scaling(4));
+        vec![
+            Gate::new("tenants", Some(self.tenants as f64), Cmp::Ge, 100_000.0),
+            Gate::new("native worker scaling @4", scaling, Cmp::Ge, 2.5),
+            Gate::zero("cross-tenant leakage", self.leaked),
+            Gate::new(
+                "noisy victim p99 / quiet p99",
+                Some(self.drill.victim_p99_ratio),
+                Cmp::Le,
+                2.0,
+            ),
+            Gate::holds("saboteur quarantined", self.drill.saboteur_quarantined),
+        ]
     }
 }
 
@@ -1017,11 +1042,25 @@ mod tests {
 
     #[test]
     fn worker_scaling_is_reported_over_the_ladder() {
-        let t = table11_with(&tiny(), &[1, 2], &[Skew::Uniform], &small_load()).unwrap();
+        let mut t = table11_with(&tiny(), &[1, 2], &[Skew::Uniform], &small_load()).unwrap();
         let row = t.row(Technology::RustNative, Skew::Uniform).unwrap();
         let s = row.worker_scaling(2).unwrap();
         assert!(s.is_finite() && s > 0.0);
         assert!(row.worker_scaling(8).is_none(), "rung not measured");
+
+        let gate = |t: &Table11, name: &str| t.gates().into_iter().find(|g| g.name == name);
+        // No 4-worker rung: the scaling gate is unmeasured, not skipped.
+        let scaling = gate(&t, "native worker scaling @4").unwrap();
+        assert!(scaling.value.is_none() && !scaling.passes());
+        assert!(gate(&t, "cross-tenant leakage").unwrap().passes());
+        // A zero quiet p99 makes noisy/quiet NaN (or inf); either fails.
+        for ratio in [f64::NAN, f64::INFINITY] {
+            t.drill.victim_p99_ratio = ratio;
+            let noisy = gate(&t, "noisy victim p99 / quiet p99").unwrap();
+            assert!(!noisy.passes(), "{noisy}");
+        }
+        let report = crate::report::render_table11(&t);
+        assert!(report.contains("gate: noisy victim p99 / quiet p99 = inf (<= 2) FAIL"));
     }
 
     #[test]

@@ -38,6 +38,7 @@ use grafts::eviction;
 use kernsim::stats::Sample;
 
 use super::RunConfig;
+use crate::gate::{Cmp, Gate};
 use crate::manager::GraftManager;
 
 /// The default shard ladder (Table 8's ladder plus a 16-shard rung,
@@ -182,6 +183,23 @@ impl Table13 {
     /// The row for a (technology, skew) pair.
     pub fn row(&self, tech: Technology, skew: Skew) -> Option<&Table13Row> {
         self.rows.iter().find(|r| r.tech == tech && r.skew == skew)
+    }
+
+    /// The verdicts, on the native 99/1 row: stealing beats static hash
+    /// placement by at least 1.5x at 8 shards, and holds the per-shard
+    /// processed imbalance at 16 shards to at most 5%. A missing rung
+    /// or mode leaves its gate unmeasured.
+    pub fn gates(&self) -> Vec<Gate> {
+        let row = self.row(Technology::RustNative, Skew::Skew9901);
+        let speedup = row.and_then(|r| r.cell(8)).and_then(Table13Cell::speedup);
+        let imbalance = row
+            .and_then(|r| r.cell(16))
+            .and_then(|c| c.steal.as_ref())
+            .map(|m| m.imbalance_pct);
+        vec![
+            Gate::new("99-1 @8 native steal/static", speedup, Cmp::Ge, 1.5),
+            Gate::new("99-1 @16 native steal imbalance %", imbalance, Cmp::Le, 5.0),
+        ]
     }
 }
 
@@ -401,6 +419,13 @@ mod tests {
             assert!(c.static_.is_none());
             assert!(c.steal.is_some());
             assert!(c.speedup().is_none());
+        }
+        // Neither gated rung (@8, @16) was measured: both gates fail.
+        let gates = t.gates();
+        assert_eq!(gates.len(), 2);
+        for g in &gates {
+            assert_eq!(g.value, None, "{g}");
+            assert!(!g.passes(), "{g}");
         }
     }
 

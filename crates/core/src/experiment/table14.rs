@@ -61,6 +61,7 @@ use logdisk::{workload, LdConfig, LogicalDisk, MapEntry, Replayer, UNMAPPED};
 
 use super::tables::ROW_ORDER;
 use super::RunConfig;
+use crate::gate::{min_of, Cmp, Gate};
 use crate::manager::GraftManager;
 
 /// Seeds for the bit-rot drills; every seed must reach a 100%
@@ -194,14 +195,6 @@ impl Table14 {
         self.rows.iter().find(|r| r.tech == tech)
     }
 
-    /// Worst-case detection rate across all drills (the 100% gate).
-    pub fn detection_rate(&self) -> f64 {
-        self.drills
-            .iter()
-            .map(RotDrill::detection_rate)
-            .fold(1.0, f64::min)
-    }
-
     /// Silent-wrong-map outcomes across all drills (must be 0).
     pub fn silent_total(&self) -> u64 {
         self.drills.iter().map(|d| d.silent_wrong_map).sum()
@@ -212,12 +205,34 @@ impl Table14 {
         self.rows.iter().map(|r| r.lookup_mismatches).sum()
     }
 
-    /// Worst post/base ratio across the rows (the ≥ 0.95 gate).
+    /// Worst post/base ratio across the rows (NaN when any row's is).
     pub fn min_post_over_base(&self) -> f64 {
-        self.rows
+        min_of(self.rows.iter().map(|r| r.post_over_base))
+    }
+
+    /// The verdicts: every drill detects exactly the segments it
+    /// corrupted; no drill leaves a silently wrong map; the midpoint
+    /// restore and every technology's adopted map are exact; and
+    /// serving the tail on the restored state costs no more than
+    /// 1/0.95 of the never-crashed baseline.
+    pub fn gates(&self) -> Vec<Gate> {
+        let missed = self
+            .drills
             .iter()
-            .map(|r| r.post_over_base)
-            .fold(f64::INFINITY, f64::min)
+            .map(|d| d.corrupted.abs_diff(d.detected))
+            .sum();
+        vec![
+            Gate::zero("bitrot corrupted - detected", missed),
+            Gate::zero("silent wrong map", self.silent_total()),
+            Gate::zero("restore divergence", self.restore_divergence),
+            Gate::zero("lookup mismatches", self.mismatch_total()),
+            Gate::new(
+                "min post/base",
+                Some(self.min_post_over_base()),
+                Cmp::Ge,
+                0.95,
+            ),
+        ]
     }
 }
 
@@ -619,7 +634,7 @@ mod tests {
 
     #[test]
     fn every_drill_detects_every_corruption_with_no_silent_wrong_map() {
-        let t = table14(&tiny()).unwrap();
+        let mut t = table14(&tiny()).unwrap();
         assert_eq!(t.drills.len(), ROT_SEEDS.len());
         let mut corrupted_somewhere = false;
         for d in &t.drills {
@@ -639,8 +654,19 @@ mod tests {
             corrupted_somewhere |= d.corrupted > 0;
         }
         assert!(corrupted_somewhere, "drills must actually inject rot");
-        assert_eq!(t.detection_rate(), 1.0);
         assert_eq!(t.silent_total(), 0);
+        assert!(t.gates().iter().all(Gate::passes), "{:?}", t.gates());
+
+        // One missed corruption in 200 rounds to a 100% rate at the old
+        // report precision, but the gate compares the counts.
+        t.drills[0].corrupted = 200;
+        t.drills[0].detected = 199;
+        assert_eq!(format!("{:.0}%", t.drills[0].detection_rate() * 100.0), "100%");
+        let gate = &t.gates()[0];
+        assert_eq!((gate.name.as_str(), gate.value), ("bitrot corrupted - detected", Some(1.0)));
+        assert!(!gate.passes());
+        let report = crate::report::render_table14(&t);
+        assert!(report.contains("gate: bitrot corrupted - detected = 1 (== 0) FAIL"));
     }
 
     #[test]

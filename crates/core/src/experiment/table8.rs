@@ -47,6 +47,7 @@ use kernsim::vm::Pager;
 use super::table7::{FRAMES, HOT_PAGES, PAGES};
 use super::tables::ROW_ORDER;
 use super::RunConfig;
+use crate::gate::{Cmp, Gate};
 use crate::manager::GraftManager;
 
 /// The default shard ladder.
@@ -107,6 +108,14 @@ impl Table8 {
     /// The row for a technology.
     pub fn row(&self, tech: Technology) -> Option<&Table8Row> {
         self.rows.iter().find(|r| r.tech == tech)
+    }
+
+    /// The verdict: the in-kernel native row's aggregate throughput at
+    /// 4 shards beats the first rung by at least 2.5x (unmeasured
+    /// without a 4-shard rung).
+    pub fn gates(&self) -> Vec<Gate> {
+        let speedup = self.row(Technology::RustNative).and_then(|r| r.speedup(4));
+        vec![Gate::new("native speedup @4", speedup, Cmp::Ge, 2.5)]
     }
 }
 
@@ -283,6 +292,10 @@ mod tests {
             assert!((row.cells[0].efficiency - 1.0).abs() < 1e-9);
             assert!(row.speedup(2).is_some());
         }
+        // No 4-shard rung: the speedup gate is unmeasured and fails.
+        let gate = &t.gates()[0];
+        assert_eq!(gate.value, None);
+        assert!(!gate.passes());
     }
 
     #[test]

@@ -61,6 +61,7 @@ use logdisk::{LdConfig, LogicalDisk};
 use super::micro::UPCALL_BATCH;
 use super::tables::ROW_ORDER;
 use super::RunConfig;
+use crate::gate::{min_of, Cmp, Gate};
 use crate::manager::GraftManager;
 
 /// One technology's recovery measurements.
@@ -135,10 +136,29 @@ impl Table9 {
         self.rows.iter().find(|r| r.tech == tech)
     }
 
-    /// Total mappings lost across all rows and the drill (the
-    /// verify-script gate: must be 0).
+    /// Total mappings lost across all rows and the drill (gated at 0).
     pub fn lost_total(&self) -> u64 {
         self.rows.iter().map(|r| r.lost_mappings).sum::<u64>() + self.crash.lost_mappings
+    }
+
+    /// The verdicts: nothing lost anywhere, and every technology's
+    /// degraded-mode hand-off loses nothing and serves within 5% of a
+    /// built-in that never failed over, across at least six rows.
+    pub fn gates(&self) -> Vec<Gate> {
+        vec![
+            Gate::zero("lost mappings total", self.lost_total()),
+            Gate::new("hand-off rows", Some(self.rows.len() as f64), Cmp::Ge, 6.0),
+            Gate::zero(
+                "hand-off lost mappings",
+                self.rows.iter().map(|r| r.lost_mappings).sum(),
+            ),
+            Gate::new(
+                "min hand-off post/base",
+                Some(min_of(self.rows.iter().map(|r| r.post_over_base))),
+                Cmp::Ge,
+                0.95,
+            ),
+        ]
     }
 }
 
@@ -494,6 +514,7 @@ mod tests {
             );
         }
         assert_eq!(t.lost_total(), 0);
+        assert!(t.gates().iter().all(Gate::passes), "{:?}", t.gates());
     }
 
     #[test]

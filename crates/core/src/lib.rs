@@ -18,7 +18,9 @@
 //!   standard deviations in parentheses, normalized-to-C rows);
 //! * [`artifact`] freezes a whole run — host, config, every table,
 //!   every sample, and the telemetry snapshot — into the versioned JSON
-//!   document `--json` writes and `graftstat` diffs.
+//!   document `--json` writes and `graftstat` diffs;
+//! * [`gate`] is the typed pass/fail record each gated table returns,
+//!   which the reports print and `graftstat check` evaluates.
 //!
 //! [`GraftSpec`]: graft_api::GraftSpec
 //! [`Technology`]: graft_api::Technology
@@ -26,6 +28,7 @@
 pub mod artifact;
 pub mod breakeven;
 pub mod experiment;
+pub mod gate;
 pub mod manager;
 pub mod report;
 

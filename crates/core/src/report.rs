@@ -9,9 +9,10 @@ use std::time::Duration;
 use kernsim::stats::fmt_ns;
 
 use crate::experiment::{
-    CompileCost, Figure1, Skew, Table1, Table11, Table12, Table13, Table13Cell, Table14, Table2,
-    Table3, Table4, Table5, Table6, Table7, Table8, Table9,
+    CompileCost, Figure1, Table1, Table11, Table12, Table13, Table14, Table2, Table3, Table4,
+    Table5, Table6, Table7, Table8, Table9,
 };
+use crate::gate::Gate;
 
 fn dur(d: Duration) -> String {
     let ns = d.as_nanos() as f64;
@@ -31,6 +32,13 @@ fn line(out: &mut String, cols: &[&str], widths: &[usize]) {
         let _ = write!(out, "{c:<w$}  ", w = w);
     }
     out.push('\n');
+}
+
+/// One `gate:` line per verdict, in the table's order.
+fn render_gates(out: &mut String, gates: &[Gate]) {
+    for g in gates {
+        let _ = writeln!(out, "  gate: {g}");
+    }
 }
 
 /// Renders Table 1.
@@ -322,7 +330,8 @@ pub fn render_table7(t: &Table7) -> String {
 
 /// Renders Table 8: per-technology aggregate dispatch throughput (in
 /// million accesses/second over the critical path) across the shard
-/// ladder, with the top rung's speedup and scaling efficiency.
+/// ladder, with the top rung's speedup and scaling efficiency, plus
+/// its speedup gate.
 pub fn render_table8(t: &Table8) -> String {
     let mut out = String::new();
     let top = *t.ladder.last().expect("non-empty ladder");
@@ -360,6 +369,7 @@ pub fn render_table8(t: &Table8) -> String {
         cols.push(&eff_s);
         line(&mut out, &cols, &widths);
     }
+    render_gates(&mut out, &t.gates());
     out.push_str(
         "  (shards measured one at a time; critical path = slowest shard, i.e. the wall\n   clock on a machine with enough idle cores. See docs/kernel.md.)\n",
     );
@@ -367,7 +377,7 @@ pub fn render_table8(t: &Table8) -> String {
 }
 
 /// Renders Table 9: per-technology recovery costs plus the
-/// fault-injected crash drill.
+/// fault-injected crash drill and its zero-loss and hand-off gates.
 pub fn render_table9(t: &Table9) -> String {
     let widths = [20, 16, 18, 16, 12, 10, 10];
     let mut out = String::new();
@@ -429,13 +439,13 @@ pub fn render_table9(t: &Table9) -> String {
         c.faults.crashes,
         t.lost_total()
     );
+    render_gates(&mut out, &t.gates());
     out
 }
 
 /// Renders Table 14: durable-logdisk restore/scrub costs, the seeded
-/// bit-rot drills, and per-technology post-restore hand-off, plus
-/// machine-parseable `gate:` lines for the CI durability gates
-/// (detection rate, silent corruption, restore exactness, post/base).
+/// bit-rot drills, and per-technology post-restore hand-off, plus its
+/// gates (detection, silent corruption, restore exactness, post/base).
 pub fn render_table14(t: &Table14) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -529,33 +539,16 @@ pub fn render_table14(t: &Table14) -> String {
             &rwidths,
         );
     }
-    // The CI gates grep these lines (scripts/verify.sh).
-    let _ = writeln!(
-        out,
-        "  gate: bitrot detection rate = {:.0}%",
-        t.detection_rate() * 100.0
-    );
-    let _ = writeln!(out, "  gate: silent wrong map = {}", t.silent_total());
-    let _ = writeln!(
-        out,
-        "  gate: restore divergence = {}",
-        t.restore_divergence
-    );
-    let _ = writeln!(out, "  gate: lookup mismatches = {}", t.mismatch_total());
-    let _ = writeln!(
-        out,
-        "  gate: min post/base = {:.2}",
-        t.min_post_over_base()
-    );
+    render_gates(&mut out, &t.gates());
     out.push_str(
-        "  (restore audits the full retained history before replaying — a rotted record\n   is never believed; costs are dominated by that audit. See docs/recovery.md.)\n",
+        "  (restore audits the full retained history before replaying — a rotted record\n   is never believed; the audit is about half of a restore, replay the rest.\n   See docs/recovery.md.)\n",
     );
     out
 }
 
 /// Renders Table 12: per-technology tracing overhead (ns per pager
 /// access under off/gated/recording telemetry) plus the 1-shard-vs-
-/// 4-shard postmortem drill verdict.
+/// 4-shard postmortem drill verdict, plus the overhead and drill gates.
 pub fn render_table12(t: &Table12) -> String {
     let widths = [20, 26, 26, 26, 9, 11];
     let mut out = String::new();
@@ -607,12 +600,12 @@ pub fn render_table12(t: &Table12) -> String {
     if !d.traced {
         out.push_str("  (flight recorder compiled out: tails empty by construction)\n");
     }
+    render_gates(&mut out, &t.gates());
     out
 }
 
 /// Renders Table 13: static vs stealing dispatch across key skews and
-/// the shard ladder, plus machine-parseable `gate:` lines for the CI
-/// steal gate.
+/// the shard ladder, plus its steal gates.
 pub fn render_table13(t: &Table13) -> String {
     let mut out = String::new();
     let top = *t.ladder.last().expect("non-empty ladder");
@@ -661,19 +654,7 @@ pub fn render_table13(t: &Table13) -> String {
         cols.extend([thr_s.as_str(), imb_st.as_str(), imb_ad.as_str(), steals_s.as_str()]);
         line(&mut out, &cols, &widths);
     }
-    // The CI gate greps these two lines (scripts/verify.sh).
-    if let Some(row) = t.row(graft_api::Technology::RustNative, Skew::Skew9901) {
-        if let Some(s) = row.cell(8).and_then(Table13Cell::speedup) {
-            let _ = writeln!(out, "  gate: 99-1 @8 native steal/static = {s:.2}x");
-        }
-        if let Some(m) = row.cell(16).and_then(|c| c.steal.as_ref()) {
-            let _ = writeln!(
-                out,
-                "  gate: 99-1 @16 native steal imbalance = {:.1}%",
-                m.imbalance_pct
-            );
-        }
-    }
+    render_gates(&mut out, &t.gates());
     out.push_str(
         "  (same seeded trace both modes; imbalance = (max-min)/mean over per-shard\n   processed counts at the top rung. See docs/kernel.md \"Adaptive dispatch\".)\n",
     );
@@ -681,8 +662,8 @@ pub fn render_table13(t: &Table13) -> String {
 }
 
 /// Renders Table 11: the graft server under multi-tenant service
-/// load, plus machine-parseable `gate:` lines for the CI service
-/// gates (tenant scale, leakage, noisy-neighbor bound, quarantine).
+/// load, plus its service gates (tenant scale, worker scaling,
+/// leakage, noisy-neighbor bound, quarantine).
 pub fn render_table11(t: &Table11) -> String {
     let mut out = String::new();
     let top = *t.ladder.last().expect("non-empty ladder");
@@ -736,25 +717,7 @@ pub fn render_table11(t: &Table11) -> String {
         t.churned(),
         t.slowloris()
     );
-    // The CI gates grep these lines (scripts/verify.sh).
-    if let Some(s) = t
-        .row(graft_api::Technology::RustNative, Skew::Uniform)
-        .and_then(|r| r.worker_scaling(4))
-    {
-        let _ = writeln!(out, "  gate: native worker scaling @4 = {s:.2}x");
-    }
-    let _ = writeln!(out, "  gate: tenants = {}", t.tenants);
-    let _ = writeln!(out, "  gate: cross-tenant leakage = {}", t.leaked);
-    let _ = writeln!(
-        out,
-        "  gate: noisy victim p99 / quiet p99 = {:.2}x",
-        d.victim_p99_ratio
-    );
-    let _ = writeln!(
-        out,
-        "  gate: saboteur quarantined = {}",
-        if d.saboteur_quarantined { "yes" } else { "no" }
-    );
+    render_gates(&mut out, &t.gates());
     out.push_str(
         "  (latency measured server-side, admission to completion; throughput over the\n   serve-phase critical path — max(serial pump+reap, busiest worker) — best rep,\n   as on a machine with enough idle cores. See docs/server.md.)\n",
     );
