@@ -101,12 +101,20 @@ pub trait ExtensionEngine: Send {
     /// batch stops at the faulting call: `out` holds the results
     /// completed so far and the error is returned.
     ///
-    /// The default implementation loops [`invoke_id`]; transports with a
-    /// per-call boundary cost (the user-level upcall engine) override it
-    /// to amortize round-trips — the paper's Logical-Disk batching
-    /// argument applied to our own boundary.
+    /// Fuel is metered per call, exactly as by back-to-back
+    /// [`invoke_id`]s: each call is refuelled to the full budget, so a
+    /// runaway call traps at the same point either way. Afterwards
+    /// [`fuel_used`] reports the fuel summed over every call the batch
+    /// ran, the faulting call included (see its sum contract).
+    ///
+    /// The default implementation loops [`invoke_id`] ([`run_batch`]);
+    /// engines that meter fuel override it to keep the sum, and
+    /// transports with a per-call boundary cost (the user-level upcall
+    /// engine) override it to amortize round-trips — the paper's
+    /// Logical-Disk batching argument applied to our own boundary.
     ///
     /// [`invoke_id`]: ExtensionEngine::invoke_id
+    /// [`fuel_used`]: ExtensionEngine::fuel_used
     fn invoke_batch(
         &mut self,
         entry: EntryId,
@@ -114,18 +122,7 @@ pub trait ExtensionEngine: Send {
         args_flat: &[i64],
         out: &mut Vec<i64>,
     ) -> Result<(), GraftError> {
-        let arity = batch_arity(calls, args_flat.len())?;
-        out.reserve(calls);
-        if arity == 0 {
-            for _ in 0..calls {
-                out.push(self.invoke_id(entry, &[])?);
-            }
-        } else {
-            for chunk in args_flat.chunks_exact(arity) {
-                out.push(self.invoke_id(entry, chunk)?);
-            }
-        }
-        Ok(())
+        run_batch(calls, args_flat, out, |args| self.invoke_id(entry, args))
     }
 
     /// [`invoke_id`] with a propagated trace context — the causal
@@ -305,20 +302,25 @@ pub trait ExtensionEngine: Send {
     fn set_fuel(&mut self, fuel: Option<u64>);
 
     /// Fuel consumed by the most recent invocation, if the engine meters.
+    ///
+    /// After [`invoke_batch`] this is the **sum** over every call the
+    /// batch ran, including a call that faulted, so a host charges a
+    /// whole fused batch to its ledger with one read. A call that fails
+    /// before it runs (a bad handle or arity) burns no fuel.
+    ///
+    /// [`invoke_batch`]: ExtensionEngine::invoke_batch
     fn fuel_used(&self) -> Option<u64> {
         None
     }
 
     /// Whether the engine is currently metering fuel.
     ///
-    /// Batched chain dispatch consults this before fusing calls: after a
-    /// fused [`invoke_batch`] only the *last* call's fuel is observable
-    /// through [`fuel_used`], so a metered engine must take the
-    /// per-invocation path to keep the per-graft ledger's fuel
-    /// accounting exact. The default derives the answer from
-    /// [`fuel_used`] (metered engines report `Some` even before the
-    /// first invocation); engines whose `fuel_used` is expensive (a wire
-    /// round-trip) may override with a local answer.
+    /// An observation for harnesses (a stand-in engine that should meter
+    /// iff the engine it replaces does); the graft host does not consult
+    /// it, since [`fuel_used`]'s sum contract keeps a fused
+    /// [`invoke_batch`] accounting-exact whether or not the engine
+    /// meters. The default derives the answer from [`fuel_used`]
+    /// (metered engines report `Some` even before the first invocation).
     ///
     /// [`invoke_batch`]: ExtensionEngine::invoke_batch
     /// [`fuel_used`]: ExtensionEngine::fuel_used
@@ -373,6 +375,31 @@ pub fn batch_arity(calls: usize, args_len: usize) -> Result<usize, GraftError> {
         )));
     }
     Ok(args_len / calls)
+}
+
+/// The loop every [`ExtensionEngine::invoke_batch`] shares: validates
+/// the batch shape, then runs `call` on each call's argument slice in
+/// order, appending each result to `out` and stopping at the first
+/// error. An engine that meters fuel wraps `call` to sum each call's
+/// fuel (the [`ExtensionEngine::fuel_used`] sum contract).
+pub fn run_batch(
+    calls: usize,
+    args_flat: &[i64],
+    out: &mut Vec<i64>,
+    mut call: impl FnMut(&[i64]) -> Result<i64, GraftError>,
+) -> Result<(), GraftError> {
+    let arity = batch_arity(calls, args_flat.len())?;
+    out.reserve(calls);
+    if arity == 0 {
+        for _ in 0..calls {
+            out.push(call(&[])?);
+        }
+    } else {
+        for chunk in args_flat.chunks_exact(arity) {
+            out.push(call(chunk)?);
+        }
+    }
+    Ok(())
 }
 
 /// A hand-written Rust graft body (the paper's "code compiled into the

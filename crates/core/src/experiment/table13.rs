@@ -8,8 +8,8 @@
 //! ([`graft_kernel::RunQueues`]) against that failure mode: bounded
 //! per-shard run queues, graft-affinity diversion when a home queue
 //! fills, work stealing when a shard runs dry, and adaptive batches
-//! that widen with backlog and fuse through the engine's
-//! `invoke_batch` when accounting-safe.
+//! that widen with backlog and fuse through one `invoke_batch` per
+//! batch (every row here: a single-graft chain, tracing off).
 //!
 //! For each technology row, key skew, and shard rung, the same keyed
 //! trace is driven through the plane twice:
@@ -45,9 +45,9 @@ use crate::manager::GraftManager;
 /// where skew hurts static placement most).
 pub const LADDER13: [usize; 5] = [1, 2, 4, 8, 16];
 
-/// The technologies priced: the cheapest dispatch (native, which takes
-/// the fused batch path) and the paper's headline safe technology
-/// (fuel-metered, so it dispatches per call).
+/// The technologies priced: the cheapest dispatch (native) and the
+/// paper's headline safe technology (fuel-metered). Both take the fused
+/// batch path: a drained batch runs as one `invoke_batch`.
 pub const TECHS13: [Technology; 2] = [Technology::RustNative, Technology::SafeCompiled];
 
 /// Keys in the trace. Small on purpose: with a large key space even a
@@ -287,7 +287,9 @@ fn mode_run(
             for i in 0..shards {
                 let s = (start + i) % shards;
                 let t = Instant::now();
-                let k = handles[s].drain_queue(&q, AttachPoint::VmEvict, |_| vec![0, 0]);
+                let k = handles[s].drain_queue(&q, AttachPoint::VmEvict, |_, args| {
+                    args.extend_from_slice(&[0, 0])
+                });
                 if k > 0 {
                     busy[s] += t.elapsed();
                     counts[s] += k as u64;

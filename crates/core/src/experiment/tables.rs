@@ -485,7 +485,7 @@ fn table6_sharded(
             for i in 0..T6_SHARDS {
                 let s = (start + i) % T6_SHARDS;
                 let t = Instant::now();
-                let k = handles[s].drain_queue(&q, AttachPoint::DiskWrite, |&w| vec![w]);
+                let k = handles[s].drain_queue(&q, AttachPoint::DiskWrite, |&w, args| args.push(w));
                 if k > 0 {
                     busy[s] += t.elapsed();
                     processed += k;

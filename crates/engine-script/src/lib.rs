@@ -118,6 +118,26 @@ impl ExtensionEngine for ScriptEngine {
         out
     }
 
+    fn invoke_batch(
+        &mut self,
+        entry: EntryId,
+        calls: usize,
+        args_flat: &[i64],
+        out: &mut Vec<i64>,
+    ) -> Result<(), GraftError> {
+        // Each call refuels in `invoke_id`; keep the batch's sum (a
+        // call that fails before running leaves its 0 in place).
+        let mut total = 0;
+        let result = graft_api::engine::run_batch(calls, args_flat, out, |args| {
+            self.last_fuel_used = 0;
+            let r = self.invoke_id(entry, args);
+            total += self.last_fuel_used;
+            r
+        });
+        self.last_fuel_used = total;
+        result
+    }
+
     fn load_region_id(
         &mut self,
         id: RegionId,

@@ -241,19 +241,23 @@ impl<D: ChainDispatch> HostedWritePath<D> {
     /// Writes a run of logical blocks as one batch; returns the
     /// per-block flush outcomes, in order.
     ///
-    /// The write-path marshal is argument-only (no region loads), so it
-    /// satisfies the purity contract of
-    /// [`ChainDispatch::dispatch_batch`] and a [`ShardHandle`] host can
-    /// fuse the whole run through the engine's `invoke_batch`. Counters
-    /// and fallback state advance exactly as per-block [`Self::write`]
-    /// calls would.
+    /// The write-path marshal is argument-only (no region loads): it
+    /// pushes each block number straight into the batch's argument
+    /// buffer, so it satisfies the purity contract of
+    /// [`ChainDispatch::dispatch_batch`] and a [`ShardHandle`] host
+    /// fuses the whole run through one `invoke_batch`, metered engine
+    /// or not. Counters and fallback state advance exactly as per-block
+    /// [`Self::write`] calls would.
     ///
     /// [`ShardHandle`]: crate::ShardHandle
     pub fn write_batch(&mut self, logicals: &[u64]) -> Vec<bool> {
         let verdicts = self.host.dispatch_batch(
             AttachPoint::DiskWrite,
             logicals.len(),
-            &mut |i, _| Ok(vec![logicals[i] as i64]),
+            &mut |i, _, args| {
+                args.push(logicals[i] as i64);
+                Ok(())
+            },
         );
         verdicts
             .into_iter()

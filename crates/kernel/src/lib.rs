@@ -43,8 +43,9 @@
 //! * **Adaptive sharded dispatch** ([`steal`]): bounded per-shard run
 //!   queues with work stealing and graft-affinity placement feed the
 //!   host's data plane; executors drain adaptively sized batches that
-//!   widen with backlog and dispatch through the fused `invoke_batch`
-//!   path when accounting-safe.
+//!   widen with backlog; a single-graft, untraced chain runs each batch
+//!   as one `invoke_batch`, fuel-metered or not, with call-exact
+//!   accounting.
 //!
 //! The [`adapters`] module plugs a shard handle into the kernsim
 //! substrates (`Pager`, `BufferCache`, `Scheduler`, and the

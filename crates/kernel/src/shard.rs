@@ -36,8 +36,9 @@
 //!   graft-affinity diversion when a home queue is full and work
 //!   stealing when a shard runs dry ([`crate::steal`]). Shards drain
 //!   batches that widen with backlog ([`ShardHandle::drain_queue`]) and
-//!   fuse single-graft chains through the engine's `invoke_batch` when
-//!   that is accounting-safe ([`ShardHandle::dispatch_batch`]). A
+//!   fuse every untraced single-graft chain, fuel-metered or not,
+//!   through one `invoke_batch` per batch, allocating nothing per call
+//!   ([`ShardHandle::dispatch_batch`]). A
 //!   stolen dispatch still counts toward the 3-strike supervisor
 //!   exactly once: the handoff carries the enqueue-time epoch, and the
 //!   draining shard syncs its mailbox past it before invoking.
@@ -425,6 +426,8 @@ impl ShardedHost {
                     epoch_syncs: 0,
                     mailbox_ops: 0,
                     flushes: 0,
+                    batch_args: Vec::new(),
+                    batch_out: Vec::new(),
                 })
             })
             .collect();
@@ -833,6 +836,10 @@ pub struct ShardHandle {
     epoch_syncs: u64,
     mailbox_ops: u64,
     flushes: u64,
+    /// A fused batch's arguments, back to back, and its results: kept
+    /// across batches so the fused path allocates nothing per call.
+    batch_args: Vec<i64>,
+    batch_out: Vec<i64>,
 }
 
 struct ShardGraft {
@@ -1279,23 +1286,24 @@ impl ShardHandle {
     /// adaptive-dispatch fast path. Returns one verdict per call, in
     /// call order.
     ///
-    /// When the chain at `point` is a single attached graft, tracing
-    /// is off, and the graft's engine does not meter fuel
-    /// ([`ExtensionEngine::fuel_metered`]), the calls fuse into one
-    /// [`ExtensionEngine::invoke_batch`]: every call is marshalled
-    /// first, then the engine runs the whole batch without re-crossing
-    /// the chain-walk machinery per call. Accounting stays call-exact —
-    /// each call counts one dispatch, one invocation, its own verdict
-    /// statistics, and its own supervisor strike. On a mid-batch trap
-    /// the faulting call is charged exactly once (ledger trap, strike,
-    /// possible winning detach) and the remaining calls fall back to
-    /// per-call dispatch, which observes any detach the trap just
-    /// caused — exactly like back-to-back dispatches.
+    /// When the chain at `point` is a single attached graft and tracing
+    /// is off, the calls fuse into one [`ExtensionEngine::invoke_batch`],
+    /// metered engine or not: `marshal(i, engine, args)` appends every
+    /// call's arguments to one shared buffer first, then the engine runs
+    /// the whole batch without re-crossing the chain-walk machinery per
+    /// call, and nothing is allocated per call. Accounting stays
+    /// call-exact — each call counts one dispatch, one invocation, its
+    /// own verdict statistics, and its own supervisor strike; the
+    /// batch's fuel (the sum [`ExtensionEngine::fuel_used`] reports
+    /// after a batch, refuelled per call) is added to the ledger once.
+    /// On a mid-batch trap the faulting call is charged exactly once
+    /// (ledger trap, strike, possible winning detach) and the remaining
+    /// calls fall back to per-call dispatch, which observes any detach
+    /// the trap just caused — exactly like back-to-back dispatches.
     ///
     /// Everything else — deeper or empty chains, tracing runs (each
-    /// dispatch needs its own causal id), metered engines (a fused
-    /// batch can only report the last call's fuel), ragged arities,
-    /// marshal failures — takes the per-call path, whose semantics are
+    /// dispatch needs its own causal id), ragged arities, marshal
+    /// failures — takes the per-call path, whose semantics are
     /// [`dispatch`] in a loop. The `marshal` closure must be pure per
     /// call: the fused path marshals every call before the first
     /// invocation and re-marshals when degrading to per-call dispatch
@@ -1309,60 +1317,76 @@ impl ShardHandle {
         mut marshal: F,
     ) -> Vec<Verdict>
     where
-        F: FnMut(usize, &mut dyn ExtensionEngine) -> Result<Vec<i64>, GraftError>,
+        F: FnMut(usize, &mut dyn ExtensionEngine, &mut Vec<i64>) -> Result<(), GraftError>,
     {
         self.sync();
+        let mut verdicts = Vec::with_capacity(calls);
         let p = point as usize;
         let fusable = calls > 1
             && !graft_telemetry::tracing()
             && self.chains[p].len() == 1
-            && {
-                let id = self.chains[p][0];
-                self.grafts
-                    .get(&id)
-                    .is_some_and(|g| !g.shared.is_detached() && !g.engine.fuel_metered())
-            };
-        if !fusable {
-            return (0..calls)
-                .map(|i| self.dispatch(point, |e| marshal(i, e)))
-                .collect();
+            && self
+                .grafts
+                .get(&self.chains[p][0])
+                .is_some_and(|g| !g.shared.is_detached());
+        if fusable {
+            self.invoke_fused(point, calls, &mut marshal, &mut verdicts);
         }
-        let id = self.chains[p][0];
-        // Marshal every call up front (the dispatch_batch purity
-        // contract allows it); a failure or ragged arity degrades to
-        // the per-call path, re-marshalling from scratch.
-        let mut args_flat: Vec<i64> = Vec::new();
-        let mut arity: Option<usize> = None;
-        {
-            let g = self.grafts.get_mut(&id).expect("chain member");
-            for i in 0..calls {
-                match marshal(i, g.engine.as_mut()) {
-                    Ok(args) if *arity.get_or_insert(args.len()) == args.len() => {
-                        args_flat.extend_from_slice(&args);
-                    }
-                    _ => {
-                        arity = None;
-                        break;
-                    }
-                }
+        // The per-call path: every call when the batch did not fuse,
+        // the calls after a fault when it did.
+        for i in verdicts.len()..calls {
+            let v = self.dispatch(point, |e| {
+                let mut args = Vec::new();
+                marshal(i, e, &mut args)?;
+                Ok(args)
+            });
+            verdicts.push(v);
+        }
+        verdicts
+    }
+
+    /// The fused half of [`dispatch_batch`]: marshals every call into
+    /// `batch_args`, runs them as one `invoke_batch` on the chain's one
+    /// graft, and accounts each completed call (and a faulting one) into
+    /// `verdicts`. Runs nothing when marshalling fails or the arity is
+    /// ragged; after a fault `verdicts` is short, and the caller
+    /// dispatches the rest per call.
+    ///
+    /// [`dispatch_batch`]: ShardHandle::dispatch_batch
+    fn invoke_fused<F>(
+        &mut self,
+        point: AttachPoint,
+        calls: usize,
+        marshal: &mut F,
+        verdicts: &mut Vec<Verdict>,
+    ) where
+        F: FnMut(usize, &mut dyn ExtensionEngine, &mut Vec<i64>) -> Result<(), GraftError>,
+    {
+        let id = self.chains[point as usize][0];
+        let g = self.grafts.get_mut(&id).expect("chain member");
+        let args = &mut self.batch_args;
+        args.clear();
+        let mut arity = None;
+        for i in 0..calls {
+            let before = args.len();
+            if marshal(i, g.engine.as_mut(), args).is_err()
+                || *arity.get_or_insert(args.len() - before) != args.len() - before
+            {
+                return;
             }
         }
-        if arity.is_none() {
-            return (0..calls)
-                .map(|i| self.dispatch(point, |e| marshal(i, e)))
-                .collect();
-        }
+        let out = &mut self.batch_out;
+        out.clear();
         let started = Instant::now();
-        let mut out = Vec::with_capacity(calls);
-        let g = self.grafts.get_mut(&id).expect("chain member");
-        let result = g.engine.invoke_batch(g.entry, calls, &args_flat, &mut out);
+        let result = g.engine.invoke_batch(g.entry, calls, args, out);
         // Wall-clock attribution per call (an even share; `cum_ns` is
-        // the one machine-dependent ledger field).
+        // the one machine-dependent ledger field). The batch's fuel is
+        // charged once, before a strike can cut a postmortem.
         let share_ns = elapsed_ns(started) / calls as u64;
+        g.local.fuel_used += g.engine.fuel_used().unwrap_or(0);
         let books = &mut self.books;
-        let mut verdicts = Vec::with_capacity(calls);
         // The completed prefix: each result is one full dispatch.
-        for &ret in &out {
+        for &ret in out.iter() {
             books.stats.dispatches += 1;
             books.depth_counts[1] += 1;
             g.local.record_ok(share_ns, None);
@@ -1381,7 +1405,7 @@ impl ShardHandle {
             }
         }
         if let Err(err) = result {
-            // The faulting call, charged exactly once; then the batch
+            // The faulting call, charged exactly once; the caller then
             // degrades to per-call dispatch for the remainder, which
             // observes any detach the trap just caused.
             books.stats.dispatches += 1;
@@ -1396,13 +1420,7 @@ impl ShardHandle {
             }
             books.stats.defaults += 1;
             verdicts.push(Verdict::Continue);
-            for i in verdicts.len()..calls {
-                let v = self.dispatch(point, |e| marshal(i, e));
-                verdicts.push(v);
-            }
         }
-        debug_assert_eq!(verdicts.len(), calls);
-        verdicts
     }
 
     /// Drains one adaptively sized batch from `queues` for this shard
@@ -1417,9 +1435,9 @@ impl ShardHandle {
     /// this shard warm for their graft, steering future placement and
     /// theft ([`RunQueues::mark_warm`]).
     ///
-    /// `to_args` marshals an item's payload into its argument vector;
-    /// it must be pure (it may run more than once per item, per the
-    /// [`ChainDispatch::dispatch_batch`] contract). `on_result`
+    /// `to_args` appends an item's arguments to the batch's argument
+    /// buffer; it must be pure (it may run more than once per item, per
+    /// the [`ChainDispatch::dispatch_batch`] contract). `on_result`
     /// observes every `(item, verdict)` pair in execution order.
     pub fn drain_queue_with<T, A, F>(
         &mut self,
@@ -1429,7 +1447,7 @@ impl ShardHandle {
         mut on_result: F,
     ) -> usize
     where
-        A: FnMut(&T) -> Vec<i64>,
+        A: FnMut(&T, &mut Vec<i64>),
         F: FnMut(&WorkItem<T>, Verdict),
     {
         let mut batch = Vec::new();
@@ -1444,8 +1462,10 @@ impl ShardHandle {
         for w in &batch {
             queues.mark_warm(self.shard, w.graft);
         }
-        let verdicts =
-            self.dispatch_batch(point, batch.len(), |i, _engine| Ok(to_args(&batch[i].payload)));
+        let verdicts = self.dispatch_batch(point, batch.len(), |i, _engine, args| {
+            to_args(&batch[i].payload, args);
+            Ok(())
+        });
         for (w, v) in batch.iter().zip(verdicts) {
             on_result(w, v);
         }
@@ -1462,7 +1482,7 @@ impl ShardHandle {
         to_args: A,
     ) -> usize
     where
-        A: FnMut(&T) -> Vec<i64>,
+        A: FnMut(&T, &mut Vec<i64>),
     {
         self.drain_queue_with(queues, point, to_args, |_, _| {})
     }
@@ -1650,7 +1670,7 @@ impl VirtualShards {
         to_args: A,
     ) -> usize
     where
-        A: FnMut(&T) -> Vec<i64>,
+        A: FnMut(&T, &mut Vec<i64>),
     {
         self.next_shard().drain_queue(queues, point, to_args)
     }
@@ -1667,7 +1687,7 @@ impl VirtualShards {
         on_result: F,
     ) -> usize
     where
-        A: FnMut(&T) -> Vec<i64>,
+        A: FnMut(&T, &mut Vec<i64>),
         F: FnMut(&WorkItem<T>, Verdict),
     {
         self.next_shard()
@@ -1684,7 +1704,7 @@ impl VirtualShards {
         mut to_args: A,
     ) -> usize
     where
-        A: FnMut(&T) -> Vec<i64>,
+        A: FnMut(&T, &mut Vec<i64>),
     {
         let mut total = 0;
         while queues.total_depth() > 0 {
@@ -1719,20 +1739,22 @@ pub trait ChainDispatch {
     /// Dispatches `calls` chain walks at `point` as one batch,
     /// returning one verdict per call, in call order.
     ///
-    /// `marshal(i, engine)` builds call `i`'s argument vector. The
-    /// contract beyond [`dispatch_chain`]: marshalling must be **pure
-    /// per call** — implementations may marshal every call before the
-    /// first invocation runs (the `invoke_batch` shape) and may
-    /// re-marshal a call when falling back to per-call dispatch, so a
-    /// closure that writes per-call engine state (regions) or has
-    /// observable side effects must not be batched. Each call still
-    /// counts as its own dispatch: ledgers, verdict statistics, and the
+    /// `marshal(i, engine, args)` appends call `i`'s arguments to `args`,
+    /// a buffer shared by the whole batch. The contract beyond
+    /// [`dispatch_chain`]: marshalling must be **pure per call** —
+    /// implementations may marshal every call before the first
+    /// invocation runs (the `invoke_batch` shape) and may re-marshal a
+    /// call when falling back to per-call dispatch, so a closure that
+    /// writes per-call engine state (regions) or has observable side
+    /// effects must not be batched. Each call still counts as its own
+    /// dispatch: ledgers (fuel included), verdict statistics, and the
     /// 3-strike supervisor advance exactly as if the calls had been
     /// dispatched one by one.
     ///
-    /// [`ShardHandle`] fuses the calls through
-    /// [`ExtensionEngine::invoke_batch`] when the chain shape makes that
-    /// accounting-safe.
+    /// [`ShardHandle`] fuses the calls through one
+    /// [`ExtensionEngine::invoke_batch`] whenever the chain is a single
+    /// attached graft and tracing is off, whether or not its engine
+    /// meters fuel.
     ///
     /// [`dispatch_chain`]: ChainDispatch::dispatch_chain
     fn dispatch_batch(
@@ -1749,11 +1771,12 @@ pub trait ChainDispatch {
 /// host's failure counter, not the graft).
 pub type MarshalFn<'a> = dyn FnMut(&mut dyn ExtensionEngine) -> Result<Vec<i64>, GraftError> + 'a;
 
-/// Per-call marshalling for [`ChainDispatch::dispatch_batch`]: builds
-/// call `i`'s argument vector against the engine about to run it. Must
-/// be pure per call (see the `dispatch_batch` contract).
+/// Per-call marshalling for [`ChainDispatch::dispatch_batch`]: appends
+/// call `i`'s arguments to the batch's shared argument buffer, against
+/// the engine about to run it — no per-call allocation. Must be pure
+/// per call (see the `dispatch_batch` contract).
 pub type BatchMarshalFn<'a> =
-    dyn FnMut(usize, &mut dyn ExtensionEngine) -> Result<Vec<i64>, GraftError> + 'a;
+    dyn FnMut(usize, &mut dyn ExtensionEngine, &mut Vec<i64>) -> Result<(), GraftError> + 'a;
 
 impl ChainDispatch for ShardHandle {
     fn dispatch_chain(
@@ -1770,9 +1793,9 @@ impl ChainDispatch for ShardHandle {
         calls: usize,
         marshal: &mut BatchMarshalFn<'_>,
     ) -> Vec<Verdict> {
-        // The inherent method: fuses through `invoke_batch` when the
-        // chain shape makes that accounting-safe.
-        ShardHandle::dispatch_batch(self, point, calls, |i, e| marshal(i, e))
+        // The inherent method: fuses a single-graft, untraced chain
+        // through one `invoke_batch`.
+        ShardHandle::dispatch_batch(self, point, calls, |i, e, args| marshal(i, e, args))
     }
 }
 
@@ -2121,35 +2144,115 @@ mod tests {
         })
     }
 
+    /// A metered Safe-compiled engine: `select_victim(a, b)` loops `b`
+    /// times (so each call burns its own fuel) and echoes `a`; `b == 0`
+    /// divides by zero and `b < 0` spins until the meter preempts it.
+    fn safe_echo() -> Box<dyn ExtensionEngine> {
+        let src = r#"
+            fn select_victim(a: int, b: int) -> int {
+                if b == 0 { return a / b; }
+                if b < 0 { let i = 0; while true { i = i + 1; } return i; }
+                let j = 0;
+                while j < b { j = j + 1; }
+                return a;
+            }
+        "#;
+        let mode = engine_native::SafetyMode::Safe { nil_checks: true };
+        Box::new(engine_native::load_grail(src, &[], mode).unwrap())
+    }
+
+    /// Runs `args` at `VmEvict` on shard 0 of a fresh 2-shard host
+    /// holding one graft from `engine`, as one batch or as per-call
+    /// dispatches, and returns the verdicts, the dispatch-path stats,
+    /// the whole ledger but `cum_ns` (the one wall-clock field), and
+    /// whether the graft ended quarantined.
+    fn run_calls(
+        engine: fn() -> Box<dyn ExtensionEngine>,
+        config: HostConfig,
+        args: &[[i64; 2]],
+        batched: bool,
+    ) -> (Vec<Verdict>, HostStats, GraftLedger, bool) {
+        let mut host = ShardedHost::with_config(2, config);
+        let id = host.install(AttachPoint::VmEvict, "echo", engine()).unwrap();
+        let mut vs = VirtualShards::new(&mut host, 5);
+        let h = vs.shard_mut(0);
+        let verdicts: Vec<Verdict> = if batched {
+            h.dispatch_batch(AttachPoint::VmEvict, args.len(), |i, _, buf| {
+                buf.extend_from_slice(&args[i]);
+                Ok(())
+            })
+        } else {
+            args.iter().map(|a| h.dispatch(AttachPoint::VmEvict, |_| Ok(a.to_vec()))).collect()
+        };
+        vs.flush_all();
+        let mut stats = host.stats();
+        stats.installs = 0; // control-plane, not dispatch-path
+        let ledger = GraftLedger {
+            cum_ns: 0,
+            ..host.ledger(id).unwrap()
+        };
+        (verdicts, stats, ledger, host.is_quarantined(id))
+    }
+
     #[test]
     fn fused_batch_matches_per_call_dispatch_exactly() {
         // Same calls through the fused invoke_batch path and through a
-        // per-call dispatch loop: identical verdicts, stats, and
-        // ledgers (the native echo engine is unmetered, single-graft
-        // chain, tracing off — the fusable shape).
-        let args: Vec<[i64; 2]> = (0..13).map(|i| [if i % 3 == 0 { i } else { -1 }, 0]).collect();
-        let run = |batched: bool| {
-            let mut host = ShardedHost::new(2);
-            let id = host.install(AttachPoint::VmEvict, "echo", echo()).unwrap();
-            let mut vs = VirtualShards::new(&mut host, 5);
-            let h = vs.shard_mut(0);
-            let verdicts: Vec<Verdict> = if batched {
-                h.dispatch_batch(AttachPoint::VmEvict, args.len(), |i, _| Ok(args[i].to_vec()))
-            } else {
-                args.iter().map(|a| h.dispatch(AttachPoint::VmEvict, |_| Ok(a.to_vec()))).collect()
-            };
-            vs.flush_all();
-            let mut stats = host.stats();
-            stats.installs = 0; // control-plane, not dispatch-path
-            (verdicts, stats, host.ledger(id).map(|l| (l.invocations, l.traps)))
+        // per-call dispatch loop: identical verdicts, stats, and whole
+        // ledgers (fuel and trap counts included), for an unmetered
+        // native engine and a fuel-metered Safe-compiled one — both
+        // fuse on a single-graft, untraced chain.
+        let args: Vec<[i64; 2]> =
+            (0..13).map(|i| [if i % 3 == 0 { i } else { -1 }, 1 + i % 4]).collect();
+        for engine in [echo, safe_echo] {
+            let fused = run_calls(engine, HostConfig::default(), &args, true);
+            let per_call = run_calls(engine, HostConfig::default(), &args, false);
+            assert_eq!(fused, per_call, "fused batch diverges from per-call dispatch");
+            assert_eq!(fused.0[0], Verdict::Override(0));
+            assert_eq!(fused.0[1], Verdict::Continue);
+            assert_eq!(fused.2.invocations, 13);
+        }
+        // The metered engine's fuel is each call's own, summed.
+        let (_, _, ledger, _) = run_calls(safe_echo, HostConfig::default(), &args, true);
+        assert!(ledger.fuel_used > 0, "a metered batch charged no fuel");
+        let (_, _, ledger, _) = run_calls(echo, HostConfig::default(), &args, true);
+        assert_eq!(ledger.fuel_used, 0);
+    }
+
+    #[test]
+    fn runaway_call_in_a_fused_batch_is_charged_once_with_its_fuel() {
+        // Call 3 of 8 spins until the meter preempts it: the fused path
+        // charges it once, with the whole budget, and `FuelExhausted`
+        // detaches at once; calls 4-8 dispatch per call against the
+        // detached chain and charge nothing. Per-call dispatch ends in
+        // exactly the same books.
+        let config = HostConfig {
+            fuel_budget: Some(50_000),
+            ..HostConfig::default()
         };
-        let (v1, s1, l1) = run(true);
-        let (v2, s2, l2) = run(false);
-        assert_eq!(v1, v2, "verdicts diverge");
-        assert_eq!(s1, s2, "host stats diverge");
-        assert_eq!(l1, l2, "ledgers diverge");
-        assert_eq!(v1[0], Verdict::Override(0));
-        assert_eq!(v1[1], Verdict::Continue);
+        let args: Vec<[i64; 2]> = (0..8).map(|i| [-1, if i == 3 { -1 } else { 2 }]).collect();
+        let fused = run_calls(safe_echo, config, &args, true);
+        assert_eq!(fused, run_calls(safe_echo, config, &args, false));
+        let (verdicts, stats, ledger, quarantined) = fused;
+        assert_eq!(verdicts, vec![Verdict::Continue; 8]);
+        assert!(quarantined, "a fuel trap did not detach");
+        assert_eq!(ledger.invocations, 4);
+        assert_eq!(ledger.traps, 1);
+        assert_eq!(ledger.trap_counts.get(TrapKind::FuelExhausted), 1);
+        assert!(ledger.fuel_used >= 50_000, "the runaway's fuel went uncharged");
+        assert_eq!((stats.dispatches, stats.defaults, stats.quarantine_trips), (8, 8, 1));
+
+        // Three div-by-zero calls in one batch: the first is charged by
+        // the fused path, the rest by per-call dispatch, and the third
+        // strike detaches, exactly as back-to-back dispatches would.
+        let args: Vec<[i64; 2]> =
+            (0..10).map(|i| [-1, if matches!(i, 2 | 5 | 7) { 0 } else { 3 }]).collect();
+        let fused = run_calls(safe_echo, config, &args, true);
+        assert_eq!(fused, run_calls(safe_echo, config, &args, false));
+        let (_, stats, ledger, quarantined) = fused;
+        assert!(quarantined, "three strikes did not detach");
+        assert_eq!(ledger.invocations, 8);
+        assert_eq!(ledger.trap_counts.get(TrapKind::DivByZero), 3);
+        assert_eq!((stats.dispatches, stats.traps, stats.quarantine_trips), (10, 3, 1));
     }
 
     #[test]
@@ -2163,7 +2266,10 @@ mod tests {
         // detached chain and charge nothing.
         let verdicts = vs
             .shard_mut(0)
-            .dispatch_batch(AttachPoint::VmEvict, 8, |_, _| Ok(vec![0, 0]));
+            .dispatch_batch(AttachPoint::VmEvict, 8, |_, _, args| {
+                args.extend_from_slice(&[0, 0]);
+                Ok(())
+            });
         assert_eq!(verdicts, vec![Verdict::Continue; 8]);
         assert!(host.is_quarantined(bad), "three strikes did not detach");
         vs.flush_all();
@@ -2187,7 +2293,9 @@ mod tests {
         }
         assert_eq!(q.stats().enqueued, n);
         let mut vs = VirtualShards::new(&mut host, 42);
-        let ran = vs.drain_queue_to_empty(&q, AttachPoint::VmEvict, |p| p.clone());
+        let ran = vs.drain_queue_to_empty(&q, AttachPoint::VmEvict, |p, args| {
+            args.extend_from_slice(p)
+        });
         assert_eq!(ran as u64, n, "items lost or double-run");
         vs.flush_all();
         assert_eq!(host.ledger(id).unwrap().invocations, n);
@@ -2214,7 +2322,7 @@ mod tests {
             while q.total_depth() > 0 {
                 let h = vs.next_shard();
                 let s = h.shard();
-                h.drain_queue_with(&q, AttachPoint::VmEvict, |&k| vec![k as i64, 0], |w, _| {
+                h.drain_queue_with(&q, AttachPoint::VmEvict, |&k, args| args.extend_from_slice(&[k as i64, 0]), |w, _| {
                     order.push((s, w.payload));
                 });
             }

@@ -631,14 +631,6 @@ impl ExtensionEngine for UpcallEngine {
         }
     }
 
-    fn fuel_metered(&self) -> bool {
-        // The default would cost a wire round trip per batching
-        // decision; answer conservatively without crossing the boundary.
-        // (The upcall engine already amortizes its per-call cost through
-        // its own `invoke_batch` RPC, so it gains nothing from fusing.)
-        true
-    }
-
     fn fork_for_shard(&self, shard: usize) -> Result<Box<dyn ExtensionEngine>, GraftError> {
         // Ask the server to fork its inner engine; the replica crosses
         // back over the reply channel and is re-hosted behind a *fresh*

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # One-command verification of the whole reproduction: build (offline),
-# lint, test, regenerate every table once into a run artifact, self-diff
-# it, and check it against the committed baseline.
+# lint, test, build and smoke-run the wall-clock benchmark (perfbench),
+# regenerate every table once into a run artifact, self-diff it, and
+# check it against the committed baseline.
 #
 # Usage: scripts/verify.sh [--full] [--threads]
 #   --full     use paper-scale iteration counts for the table run, and
@@ -47,6 +48,16 @@ cargo clippy --offline --workspace --all-targets -- -D warnings
 
 echo "==> cargo test --offline --workspace"
 cargo test -q --offline --workspace
+
+# perfbench, the wall-clock benchmark BENCHMARK.json declares, is a
+# workspace of its own, so the steps above never compile it: build it,
+# run its unit tests, and run one short traced grafts smoke. The smoke
+# exits nonzero when an oracle or a layer breakdown fails.
+perf() { CARGO_TARGET_DIR=.bench_build cargo "$1" --offline --manifest-path perfbench/Cargo.toml "${@:2}"; }
+echo "==> perfbench: build, unit tests, 3 s traced grafts smoke"
+perf build --release
+perf test -q --release
+perf run --release -q -- --workload grafts --seed 1 --seconds 3 --trace 1 > /dev/null
 
 # Threaded-server conformance: the live worker plane must be
 # indistinguishable from the deterministic single-threaded replay, and

@@ -19,9 +19,26 @@ pub enum Op {
     Uninstall(usize),
     Readmit(usize),
     Dispatch(i64, i64),
+    /// `n` dispatches as one batch, call `i` with [`batch_call`]`(a, b, i)`;
+    /// the model runs them as `n` dispatches.
+    DispatchBatch(i64, i64, usize),
     /// A dispatch whose marshalling fails for every graft.
     MarshalFail,
     Invoke(usize, i64, i64),
+}
+
+/// Call `i`'s arguments in `Op::DispatchBatch(a, b, _)`. For `b >= 0`
+/// the second argument walks `(b + i) % 9`, so a call divides by zero
+/// where it reaches 0 and runs clean elsewhere; for `b < 0`, call
+/// `-b - 1` is a runaway (second argument -1) and the rest run clean.
+pub fn batch_call(a: i64, b: i64, i: usize) -> [i64; 2] {
+    let i = i as i64;
+    let second = match b {
+        0.. => (b + i) % 9,
+        _ if i == -b - 1 => -1,
+        _ => 1 + i % 3,
+    };
+    [a + 13 * i, second]
 }
 
 /// What one op returned.
@@ -31,6 +48,7 @@ pub enum Step {
     Uninstalled(bool),
     Readmitted(bool),
     Verdict(Verdict),
+    Verdicts(Vec<Verdict>),
     Invoked(Result<i64, Refusal>),
 }
 
@@ -185,6 +203,11 @@ impl Model {
                 Step::Readmitted(quarantined)
             }
             Op::Dispatch(a, b) => Step::Verdict(self.dispatch(Some([a, b]))),
+            Op::DispatchBatch(a, b, n) => Step::Verdicts(
+                (0..n)
+                    .map(|i| self.dispatch(Some(batch_call(a, b, i))))
+                    .collect(),
+            ),
             Op::MarshalFail => Step::Verdict(self.dispatch(None)),
             Op::Invoke(k, a, b) => Step::Invoked(match self.chain[k].consulted() {
                 true => self.call(k, &[a, b], None),

@@ -9,7 +9,9 @@
 //! | infinite loop     | hangs kernel  | fuel trap| fuel trap  | fuel  | fuel  |
 //! | deep recursion    | stack trap    | stack    | stack      | stack | stack |
 
-use graftbench::api::{GraftClass, GraftError, GraftSpec, Motivation, RegionSpec, Technology, Trap};
+use graftbench::api::{
+    GraftClass, GraftError, GraftSpec, Motivation, RegionSpec, RegionStore, Technology, Trap,
+};
 use graftbench::core::GraftManager;
 use graftbench::kernel::{AttachPoint, HostedEviction};
 use graftbench::kernsim::vm::Pager;
@@ -176,6 +178,91 @@ fn fuel_reporting_is_conformant_across_metered_technologies() {
         e.set_fuel(None);
         assert_eq!(e.invoke("div", &[10, 2]).unwrap(), 5);
         assert_eq!(e.fuel_used(), None, "{tech}: unmetered reading");
+    }
+}
+
+/// `step(a, b)` loops `b` times and returns `a + b`, so every call
+/// burns its own fuel; `b == 0` divides by zero and `b < 0` spins until
+/// the meter preempts it (the native body reports both traps at once).
+fn stepping_spec() -> GraftSpec {
+    let grail = r#"
+        fn step(a: int, b: int) -> int {
+            if b == 0 { return a / b; }
+            if b < 0 { let i = 0; while true { i = i + 1; } return i; }
+            let j = 0;
+            while j < b { j = j + 1; }
+            return a + j;
+        }
+    "#;
+    let tickle = r#"
+        proc step {a b} {
+            if {$b == 0} { return [expr $a / $b] }
+            if {$b < 0} { while {1} { } }
+            for {set j 0} {$j < $b} {incr j} { }
+            return [expr $a + $j]
+        }
+    "#;
+    GraftSpec::new("stepping", GraftClass::BlackBox, Motivation::Functionality)
+        .entry("step", 2)
+        .with_grail(grail)
+        .with_tickle(tickle)
+        .with_native(Box::new(|| {
+            Box::new(|_: &str, args: &[i64], _: &mut RegionStore| match args[1] {
+                0 => Err(GraftError::Trap(Trap::DivByZero)),
+                b if b < 0 => Err(GraftError::Trap(Trap::FuelExhausted)),
+                b => Ok(args[0] + b),
+            })
+        }))
+}
+
+#[test]
+fn batched_fuel_is_the_sum_of_per_call_fuel_on_every_technology() {
+    // `invoke_batch` over k calls must leave exactly what k back-to-back
+    // `invoke_id`s leave: the same results before the stop, the same
+    // error, and a `fuel_used()` equal to the sum of the per-call
+    // readings — each call refuelled, so a runaway stops where it would
+    // alone. Upcall inherits the sum from its (metered) inner engine.
+    let spec = stepping_spec();
+    let mgr = GraftManager {
+        user_level_inner: Technology::SafeCompiled,
+        ..GraftManager::new()
+    };
+    let clean: &[i64] = &[1, 2, 3, 4, 5, 6, 7, 1];
+    let div_by_zero: &[i64] = &[1, 2, 3, 5, 5, 0, 7, 1];
+    let runaway: &[i64] = &[1, 2, 3, 5, 5, -1, 7, 1];
+    for tech in Technology::ALL {
+        let fresh = || {
+            let mut e = mgr.load(&spec, tech).unwrap();
+            e.set_fuel(Some(50_000));
+            let id = e.bind_entry("step").unwrap();
+            (e, id)
+        };
+        for args in [clean, div_by_zero, runaway] {
+            if args == runaway && !fresh().0.fuel_metered() && tech != Technology::RustNative {
+                continue; // nothing preempts an unmetered runaway
+            }
+            let (mut batched, id) = fresh();
+            let mut out = Vec::new();
+            let err = batched.invoke_batch(id, args.len() / 2, args, &mut out).err();
+            let (mut single, id) = fresh();
+            let mut want = (Vec::new(), None, None::<u64>);
+            for call in args.chunks(2) {
+                let r = single.invoke_id(id, call);
+                want.2 = single.fuel_used().map(|f| want.2.unwrap_or(0) + f);
+                match r {
+                    Ok(v) => want.0.push(v),
+                    Err(e) => {
+                        want.1 = Some(e);
+                        break;
+                    }
+                }
+            }
+            let got = (out, err, batched.fuel_used());
+            assert_eq!(got, want, "{tech} on {args:?}");
+            if args == runaway && tech.preemptible() {
+                assert!(got.2.unwrap_or(0) >= 50_000, "{tech}: runaway fuel {:?}", got.2);
+            }
+        }
     }
 }
 

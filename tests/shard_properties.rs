@@ -11,12 +11,16 @@
 //!
 //! Each interleaving is a short random program over the host API
 //! (install at either chain end, uninstall, readmit, chain dispatch,
-//! direct invoke, marshalling failure) generated from a seeded
+//! batched dispatch, direct invoke, marshalling failure) generated
+//! from a seeded
 //! [`SmallRng`], so every run of the suite replays the exact same
 //! programs — the property is checked over >= 200 interleavings per
 //! technology and stays reproducible in CI. The stealing half replays
 //! the adaptive plane's completion order through the model the same
-//! way.
+//! way. A batched dispatch on a single-graft chain takes the host's
+//! fused `invoke_batch` path while the flight recorder is off, which
+//! is how every test here but the recording ones runs (see
+//! [`RECORDER`]); the model always runs it as separate dispatches.
 //!
 //! The fault-injection harness schedules a saboteur's traps on chosen
 //! (shard, invocation) slots and asserts the quarantine detach
@@ -28,11 +32,12 @@ mod reference;
 
 use std::collections::BTreeSet;
 use std::fmt::Debug;
+use std::sync::{PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use graft_rng::SmallRng;
 use graftbench::api::{
-    GraftClass, GraftError, GraftLedger, GraftSpec, Motivation, RegionStore, Technology, Trap,
-    Verdict,
+    EntryId, ExtensionEngine, GraftClass, GraftError, GraftLedger, GraftSpec, Motivation, RegionId,
+    RegionStore, Technology, Trap, Verdict,
 };
 use graftbench::core::GraftManager;
 use graftbench::kernel::{
@@ -40,7 +45,7 @@ use graftbench::kernel::{
     VirtualShards,
 };
 use graftbench::telemetry::TRACE_VERDICT_TRAP;
-use reference::{Detach, Op, Outcome, Refusal, Standing, Step};
+use reference::{batch_call, Detach, Op, Outcome, Refusal, Standing, Step};
 
 const POINT: AttachPoint = AttachPoint::VmEvict;
 
@@ -59,20 +64,25 @@ const ALL_TECHS: [Technology; 7] = [
 /// so every per-shard replica computes exactly what the reference
 /// model's bare engine computes — the precondition for equivalence. `b == 0` divides by zero (the one trap every safe
 /// technology and the unchecked one agree on); `b < 0` spins until the
-/// fuel meter preempts it (only dispatched by the metered fault tests).
+/// fuel meter preempts it (only dispatched by the metered fault tests);
+/// otherwise it loops `b` times first, so a metered engine's fuel
+/// reading varies with the call.
 fn pure_spec() -> GraftSpec {
     let grail = r#"
         fn select_victim(a: int, b: int) -> int {
             if b == 0 { return a / b; }
             if b < 0 { let i = 0; while true { i = i + 1; } return i; }
-            return (a + b) % 7 - 3;
+            let j = 0;
+            while j < b { j = j + 1; }
+            return (a + j) % 7 - 3;
         }
     "#;
     let tickle = r#"
         proc select_victim {a b} {
             if {$b == 0} { return [expr $a / $b] }
             if {$b < 0} { while {1} { } }
-            return [expr ($a + $b) % 7 - 3]
+            for {set j 0} {$j < $b} {incr j} { }
+            return [expr ($a + $j) % 7 - 3]
         }
     "#;
     GraftSpec::new("pure-pick", GraftClass::Prioritization, Motivation::Policy)
@@ -130,6 +140,13 @@ fn random_program(seed: u64) -> (usize, Vec<Op>) {
                 Op::Invoke(k, rng.bounded_u64(1000) as i64, rng.bounded_u64(4) as i64)
             } else if roll < 48 {
                 Op::MarshalFail
+            } else if roll < 63 {
+                let calls = 2 + rng.bounded_u64(7) as usize;
+                Op::DispatchBatch(
+                    rng.bounded_u64(1000) as i64,
+                    rng.bounded_u64(9) as i64,
+                    calls,
+                )
             } else {
                 Op::Dispatch(rng.bounded_u64(1000) as i64, rng.bounded_u64(5) as i64)
             }
@@ -247,14 +264,12 @@ fn host_outcome(
     }
 }
 
-/// Runs `ops` on a `shards`-shard host under the seeded interleaving.
-/// The flight recorder's toggle is process-global and only ever armed
-/// by this binary, never disarmed: armed at the start means armed for
-/// the whole run, so the event stream is complete.
+/// Runs `ops` on a `shards`-shard host under the seeded interleaving,
+/// every graft a fresh engine from `load`. The flight recorder is
+/// armed for the whole run or not at all ([`RECORDER`]), so a traced
+/// run's event stream is complete.
 fn run_host(
-    manager: &GraftManager,
-    spec: &GraftSpec,
-    tech: Technology,
+    load: &mut dyn FnMut() -> Box<dyn ExtensionEngine>,
     config: HostConfig,
     (shards, ops): (usize, &[Op]),
     seed: u64,
@@ -267,7 +282,7 @@ fn run_host(
         .iter()
         .map(|&op| match op {
             Op::Install(front) => {
-                let engine = manager.load(spec, tech).expect("host load");
+                let engine = load();
                 let id = if front {
                     host.install_front(POINT, "pure", engine)
                 } else {
@@ -287,6 +302,12 @@ fn run_host(
             ),
             Op::MarshalFail => Step::Verdict(vs.dispatch(POINT, |_| Err(marshal_err()))),
             Op::Dispatch(a, b) => Step::Verdict(vs.dispatch(POINT, |_| Ok(vec![a, b]))),
+            Op::DispatchBatch(a, b, n) => {
+                Step::Verdicts(vs.next_shard().dispatch_batch(POINT, n, |i, _, args| {
+                    args.extend_from_slice(&batch_call(a, b, i));
+                    Ok(())
+                }))
+            }
         })
         .collect();
     let postmortems = host.take_postmortems();
@@ -300,16 +321,31 @@ fn check_one(manager: &GraftManager, spec: &GraftSpec, tech: Technology, seed: u
     let (shards, ops) = random_program(seed);
     let config = HostConfig::default();
     let want = model(manager, spec, tech, config, &ops);
-    let got = run_host(manager, spec, tech, config, (shards, &ops), seed);
+    let got = run_host(
+        &mut loader(manager, spec, tech),
+        config,
+        (shards, &ops),
+        seed,
+    );
     if let Err(divergence) = compare(&want, &got) {
         panic!("{tech} seed {seed:#x} on {shards} shard(s): {divergence}");
     }
     got
 }
 
+/// Fresh engines of `tech` for a host under test.
+fn loader<'a>(
+    manager: &'a GraftManager,
+    spec: &'a GraftSpec,
+    tech: Technology,
+) -> impl FnMut() -> Box<dyn ExtensionEngine> + 'a {
+    move || manager.load(spec, tech).expect("host load")
+}
+
 /// >= 200 seeded interleavings for one technology.
 fn run_equivalence(tech: Technology, base_seed: u64) {
     const INTERLEAVINGS: usize = 200;
+    let _untraced = untraced();
     let manager = GraftManager::new();
     let spec = pure_spec();
     for i in 0..INTERLEAVINGS {
@@ -358,6 +394,7 @@ fn interleavings_replay_identically_from_the_same_seed() {
     // The harness is only as good as its reproducibility: the same
     // seed must replay the same program with the same observable
     // outcomes, or a CI failure could never be investigated.
+    let _untraced = untraced();
     let manager = GraftManager::new();
     let spec = pure_spec();
     for i in 0..32u64 {
@@ -376,6 +413,7 @@ fn model_backed_property_rejects_a_wrong_host() {
     // on a host with the default threshold of 3, and compare it with a
     // model told the threshold is 4: the comparison has to report a
     // divergence, while the right model still matches.
+    let _untraced = untraced();
     let manager = GraftManager::new();
     let spec = pure_spec();
     let tech = Technology::SafeCompiled;
@@ -394,7 +432,12 @@ fn model_backed_property_rejects_a_wrong_host() {
         })
         .expect("some seed must depend on the threshold");
     let (shards, ops) = program;
-    let host = run_host(&manager, &spec, tech, right, (shards, &ops), seed);
+    let host = run_host(
+        &mut loader(&manager, &spec, tech),
+        right,
+        (shards, &ops),
+        seed,
+    );
     assert!(
         host.stats.quarantine_trips > 0,
         "seed {seed:#x} never tripped the supervisor"
@@ -402,6 +445,193 @@ fn model_backed_property_rejects_a_wrong_host() {
     assert_eq!(compare(&model_right, &host), Ok(()), "seed {seed:#x}");
     let divergence = compare(&model_wrong, &host).expect_err("a wrong model went unnoticed");
     assert!(!divergence.is_empty());
+}
+
+/// A program that batches on a single-graft chain — the host's fused
+/// shape — with re-admissions, and (for an engine that meters fuel)
+/// runaway batches.
+fn batch_program(seed: u64, runaways: bool) -> (usize, Vec<Op>) {
+    let mut rng = SmallRng::seed_from_u64(seed);
+    let shards = 1 + rng.bounded_u64(3) as usize;
+    let mut ops = vec![Op::Install(false)];
+    for _ in 0..12 {
+        let a = rng.bounded_u64(1000) as i64;
+        let calls = 2 + rng.bounded_u64(7) as usize;
+        ops.push(match rng.bounded_u64(10) {
+            0 => Op::Readmit(0),
+            1 if runaways => Op::DispatchBatch(a, -1 - rng.bounded_u64(calls as u64) as i64, calls),
+            _ => Op::DispatchBatch(a, rng.bounded_u64(9) as i64, calls),
+        });
+    }
+    (shards, ops)
+}
+
+#[test]
+fn fused_batches_match_the_model_on_every_technology() {
+    // Untraced, single-graft batches fuse into one `invoke_batch`
+    // whether or not the engine meters fuel; the ledger — fuel and
+    // trap counts included — must still equal the model's per-call
+    // sums, and so must the verdicts, statistics and detaches. A small
+    // budget keeps the runaway batches short.
+    let _untraced = untraced();
+    let config = HostConfig {
+        fuel_budget: Some(20_000),
+        ..HostConfig::default()
+    };
+    let manager = GraftManager::new();
+    let spec = pure_spec();
+    for tech in ALL_TECHS {
+        let mut probe = manager.load(&spec, tech).expect("load");
+        probe.set_fuel(config.fuel_budget);
+        let metered = probe.fuel_metered();
+        let mut fuel = 0;
+        for i in 0..24u64 {
+            let seed = 0xBA7C ^ (tech as u64) << 32 ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            let (shards, ops) = batch_program(seed, metered);
+            let want = model(&manager, &spec, tech, config, &ops);
+            let got = run_host(
+                &mut loader(&manager, &spec, tech),
+                config,
+                (shards, &ops),
+                seed,
+            );
+            if let Err(divergence) = compare(&want, &got) {
+                panic!("{tech} seed {seed:#x} on {shards} shard(s): {divergence}");
+            }
+            fuel += got.grafts.iter().map(|g| g.ledger.fuel_used).sum::<u64>();
+        }
+        assert_eq!(fuel > 0, metered, "{tech}: fuel {fuel}");
+    }
+}
+
+/// An engine whose reading after `invoke_batch` is 0 — what a host
+/// that charged a fused batch no fuel would record. Everything else is
+/// the wrapped engine's.
+struct DropsBatchFuel {
+    inner: Box<dyn ExtensionEngine>,
+    after_batch: bool,
+}
+
+impl ExtensionEngine for DropsBatchFuel {
+    fn technology(&self) -> Technology {
+        self.inner.technology()
+    }
+
+    fn bind_entry(&mut self, entry: &str) -> Result<EntryId, GraftError> {
+        self.inner.bind_entry(entry)
+    }
+
+    fn bind_region(&self, name: &str) -> Result<RegionId, GraftError> {
+        self.inner.bind_region(name)
+    }
+
+    fn invoke_id(&mut self, entry: EntryId, args: &[i64]) -> Result<i64, GraftError> {
+        self.after_batch = false;
+        self.inner.invoke_id(entry, args)
+    }
+
+    fn invoke_batch(
+        &mut self,
+        entry: EntryId,
+        calls: usize,
+        args_flat: &[i64],
+        out: &mut Vec<i64>,
+    ) -> Result<(), GraftError> {
+        self.after_batch = true;
+        self.inner.invoke_batch(entry, calls, args_flat, out)
+    }
+
+    fn load_region_id(
+        &mut self,
+        id: RegionId,
+        offset: usize,
+        data: &[i64],
+    ) -> Result<(), GraftError> {
+        self.inner.load_region_id(id, offset, data)
+    }
+
+    fn read_region_id(&self, id: RegionId, index: usize) -> Result<i64, GraftError> {
+        self.inner.read_region_id(id, index)
+    }
+
+    fn write_region_id(
+        &mut self,
+        id: RegionId,
+        index: usize,
+        value: i64,
+    ) -> Result<(), GraftError> {
+        self.inner.write_region_id(id, index, value)
+    }
+
+    fn read_region_slice_id(
+        &self,
+        id: RegionId,
+        offset: usize,
+        out: &mut [i64],
+    ) -> Result<(), GraftError> {
+        self.inner.read_region_slice_id(id, offset, out)
+    }
+
+    fn region_len(&self, id: RegionId) -> Result<usize, GraftError> {
+        self.inner.region_len(id)
+    }
+
+    fn set_fuel(&mut self, fuel: Option<u64>) {
+        self.inner.set_fuel(fuel);
+    }
+
+    fn fuel_used(&self) -> Option<u64> {
+        let fuel = self.inner.fuel_used();
+        if self.after_batch {
+            fuel.map(|_| 0)
+        } else {
+            fuel
+        }
+    }
+
+    fn fork_for_shard(&self, shard: usize) -> Result<Box<dyn ExtensionEngine>, GraftError> {
+        Ok(Box::new(DropsBatchFuel {
+            inner: self.inner.fork_for_shard(shard)?,
+            after_batch: false,
+        }))
+    }
+}
+
+#[test]
+fn model_backed_property_rejects_a_host_that_drops_batch_fuel() {
+    // The fused path's fuel accounting must be checkable: a host that
+    // charges a fused batch no fuel (as if it recorded every call with
+    // no reading) has to diverge from the model on the ledger, while
+    // the same program on the real engines matches.
+    let _untraced = untraced();
+    let manager = GraftManager::new();
+    let spec = pure_spec();
+    let config = HostConfig::default();
+    for tech in [
+        Technology::SafeCompiled,
+        Technology::Bytecode,
+        Technology::Script,
+    ] {
+        let (shards, ops) = (2, vec![Op::Install(false), Op::DispatchBatch(7, 1, 6)]);
+        let want = model(&manager, &spec, tech, config, &ops);
+        let right = run_host(
+            &mut loader(&manager, &spec, tech),
+            config,
+            (shards, &ops),
+            1,
+        );
+        assert_eq!(compare(&want, &right), Ok(()), "{tech}");
+        assert!(right.grafts[0].ledger.fuel_used > 0, "{tech}: unmetered");
+        let mut wrong_load = || -> Box<dyn ExtensionEngine> {
+            Box::new(DropsBatchFuel {
+                inner: manager.load(&spec, tech).expect("load"),
+                after_batch: false,
+            })
+        };
+        let wrong = run_host(&mut wrong_load, config, (shards, &ops), 1);
+        let divergence = compare(&want, &wrong).expect_err("dropped batch fuel went unnoticed");
+        assert!(divergence.starts_with("ledgers"), "{tech}: {divergence}");
+    }
 }
 
 // ---------------------------------------------------------------------
@@ -412,6 +642,7 @@ fn model_backed_property_rejects_a_wrong_host() {
 fn scheduled_saboteur_detach_propagates_to_every_shard() {
     const SHARDS: usize = 4;
     const ROUNDS: usize = 12;
+    let _untraced = untraced();
     let manager = GraftManager::new();
     let spec = pure_spec();
     for tech in ALL_TECHS {
@@ -518,6 +749,7 @@ fn scheduled_saboteur_detach_propagates_to_every_shard() {
 fn scheduled_saboteur_replays_identically() {
     // Same seed, same schedule, same detach point: run the scheduled
     // saboteur twice and compare where the supervisor tripped.
+    let _untraced = untraced();
     let manager = GraftManager::new();
     let spec = pure_spec();
     let run = |seed: u64| -> (u64, u64) {
@@ -554,22 +786,48 @@ fn scheduled_saboteur_replays_identically() {
 // model's event stream over the same operation sequence.
 // ---------------------------------------------------------------------
 
-/// Arms the flight recorder. The toggles are process-global, so every
-/// trace test arms and none disarms — harmless for the rest of this
-/// binary (the equivalence properties read ledgers and stats, which
-/// are host state, not telemetry).
-fn arm_recorder() -> bool {
+/// The flight recorder's toggle is process-global, and it decides
+/// which batch path the host takes: fused while off, per call while
+/// on. So a test that records holds this lock for writing while the
+/// recorder is armed ([`recording`]) and every other test holds it for
+/// reading ([`untraced`]): each test runs wholly traced or wholly
+/// untraced, whatever runs beside it.
+static RECORDER: RwLock<()> = RwLock::new(());
+
+/// Holds the recorder off for the caller's scope. Take it once per
+/// test (a nested read can deadlock behind a waiting writer).
+fn untraced() -> RwLockReadGuard<'static, ()> {
+    RECORDER.read().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The flight recorder, armed until dropped.
+struct Recording {
+    _exclusive: RwLockWriteGuard<'static, ()>,
+}
+
+impl Drop for Recording {
+    fn drop(&mut self) {
+        graftbench::telemetry::set_tracing(false);
+    }
+}
+
+/// Arms the flight recorder, or `None` in a noop-telemetry build
+/// (nothing to assert there).
+fn recording() -> Option<Recording> {
+    let exclusive = RECORDER.write().unwrap_or_else(PoisonError::into_inner);
     graftbench::telemetry::set_enabled(true);
     graftbench::telemetry::set_tracing(true);
-    // False in a noop-telemetry build: nothing to assert there.
-    graftbench::telemetry::tracing()
+    let armed = Recording {
+        _exclusive: exclusive,
+    };
+    graftbench::telemetry::tracing().then_some(armed)
 }
 
 #[test]
 fn merged_timeline_is_causally_ordered_per_trace() {
-    if !arm_recorder() {
+    let Some(_recording) = recording() else {
         return;
-    }
+    };
     let manager = GraftManager::new();
     let spec = pure_spec();
     for seed in [0x7EA5u64, 0xACE0_FBA5u64, 0x5EED_CAFEu64] {
@@ -625,9 +883,9 @@ fn merged_timeline_is_causally_ordered_per_trace() {
 
 #[test]
 fn merged_timeline_matches_the_scalar_event_stream() {
-    if !arm_recorder() {
+    let Some(_recording) = recording() else {
         return;
-    }
+    };
     // Same dispatches, same chain, same traps: the merged 4-shard
     // timeline carries exactly the model's event sequence —
     // (point, tech, verdict, value) for every invocation, in the same
@@ -644,11 +902,27 @@ fn merged_timeline_matches_the_scalar_event_stream() {
         );
         let config = HostConfig::default();
         let want = model(&manager, &spec, tech, config, &ops);
-        let got = run_host(&manager, &spec, tech, config, (4, &ops), seed);
+        let got = run_host(&mut loader(&manager, &spec, tech), config, (4, &ops), seed);
         assert!(
             got.events.as_ref().is_some_and(|e| !e.is_empty()),
             "seed {seed:#x}: nothing recorded"
         );
+        assert_eq!(compare(&want, &got), Ok(()), "seed {seed:#x}");
+    }
+    // Random programs, batches included (a traced batch dispatches per
+    // call, one causal id each), record the model's event stream too.
+    for i in 0..16u64 {
+        let seed = 0x7ACE ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let (shards, ops) = random_program(seed);
+        let config = HostConfig::default();
+        let want = model(&manager, &spec, tech, config, &ops);
+        let got = run_host(
+            &mut loader(&manager, &spec, tech),
+            config,
+            (shards, &ops),
+            seed,
+        );
+        assert!(got.events.is_some(), "seed {seed:#x}: not recorded");
         assert_eq!(compare(&want, &got), Ok(()), "seed {seed:#x}");
     }
 }
@@ -658,6 +932,7 @@ fn one_fuel_exhaustion_detaches_globally() {
     // FuelExhausted is a single-strike offence: one preempted
     // invocation on one shard detaches the graft everywhere, even
     // though the trap threshold has not been reached.
+    let _untraced = untraced();
     let cfg = HostConfig {
         fuel_budget: Some(20_000),
         ..HostConfig::default()
@@ -763,7 +1038,7 @@ fn check_one_stealing(
     let total = 24 + rng.bounded_u64(40) as usize;
     let mut submitted = 0usize;
     let mut order: Vec<Completed> = Vec::new();
-    let to_args = |&(a, b): &(i64, i64)| vec![a, b];
+    let to_args = |&(a, b): &(i64, i64), args: &mut Vec<i64>| args.extend_from_slice(&[a, b]);
     while submitted < total || q.total_depth() > 0 {
         if submitted < total && rng.bounded_u64(3) != 0 {
             let key = if rng.bounded_u64(2) == 0 {
@@ -800,6 +1075,7 @@ fn check_one_stealing(
 /// >= 200 seeded stealing interleavings for one technology.
 fn run_steal_equivalence(tech: Technology, base_seed: u64) {
     const INTERLEAVINGS: usize = 200;
+    let _untraced = untraced();
     let manager = GraftManager::new();
     let spec = pure_spec();
     for i in 0..INTERLEAVINGS {
@@ -845,6 +1121,7 @@ fn stealing_matches_scalar_user_level() {
 
 #[test]
 fn stealing_interleavings_replay_identically_from_the_same_seed() {
+    let _untraced = untraced();
     let manager = GraftManager::new();
     let spec = pure_spec();
     for i in 0..16u64 {
@@ -864,6 +1141,7 @@ fn saboteur_quarantined_mid_steal_names_the_thief_and_counts_once() {
     // strikes must count exactly once despite the cross-shard handoff,
     // and the model's replay of the completion order must agree
     // verdict for verdict.
+    let _untraced = untraced();
     let manager = GraftManager::new();
     let spec = pure_spec();
     for tech in [
@@ -888,7 +1166,7 @@ fn saboteur_quarantined_mid_steal_names_the_thief_and_counts_once() {
             host.enqueue(&q, 0, Some(id), (7i64, b)).expect("room");
         }
         let mut vs = VirtualShards::new(&mut host, 0x7EEF);
-        let to_args = |&(a, b): &(i64, i64)| vec![a, b];
+        let to_args = |&(a, b): &(i64, i64), args: &mut Vec<i64>| args.extend_from_slice(&[a, b]);
         let mut order: Vec<Completed> = Vec::new();
         let stolen = vs
             .shard_mut(thief)
