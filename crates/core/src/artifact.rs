@@ -413,7 +413,9 @@ fn compile_json(cost: Option<&CompileCost>) -> Json {
     let mut obj = Json::object();
     obj.set("compile_ns", dur_ns(c.compile))
         .set("loop_ns", c.loop_ns)
-        .set("jit_ns", c.jit_ns);
+        .set("jit_ns", c.jit_ns)
+        .set("inlined_calls", c.inlined)
+        .set("pinned_registers", c.pinned);
     match c.payback() {
         Some(n) => obj.set("payback_invocations", n),
         None => obj.set("payback_invocations", Json::Null),

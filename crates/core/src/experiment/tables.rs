@@ -40,6 +40,10 @@ pub struct CompileCost {
     pub loop_ns: f64,
     /// One invocation on the machine code, ns.
     pub jit_ns: f64,
+    /// Call sites the machine code runs inline.
+    pub inlined: usize,
+    /// Graft registers the machine code keeps in host registers.
+    pub pinned: usize,
 }
 
 impl CompileCost {
@@ -68,9 +72,13 @@ fn compile_cost(
         return Ok(None);
     }
     let mut compiles = Vec::with_capacity(COMPILE_LOADS);
+    let (mut inlined, mut pinned) = (0, 0);
     for _ in 0..COMPILE_LOADS {
         match manager.load_compiled(spec, tech, Tier::Jit) {
-            Ok(engine) => compiles.push(engine.compile_time()),
+            Ok(engine) => {
+                compiles.push(engine.compile_time());
+                (inlined, pinned) = (engine.inlined_calls(), engine.pinned_registers());
+            }
             // The host refused executable pages: the row ran the loop.
             Err(GraftError::Unavailable { .. }) => return Ok(None),
             Err(err) => return Err(err),
@@ -82,6 +90,8 @@ fn compile_cost(
         compile: compiles[COMPILE_LOADS / 2],
         loop_ns: per_invoke(&mut looped)?,
         jit_ns,
+        inlined,
+        pinned,
     }))
 }
 

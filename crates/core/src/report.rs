@@ -195,7 +195,7 @@ pub fn render_table4(t: &Table4) -> String {
 
 /// Renders Table 5.
 pub fn render_table5(t: &Table5) -> String {
-    let widths = [20, 12, 8, 11, 10, 14, 9, 9];
+    let widths = [20, 12, 8, 11, 10, 14, 9, 9, 9];
     let mut out = String::new();
     let _ = writeln!(
         out,
@@ -204,11 +204,14 @@ pub fn render_table5(t: &Table5) -> String {
     );
     line(
         &mut out,
-        &["technology", "per MB", "vs C", "vs native", "MD5/disk", "hashed bytes", "compile", "payback"],
+        &["technology", "per MB", "vs C", "vs native", "MD5/disk", "hashed bytes", "compile", "payback", "inl/pin"],
         &widths,
     );
     for row in &t.rows {
         let [compile, payback] = compile_cells(row.compile.as_ref());
+        let shape = row
+            .compile
+            .map_or(String::new(), |c| format!("{}/{}", c.inlined, c.pinned));
         line(
             &mut out,
             &[
@@ -220,11 +223,13 @@ pub fn render_table5(t: &Table5) -> String {
                 &format!("{}", row.bytes),
                 &compile,
                 &payback,
+                &shape,
             ],
             &widths,
         );
     }
     out.push_str(COMPILE_NOTE);
+    out.push_str("  inl/pin: calls compiled inline / graft registers kept in host registers\n");
     out
 }
 

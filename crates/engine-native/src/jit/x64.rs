@@ -10,6 +10,7 @@ pub(crate) const RCX: R = 1;
 pub(crate) const RDX: R = 2;
 pub(crate) const RBX: R = 3;
 pub(crate) const RSP: R = 4;
+pub(crate) const RBP: R = 5;
 pub(crate) const RSI: R = 6;
 pub(crate) const RDI: R = 7;
 pub(crate) const R8: R = 8;
@@ -250,6 +251,17 @@ impl Asm {
         }
     }
 
+    /// `op qword [m], imm`.
+    pub(crate) fn alu_mi(&mut self, op: Alu, m: M, imm: i32) {
+        if let Ok(imm) = i8::try_from(imm) {
+            self.op_rm(true, &[0x83], op as u8, m);
+            self.byte(imm as u8);
+        } else {
+            self.op_rm(true, &[0x81], op as u8, m);
+            self.imm32(imm);
+        }
+    }
+
     pub(crate) fn imul_rr(&mut self, dst: R, src: R) {
         self.op_rr(true, &[0x0F, 0xAF], dst, src);
     }
@@ -468,6 +480,19 @@ mod tests {
         assert_eq!(code(|a| a.push(R15)), [0x41, 0x57]);
         assert_eq!(code(|a| a.pop(RBX)), [0x5B]);
         assert_eq!(code(|a| a.setcc_al(Cc::L)), [0x0F, 0x9C, 0xC0]);
+        // cmp qword [r12 + 112], 191 ; mov rbp, [rbx + 8] ; push rbp
+        assert_eq!(
+            code(|a| a.alu_mi(Alu::Cmp, M::Disp(R12, 112), 191)),
+            [0x49, 0x81, 0x7C, 0x24, 0x70, 0xBF, 0x00, 0x00, 0x00]
+        );
+        assert_eq!(
+            code(|a| a.mov_rm(RBP, M::Disp(RBX, 8))),
+            [0x48, 0x8B, 0x6B, 0x08]
+        );
+        assert_eq!(code(|a| a.push(RBP)), [0x55]);
+        // mov esi, esi ; xor r11d, r11d
+        assert_eq!(code(|a| a.mov_r32(RSI, RSI)), [0x89, 0xF6]);
+        assert_eq!(code(|a| a.mov_ri(R11, 0)), [0x45, 0x31, 0xDB]);
     }
 
     #[test]

@@ -302,6 +302,18 @@ impl CompiledEngine {
         self.program.compile_time
     }
 
+    /// Call sites the machine code runs inline (zero on the decoded
+    /// loop).
+    pub fn inlined_calls(&self) -> usize {
+        self.program.code.as_ref().map_or(0, |code| code.inlined)
+    }
+
+    /// Graft registers the machine code keeps in host registers,
+    /// summed over the module's functions (zero on the decoded loop).
+    pub fn pinned_registers(&self) -> usize {
+        self.program.code.as_ref().map_or(0, |code| code.pinned)
+    }
+
     /// The SFI operations the last invocation executed (all zero
     /// outside SFI).
     pub fn sfi_tally(&self) -> SfiTally {

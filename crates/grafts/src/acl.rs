@@ -10,8 +10,8 @@
 //! in a rule matches any user (a "world" entry).
 
 use graft_api::{
-    ExtensionEngine, GraftClass, GraftError, GraftSpec, Motivation, NativeGraft, RegionSpec,
-    RegionStore,
+    ExtensionEngine, GraftClass, GraftError, GraftSpec, Motivation, NativeGraft, RegionId,
+    RegionSpec, RegionStore,
 };
 
 /// Maximum ACL entries.
@@ -63,7 +63,9 @@ proc acl_check {uid file mode} {
 
 /// Native implementation of the same ABI.
 #[derive(Debug, Default)]
-pub struct NativeAcl;
+pub struct NativeAcl {
+    rules: Option<RegionId>,
+}
 
 impl NativeGraft for NativeAcl {
     fn call(
@@ -76,7 +78,7 @@ impl NativeGraft for NativeAcl {
             return Err(graft_api::engine::no_such_entry(entry));
         }
         let (uid, file, mode) = (args[0], args[1], args[2]);
-        let id = regions.id("rules")?;
+        let id = crate::region_id(&mut self.rules, regions, "rules")?;
         let rules = regions.region(id).words();
         let n = rules[0] as usize;
         for i in 0..n {
@@ -111,7 +113,7 @@ pub fn spec() -> GraftSpec {
         .entry("acl_check", 3)
         .with_grail(GRAIL)
         .with_tickle(TICKLE)
-        .with_native(Box::new(|| Box::new(NativeAcl)))
+        .with_native(Box::new(|| Box::<NativeAcl>::default()))
 }
 
 /// Marshals a rule table into an engine.

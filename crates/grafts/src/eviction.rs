@@ -20,8 +20,8 @@
 //! Entry point: `select_victim(lru_head, hot_head) -> page_id`.
 
 use graft_api::{
-    ExtensionEngine, GraftClass, GraftError, GraftSpec, Motivation, NativeGraft, RegionSpec,
-    RegionStore,
+    ExtensionEngine, GraftClass, GraftError, GraftSpec, Motivation, NativeGraft, RegionId,
+    RegionSpec, RegionStore,
 };
 use kernsim::btree::BtreeModel;
 use graft_rng::{Rng, SliceRandom, SmallRng};
@@ -85,7 +85,10 @@ proc select_victim {lru_head hot_head} {
 /// The native (Rust) implementation, operating on the same marshalled
 /// regions through the same ABI.
 #[derive(Debug, Default)]
-pub struct NativeEviction;
+pub struct NativeEviction {
+    lru: Option<RegionId>,
+    hot: Option<RegionId>,
+}
 
 impl NativeGraft for NativeEviction {
     fn call(
@@ -97,8 +100,8 @@ impl NativeGraft for NativeEviction {
         if entry != "select_victim" {
             return Err(graft_api::engine::no_such_entry(entry));
         }
-        let lru = regions.id("lru")?;
-        let hot = regions.id("hot")?;
+        let lru = crate::region_id(&mut self.lru, regions, "lru")?;
+        let hot = crate::region_id(&mut self.hot, regions, "hot")?;
         let (lru_head, hot_head) = (args[0], args[1]);
         let lru_words = regions.region(lru).words();
         let hot_words = regions.region(hot).words();
@@ -132,7 +135,7 @@ pub fn spec() -> GraftSpec {
         .entry("select_victim", 2)
         .with_grail(GRAIL)
         .with_tickle(TICKLE)
-        .with_native(Box::new(|| Box::new(NativeEviction)))
+        .with_native(Box::new(|| Box::<NativeEviction>::default()))
 }
 
 /// A marshalled eviction scenario: the kernel's LRU queue snapshot plus

@@ -28,6 +28,20 @@ pub mod readahead;
 pub mod schedule;
 pub mod stream;
 
+/// The id of region `name`, looked up on a native graft's first call
+/// and kept in `slot` after: the compiled rows settle their region
+/// indexes at load, so the native rows should not hash a name per call.
+fn region_id(
+    slot: &mut Option<graft_api::RegionId>,
+    regions: &graft_api::RegionStore,
+    name: &str,
+) -> Result<graft_api::RegionId, graft_api::GraftError> {
+    match *slot {
+        Some(id) => Ok(id),
+        None => Ok(*slot.insert(regions.id(name)?)),
+    }
+}
+
 /// All core benchmark specs, in the paper's order.
 pub fn paper_specs() -> Vec<graft_api::GraftSpec> {
     vec![eviction::spec(), md5::spec(), logdisk::spec()]

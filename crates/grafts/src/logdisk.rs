@@ -22,8 +22,8 @@
 //! physical, 1 = segments flushed, 2 = dead blocks).
 
 use graft_api::{
-    ExtensionEngine, GraftClass, GraftError, GraftSpec, Motivation, NativeGraft, RegionSpec,
-    RegionStore,
+    ExtensionEngine, GraftClass, GraftError, GraftSpec, Motivation, NativeGraft, RegionId,
+    RegionSpec, RegionStore,
 };
 
 /// Logical blocks in the benchmark disk. The paper simulates 262,144
@@ -136,6 +136,7 @@ fn ld_stat(i: int) -> int {
 /// Native implementation of the same ABI.
 #[derive(Debug, Default)]
 pub struct NativeLogDisk {
+    map: Option<RegionId>,
     nextp: i64,
     segfill: i64,
     flushes: i64,
@@ -151,12 +152,15 @@ impl NativeGraft for NativeLogDisk {
     ) -> Result<i64, GraftError> {
         match entry {
             "ld_init" => {
-                *self = NativeLogDisk::default();
+                *self = NativeLogDisk {
+                    map: self.map,
+                    ..NativeLogDisk::default()
+                };
                 Ok(0)
             }
             "ld_write" => {
                 let logical = args[0] as usize;
-                let id = regions.id("map")?;
+                let id = crate::region_id(&mut self.map, regions, "map")?;
                 let map = regions.region_mut(id).words_mut();
                 if map[logical] >= 0 {
                     self.dead += 1;
@@ -173,7 +177,7 @@ impl NativeGraft for NativeLogDisk {
                 }
             }
             "ld_lookup" => {
-                let id = regions.id("map")?;
+                let id = crate::region_id(&mut self.map, regions, "map")?;
                 Ok(regions.region(id).words()[args[0] as usize])
             }
             "ld_stat" => Ok(match args[0] {

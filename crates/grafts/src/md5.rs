@@ -259,6 +259,7 @@ proc md5_state {{i}} {{
 /// Native implementation of the same ABI (regions in, state in fields).
 #[derive(Debug, Default)]
 pub struct NativeMd5 {
+    msg: Option<RegionId>,
     state: [u64; 4],
     total: u64,
 }
@@ -314,7 +315,7 @@ impl NativeGraft for NativeMd5 {
             }
             "md5_blocks" => {
                 let n = args[0] as usize;
-                let msg_id = regions.id("msg")?;
+                let msg_id = crate::region_id(&mut self.msg, regions, "msg")?;
                 let msg = regions.region(msg_id).words();
                 for k in 0..n {
                     self.block(msg, k * 64);
@@ -325,7 +326,7 @@ impl NativeGraft for NativeMd5 {
             "md5_final" => {
                 let rem = args[0] as usize;
                 let bits = (self.total + rem as u64) * 8;
-                let msg_id = regions.id("msg")?;
+                let msg_id = crate::region_id(&mut self.msg, regions, "msg")?;
                 let msg = regions.region_mut(msg_id).words_mut();
                 msg[rem] = 128;
                 let blocks = if rem >= 56 { 2 } else { 1 };

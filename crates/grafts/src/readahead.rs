@@ -10,8 +10,8 @@
 //! plan instead of guessing sequentially.
 
 use graft_api::{
-    ExtensionEngine, GraftClass, GraftError, GraftSpec, Motivation, NativeGraft, RegionSpec,
-    RegionStore,
+    ExtensionEngine, GraftClass, GraftError, GraftSpec, Motivation, NativeGraft, RegionId,
+    RegionSpec, RegionStore,
 };
 
 /// Maximum planned accesses.
@@ -51,6 +51,7 @@ fn ra_next(missed: int) -> int {
 /// Native implementation of the same ABI.
 #[derive(Debug, Default)]
 pub struct NativeReadAhead {
+    plan: Option<RegionId>,
     cursor: i64,
 }
 
@@ -68,7 +69,7 @@ impl NativeGraft for NativeReadAhead {
             }
             "ra_next" => {
                 let missed = args[0];
-                let id = regions.id("plan")?;
+                let id = crate::region_id(&mut self.plan, regions, "plan")?;
                 let plan = regions.region(id).words();
                 let n = plan[0];
                 let mut i = self.cursor;

@@ -17,8 +17,8 @@
 //! Entry point: `pick(n) -> index` of the candidate to dispatch.
 
 use graft_api::{
-    ExtensionEngine, GraftClass, GraftError, GraftSpec, Motivation, NativeGraft, RegionSpec,
-    RegionStore,
+    ExtensionEngine, GraftClass, GraftError, GraftSpec, Motivation, NativeGraft, RegionId,
+    RegionSpec, RegionStore,
 };
 use kernsim::sched::{Candidate, SchedPolicy};
 
@@ -71,7 +71,10 @@ proc pick {n} {
 
 /// Native implementation of the same ABI.
 #[derive(Debug, Default)]
-pub struct NativeClientServer;
+pub struct NativeClientServer {
+    cands: Option<RegionId>,
+    appst: Option<RegionId>,
+}
 
 impl NativeGraft for NativeClientServer {
     fn call(
@@ -84,8 +87,8 @@ impl NativeGraft for NativeClientServer {
             return Err(graft_api::engine::no_such_entry(entry));
         }
         let n = args[0] as usize;
-        let cands_id = regions.id("cands")?;
-        let appst_id = regions.id("appst")?;
+        let cands_id = crate::region_id(&mut self.cands, regions, "cands")?;
+        let appst_id = crate::region_id(&mut self.appst, regions, "appst")?;
         let pending = regions.region(appst_id).words()[0];
         let cands = regions.region(cands_id).words();
         let tag = |i: usize| cands[1 + i * 3 + 2];
@@ -110,7 +113,7 @@ pub fn spec() -> GraftSpec {
     .entry("pick", 1)
     .with_grail(GRAIL)
     .with_tickle(TICKLE)
-    .with_native(Box::new(|| Box::new(NativeClientServer)))
+    .with_native(Box::new(|| Box::<NativeClientServer>::default()))
 }
 
 /// Adapter: plugs any loaded scheduling graft into

@@ -13,8 +13,8 @@
 //! transforms it in place.
 
 use graft_api::{
-    ExtensionEngine, GraftClass, GraftError, GraftSpec, Motivation, NativeGraft, RegionSpec,
-    RegionStore,
+    ExtensionEngine, GraftClass, GraftError, GraftSpec, Motivation, NativeGraft, RegionId,
+    RegionSpec, RegionStore,
 };
 
 /// Bytes per filter invocation.
@@ -137,6 +137,7 @@ pub fn rle_spec() -> GraftSpec {
 /// Native XOR cipher (same keystream).
 #[derive(Debug, Default)]
 pub struct NativeXor {
+    data: Option<RegionId>,
     ks: i64,
 }
 
@@ -154,7 +155,7 @@ impl NativeGraft for NativeXor {
             }
             "filter" => {
                 let len = args[0] as usize;
-                let id = regions.id("data")?;
+                let id = crate::region_id(&mut self.data, regions, "data")?;
                 let data = regions.region_mut(id).words_mut();
                 for w in data.iter_mut().take(len) {
                     *w ^= self.ks;

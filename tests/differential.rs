@@ -310,13 +310,13 @@ const K_LEN: usize = 8;
 const GLOBALS: usize = 3;
 const CMPS: [&str; 6] = ["<", "<=", ">", ">=", "==", "!="];
 
-/// Generated-program seeds per run: 32 by default, `GRAFT_DIFF_SEEDS`
-/// overrides (the full verification gate runs 200).
+/// Generated-program seeds per run: 200 by default, `GRAFT_DIFF_SEEDS`
+/// overrides.
 fn diff_seeds() -> u64 {
     std::env::var("GRAFT_DIFF_SEEDS")
         .ok()
         .and_then(|s| s.parse().ok())
-        .unwrap_or(32)
+        .unwrap_or(200)
 }
 
 /// Writes random Grail programs. A *hostile* program may index past a
@@ -477,7 +477,7 @@ impl ProgramGen {
                 vec![n, self.expr(depth)]
             }
             "wide" => (0..13).map(|_| self.expr(depth.min(1))).collect(),
-            "mid" => (0..3).map(|_| self.expr(depth)).collect(),
+            "hot" | "mid" => (0..3).map(|_| self.expr(depth)).collect(),
             _ => (0..2).map(|_| self.expr(depth)).collect(),
         };
         format!("{callee}({})", args.join(", "))
@@ -600,6 +600,58 @@ impl ProgramGen {
         )
     }
 
+    /// `tiny(x, y)`: a leaf with no loops and no calls, short enough
+    /// for the machine code to inline at every call site.
+    fn tiny(&mut self) -> String {
+        self.callable = &[];
+        self.max_loops = 0;
+        self.scopes = vec![vec![("x".into(), false), ("y".into(), false)]];
+        let t = self.expr(1);
+        self.scopes[0].push(("t".into(), true));
+        let cond = format!(
+            "{} {} {}",
+            self.atom(),
+            CMPS.choose(&mut self.rng).unwrap(),
+            self.atom()
+        );
+        let (early, ret) = (self.expr(1), self.expr(1));
+        format!("fn tiny(x: int, y: int) -> int {{ let t = {t}; if {cond} {{ return {early}; }} return {ret}; }}\n")
+    }
+
+    /// `hot(a, b, c)`: twelve locals live across a loop that calls
+    /// `tiny` and the thirteen-argument `wide`, more than the machine
+    /// code has host registers for.
+    fn hot(&mut self) -> String {
+        self.callable = &[];
+        self.scopes = vec![vec![
+            ("a".into(), false),
+            ("b".into(), false),
+            ("c".into(), false),
+        ]];
+        let locals: String = (0..12)
+            .map(|k| format!("let h{k} = {}; ", self.expr(2)))
+            .collect();
+        let bound = self.rng.gen_range(0i64..6);
+        let args: Vec<String> = (0..12).map(|k| format!("h{k}")).collect();
+        let updates: String = (2..12)
+            .map(|k| {
+                let op = ["+", "-", "^", "|", "&", "*"]
+                    .choose(&mut self.rng)
+                    .unwrap();
+                let other = (k + self.rng.gen_range(1..12)) % 12;
+                format!("h{k} = (h{k} {op} h{other}) + i; ")
+            })
+            .collect();
+        let sum: Vec<String> = (0..12).map(|k| format!("h{k} * {}", 2 * k + 1)).collect();
+        format!(
+            "fn hot(a: int, b: int, c: int) -> int {{ {locals}let i = 0; \
+             while i < {bound} {{ i = i + 1; h0 = h0 + tiny(h1, i); \
+             h1 = h1 ^ wide({}, i); {updates}}} return {}; }}\n",
+            args.join(", "),
+            sum.join(" + ")
+        )
+    }
+
     /// The program's source. Entry points: `main(a, b, c)` and
     /// `digest()`, a hash of every global and region word.
     fn program(&mut self) -> String {
@@ -610,14 +662,18 @@ impl ProgramGen {
         let pool: Vec<String> = (0..K_LEN).map(|_| self.lit()).collect();
         src += &format!("const K[{K_LEN}] = {{ {} }};\n", pool.join(", "));
         src += &self.function("leaf", &["x", "y"], &[], 1, 4);
-        // Bounded recursion: the only cycle in the call graph.
-        self.callable = &["leaf"];
+        src += &self.tiny();
+        // Bounded recursion: the only cycle in the call graph. Each
+        // level calls `tiny` from a loop.
+        self.callable = &["leaf", "tiny"];
         self.max_loops = 0;
         self.scopes = vec![vec![("n".into(), false), ("acc".into(), false)]];
         let body = self.block(2..3, 1);
-        let step = self.expr(2);
+        let (arg, step) = (self.expr(1), self.expr(2));
         src += &format!(
-            "fn rec(n: int, acc: int) -> int {{ if n <= 0 {{ return acc; }} {body} return rec(n - 1, acc ^ {step}); }}\n"
+            "fn rec(n: int, acc: int) -> int {{ if n <= 0 {{ return acc; }} {body} \
+             let r = acc; let j = 0; while j < 2 {{ j = j + 1; r = r ^ tiny(j, {arg}); }} \
+             return rec(n - 1, r ^ {step}); }}\n"
         );
         // Thirteen parameters: one more than a fixed argument buffer of
         // twelve would hold; the weights catch a misordered argument.
@@ -628,19 +684,31 @@ impl ProgramGen {
             params.join(", "),
             sum.join(" + ")
         );
-        src += &self.function("mid", &["x", "y", "z"], &["leaf", "rec", "wide"], 1, 5);
+        src += &self.hot();
+        src += &self.function(
+            "mid",
+            &["x", "y", "z"],
+            &["leaf", "tiny", "rec", "wide"],
+            1,
+            5,
+        );
         let main = self.function(
             "main",
             &["a", "b", "c"],
-            &["leaf", "rec", "wide", "mid"],
+            &["leaf", "tiny", "rec", "wide", "mid", "hot"],
             2,
             6,
         );
-        // Every program makes at least one 13-argument call.
+        // Every program makes at least one 13-argument call, and runs
+        // `hot` once.
         let wide: Vec<String> = (0..13)
             .map(|i| ["a", "b", "c"][i % 3].to_string())
             .collect();
-        src += &main.replacen('{', &format!("{{ g0 = g0 ^ wide({});", wide.join(", ")), 1);
+        let calls = format!(
+            "{{ g0 = g0 ^ wide({}); g1 = g1 ^ hot(a, b, c);",
+            wide.join(", ")
+        );
+        src += &main.replacen('{', &calls, 1);
         src += &format!(
             "fn digest() -> int {{ let s = g0 * 31 + g1 * 7 + g2; let i = 0; \
              while i < {BUF_LEN} {{ s = s * 31 + buf[i]; i = i + 1; }} i = 1; \
@@ -721,6 +789,8 @@ fn engines_agree_on_generated_programs() {
     const METERED: usize = 3;
     const ROOMY: u64 = 1 << 40;
     let mut hostile = 0;
+    // Programs whose machine code inlined a call (`tiny`'s, mostly).
+    let mut inlined = 0;
     for seed in 0..diff_seeds() {
         let mut gen = ProgramGen::new(0x6E4E_0000 + seed);
         let src = gen.program();
@@ -741,6 +811,7 @@ fn engines_agree_on_generated_programs() {
                     .collect()
             })
             .collect();
+        inlined += compiled.iter().flatten().any(|e| e.inlined_calls() > 0) as u64;
         for round in 0..4 {
             let args = [
                 gen.rng.gen_range(-50i64..50),
@@ -813,6 +884,13 @@ fn engines_agree_on_generated_programs() {
         hostile > 0 || diff_seeds() < 8,
         "no hostile program generated"
     );
+    if Tier::AVAILABLE.contains(&Tier::Jit) {
+        assert!(
+            inlined * 4 >= diff_seeds() * 3,
+            "machine code inlined a call in {inlined} of {} programs",
+            diff_seeds()
+        );
+    }
 }
 
 // ---------------------------------------------------------------------
