@@ -49,7 +49,9 @@
 //! others through `rax`, `rcx` and `rdx`, remembering which graft
 //! register `rax` still holds so that an op reading the previous op's
 //! result skips the reload. That memory is forgotten at every jump
-//! target.
+//! target. A result that only the next op of its block reads (an
+//! expression temporary, [`passed`]) is not stored to its slot at all:
+//! it passes in `rax`.
 //!
 //! Pinned registers are **caller-saved**. Before a graft call, and so
 //! before any call of the [`grow`] helper, a function writes each of
@@ -98,6 +100,9 @@
 //!   spilled before, and reloaded after, each call and each [`grow`];
 //!   the entry stub saves and restores `rbp`, the one pinnable
 //!   register the host's convention has its callers keep;
+//! * a result left in `rax` alone is read there: it dies at the next
+//!   op, which is no call and no jump target, and every template reads
+//!   its operands before it overwrites `rax`;
 //! * an inlined leaf computes what the call computes: it makes the
 //!   call's fuel burn and depth check, reads its arguments from the
 //!   same operands (which nothing writes before its `Ret`: the leaf
@@ -491,37 +496,94 @@ impl Leaf {
     }
 }
 
+/// Per op, whether the value it writes is read by the next op alone,
+/// so that it can pass in `rax` without reaching its slot. Every
+/// template reads its operands through the `rax` cache before it
+/// overwrites `rax`.
+///
+/// Only registers whose every read follows a write in the same block
+/// qualify: those are dead at every block boundary, so a backward scan
+/// of each block is their whole liveness. A call neither passes nor
+/// takes such a value: its argument copies and an inlined leaf's
+/// parameters read slots.
+fn passed(decoded: &Decoded, target: &[bool]) -> Vec<bool> {
+    let ops = &decoded.ops;
+    let regs = decoded.funcs.iter().map(|e| e.regs as usize).max();
+    let ends = |op: Op| matches!(op, Op::Ret { .. } | Op::Abort { .. }) || targets(op)[0].is_some();
+    let call = |op: Op| matches!(op, Op::Call { .. });
+    // `stamp[r]`: the block of r's latest write (forward), or the block
+    // in which a later op reads r's value (backward). Blocks are
+    // numbered from 1 across the module, each pass afresh, so no stamp
+    // outlives its pass.
+    let mut stamp = vec![0u32; regs.unwrap_or(0)];
+    // `nonlocal[r] == f + 1`: function `f` reads r before writing it in
+    // some block.
+    let mut nonlocal = vec![0u32; stamp.len()];
+    let mut passed = vec![false; ops.len()];
+    let mut block = 0;
+    for f in 0..decoded.funcs.len() {
+        let span = span(decoded, f);
+        let tag = f as u32 + 1;
+        let starts = |i: usize| i == span.start || target[i] || ends(ops[i - 1]);
+        for i in span.clone() {
+            block += starts(i) as u32;
+            reads(ops[i], &decoded.args, |r| {
+                if stamp[r as usize] != block {
+                    nonlocal[r as usize] = tag;
+                }
+            });
+            if let Some(d) = writes(ops[i]) {
+                stamp[d as usize] = block;
+            }
+        }
+        for j in span.clone().rev() {
+            block += (j + 1 == span.end || starts(j + 1)) as u32;
+            let op = ops[j];
+            // `stamp` holds the liveness after op `j`: decide op `j - 1`.
+            if !starts(j) && !call(op) && !call(ops[j - 1]) {
+                if let Some(d) = writes(ops[j - 1]).filter(|&d| nonlocal[d as usize] != tag) {
+                    let mut read = false;
+                    reads(op, &decoded.args, |r| read |= r == d);
+                    let dies = stamp[d as usize] != block || writes(op) == Some(d);
+                    passed[j - 1] = read && dies;
+                }
+            }
+            if let Some(d) = writes(op) {
+                stamp[d as usize] = 0;
+            }
+            reads(op, &decoded.args, |r| stamp[r as usize] = block);
+        }
+    }
+    passed
+}
+
 /// Weighted accesses per frame register that would go to memory were
-/// it kept in its slot: every write, and every read but one of the
-/// value the previous op just left in `rax`.
-struct Uses {
+/// it kept in its slot: every write but a [`passed`] one, and every
+/// read but one of the value the previous op just left in `rax`.
+struct Uses<'a> {
+    decoded: &'a Decoded,
+    target: &'a [bool],
+    passed: &'a [bool],
     n: Vec<u64>,
     /// The register the previous op wrote.
     last: Option<V>,
 }
 
-impl Uses {
+impl Uses<'_> {
     /// Counts ops `span`, weighted `w`, their registers mapped by `map`.
-    fn ops(
-        &mut self,
-        decoded: &Decoded,
-        target: &[bool],
-        span: std::ops::Range<usize>,
-        map: impl Fn(Reg) -> V,
-        w: u64,
-    ) {
+    fn ops(&mut self, span: std::ops::Range<usize>, map: impl Fn(Reg) -> V, w: u64) {
         for at in span {
-            let op = decoded.ops[at];
-            if target[at] {
+            let op = self.decoded.ops[at];
+            if self.target[at] {
                 self.last = None;
             }
-            reads(op, &decoded.args, |r| {
+            reads(op, &self.decoded.args, |r| {
                 if self.last != Some(map(r)) {
                     self.n[map(r) as usize] += w;
                 }
             });
             self.last = writes(op).map(&map);
-            if let Some(d) = self.last {
+            if let Some(d) = self.last.filter(|_| !self.passed[at]) {
                 self.n[d as usize] += w;
             }
         }
@@ -529,13 +591,15 @@ impl Uses {
 }
 
 /// Plans function `f`'s frame and pins its hottest registers in
-/// `hosts`. `leaves[g]` says whether calls to `g` are inlined, and
-/// `target[at]` whether a branch lands on op `at`.
+/// `hosts`. `leaves[g]` says whether calls to `g` are inlined,
+/// `target[at]` whether a branch lands on op `at`, and `passed[at]`
+/// whether op `at`'s result is [`passed`].
 fn plan(
     decoded: &Decoded,
     f: usize,
     leaves: &[Option<Leaf>],
     target: &[bool],
+    passed: &[bool],
     hosts: &[R],
 ) -> Plan {
     let start = decoded.funcs[f].at as usize;
@@ -564,6 +628,9 @@ fn plan(
             .max()
             .unwrap_or(0);
     let mut uses = Uses {
+        decoded,
+        target,
+        passed,
         n: vec![0; frame as usize],
         last: None,
     };
@@ -589,16 +656,16 @@ fn plan(
                     uses.n[usize::from(r)] += w;
                     uses.n[map[i] as usize] += w;
                 }
-                uses.ops(decoded, target, span(decoded, g), |r| map[r as usize], w);
+                uses.ops(span(decoded, g), |r| map[r as usize], w);
                 uses.n[usize::from(dst)] += w;
                 uses.last = None;
             }
             (Op::Call { .. }, None) => {
                 calls += w;
-                uses.ops(decoded, target, at..at + 1, V::from, w);
+                uses.ops(at..at + 1, V::from, w);
                 uses.last = None;
             }
-            _ => uses.ops(decoded, target, at..at + 1, V::from, w),
+            _ => uses.ops(at..at + 1, V::from, w),
         }
     }
     let uses = uses.n;
@@ -662,6 +729,12 @@ struct Emitter<'a> {
     grows: Vec<Grow>,
     /// The frame register `rax` holds, if any; never a pinned one.
     cached: Option<V>,
+    /// Per op, whether its result is [`passed`].
+    passed: Vec<bool>,
+    /// Whether the op being emitted leaves its result in `rax` only.
+    passing: bool,
+    /// Whether a `Ret` of the leaf being inlined jumped past the copy.
+    joined: bool,
     inlined: usize,
 }
 
@@ -735,8 +808,9 @@ fn emit(
     let leaves: Vec<Option<Leaf>> = (0..decoded.funcs.len())
         .map(|f| called[f].then(|| Leaf::of(decoded, f, module.funcs[f].arity))?)
         .collect();
+    let passed = passed(decoded, &target);
     let plans: Vec<Plan> = (0..decoded.funcs.len())
-        .map(|f| plan(decoded, f, &leaves, &target, hosts))
+        .map(|f| plan(decoded, f, &leaves, &target, &passed, hosts))
         .collect();
     let mut asm = Asm::default();
     let funcs = (0..decoded.funcs.len()).map(|_| asm.label()).collect();
@@ -748,6 +822,7 @@ fn emit(
         shapes,
         regions,
         target,
+        passed,
         funcs,
         plans,
         leaves,
@@ -759,6 +834,8 @@ fn emit(
             ret: None,
             tail: 0,
         },
+        passing: false,
+        joined: false,
         exit,
         stubs: Vec::new(),
         grows: Vec::new(),
@@ -916,6 +993,7 @@ impl Emitter<'_> {
                 self.cached = None;
             }
             self.asm.bind(self.label(at));
+            self.passing = self.passed[at];
             self.op(self.decoded.ops[at], at + 1);
         }
         self.body = outer;
@@ -1036,10 +1114,13 @@ impl Emitter<'_> {
         }
     }
 
-    /// Frame register `v` as a second operand, in place.
+    /// Frame register `v` as a second operand, in place: its pin,
+    /// `rax` while that holds it (the caller must not overwrite `rax`
+    /// before the use), or its slot.
     fn src(&self, v: V) -> Src {
         match self.pin(v) {
             Some(h) => Src::R(h),
+            None if self.cached == Some(v) => Src::R(RAX),
             None => Src::M(slot(v)),
         }
     }
@@ -1063,7 +1144,9 @@ impl Emitter<'_> {
             }
             None => {
                 debug_assert_eq!(from, RAX);
-                self.asm.mov_mr(slot(v), RAX);
+                if !self.passing {
+                    self.asm.mov_mr(slot(v), RAX);
+                }
                 self.cached = Some(v);
             }
         }
@@ -1172,7 +1255,15 @@ impl Emitter<'_> {
         } else {
             into
         };
-        let b_src = if a == b { Src::R(into) } else { self.src(b) };
+        let b_src = match (a == b, self.src(b)) {
+            (true, _) => Src::R(into),
+            // Loading `a` into `rax` would lose the `b` it holds.
+            (false, Src::R(RAX)) if into == RAX => {
+                self.asm.mov_rr(RCX, RAX);
+                Src::R(RCX)
+            }
+            (false, b) => b,
+        };
         self.get(a, into);
         self.with(op, into, b_src);
         self.set(dst, into);
@@ -1189,26 +1280,33 @@ impl Emitter<'_> {
     fn compare(&mut self, cc: Cc, dst: V, a: V, b: V) {
         let ra = self.reg(a, RCX);
         let b_src = if a == b { Src::R(ra) } else { self.src(b) };
-        // Zeroing clobbers the flags, so it comes first.
-        self.asm.mov_ri(RAX, 0);
-        self.cached = None;
         self.with(Some(Alu::Cmp), ra, b_src);
-        self.asm.setcc_al(cc);
-        self.set(dst, RAX);
+        self.flag(cc, dst);
     }
 
     fn compare_imm(&mut self, cc: Cc, dst: V, a: V, imm: i64) {
         let ra = self.reg(a, RCX);
-        self.asm.mov_ri(RAX, 0);
-        self.cached = None;
         self.alu_imm(Alu::Cmp, ra, imm);
+        self.flag(cc, dst);
+    }
+
+    /// `dst = cc as i64`, from the flags.
+    fn flag(&mut self, cc: Cc, dst: V) {
         self.asm.setcc_al(cc);
+        self.asm.movzx_al(RAX);
+        self.cached = None;
         self.set(dst, RAX);
     }
 
     /// `a <=> b` then branch.
     fn compare_branch(&mut self, cc: Cc, a: V, b: V, to: crate::decode::Targets, next: usize) {
-        let ra = self.reg(a, RAX);
+        // Loading `a` into `rax` would lose a `b` held there.
+        let scratch = if a != b && self.cached == Some(b) {
+            RCX
+        } else {
+            RAX
+        };
+        let ra = self.reg(a, scratch);
         let b_src = if a == b { Src::R(ra) } else { self.src(b) };
         self.with(Some(Alu::Cmp), ra, b_src);
         self.branch(cc, to, next);
@@ -1526,8 +1624,12 @@ impl Emitter<'_> {
                             None => self.asm.mov_ri(into, 0),
                         }
                         self.set(dst, into);
+                        // The last op falls through to that code with
+                        // `rax` as it leaves it; the others jump.
                         if next != self.body.tail {
                             self.asm.jmp(after);
+                            self.joined = true;
+                            self.cached = None;
                         }
                     }
                     None => {
@@ -1536,9 +1638,9 @@ impl Emitter<'_> {
                             None => self.asm.mov_ri(RAX, 0),
                         }
                         self.asm.ret();
+                        self.cached = None;
                     }
                 }
-                self.cached = None;
             }
             Op::Abort { code } => {
                 self.get(self.v(code), RAX);
@@ -1646,10 +1748,13 @@ impl Emitter<'_> {
         }
         let after = self.asm.label();
         let span = span(self.decoded, func);
+        self.joined = false;
         self.body(span, map, Some((dst, after)), Some(&leaf.reached));
         self.leaves[func] = Some(leaf);
         self.asm.bind(after);
-        self.cached = None;
+        if self.joined {
+            self.cached = None;
+        }
         self.inlined += 1;
     }
 }

@@ -340,6 +340,11 @@ impl Asm {
         self.bytes(&[0x0F, 0x90 | cc as u8, 0xC0]);
     }
 
+    /// `movzx r32, al`: `al` zero-extended into `r`.
+    pub(crate) fn movzx_al(&mut self, r: R) {
+        self.op_rr(false, &[0x0F, 0xB6], r, RAX);
+    }
+
     pub(crate) fn push(&mut self, r: R) {
         self.rex(false, 0, 0, r);
         self.byte(0x50 | (r & 7));
@@ -480,6 +485,9 @@ mod tests {
         assert_eq!(code(|a| a.push(R15)), [0x41, 0x57]);
         assert_eq!(code(|a| a.pop(RBX)), [0x5B]);
         assert_eq!(code(|a| a.setcc_al(Cc::L)), [0x0F, 0x9C, 0xC0]);
+        // movzx eax, al ; movzx r9d, al
+        assert_eq!(code(|a| a.movzx_al(RAX)), [0x0F, 0xB6, 0xC0]);
+        assert_eq!(code(|a| a.movzx_al(R9)), [0x44, 0x0F, 0xB6, 0xC8]);
         // cmp qword [r12 + 112], 191 ; mov rbp, [rbx + 8] ; push rbp
         assert_eq!(
             code(|a| a.alu_mi(Alu::Cmp, M::Disp(R12, 112), 191)),
