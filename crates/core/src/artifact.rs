@@ -550,7 +550,7 @@ pub fn table6_json(t: &Table6) -> Json {
     obj
 }
 
-/// Table 7 as JSON.
+/// Table 7 as JSON; `gates` holds [`Table7::gates`].
 pub fn table7_json(t: &Table7) -> Json {
     let rows: Vec<Json> = t
         .rows
@@ -571,7 +571,9 @@ pub fn table7_json(t: &Table7) -> Json {
                 )
                 .set("trapped_invocations", r.trapped_invocations)
                 .set("quarantine_latency_ns", dur_ns(r.quarantine_latency))
-                .set("churn_accesses", r.churn_accesses);
+                .set("churn_accesses", r.churn_accesses)
+                .set("baseline_invocations", r.baseline_invocations)
+                .set("post_invocations", r.post_invocations);
             row
         })
         .collect();
@@ -584,7 +586,8 @@ pub fn table7_json(t: &Table7) -> Json {
     obj.set("rows", rows)
         .set("overhead", overhead)
         .set("trap_threshold", t.trap_threshold)
-        .set("accesses", t.accesses);
+        .set("accesses", t.accesses)
+        .set("gates", gates_json(&t.gates()));
     obj
 }
 

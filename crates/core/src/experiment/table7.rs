@@ -28,13 +28,14 @@ use graft_api::{
     GraftClass, GraftError, GraftSpec, Motivation, RegionSpec, RegionStore, Technology, Trap,
     TrapKind,
 };
-use graft_kernel::{AttachPoint, HostConfig, HostedEviction, ShardHandle, ShardedHost};
+use graft_kernel::{AttachPoint, GraftId, HostConfig, HostedEviction, ShardHandle, ShardedHost};
 use grafts::eviction::{self, MAX_HOT, MAX_QUEUE};
-use kernsim::stats::{measure_per_iter, Sample};
+use kernsim::stats::{measure_counted, measure_per_iter, Sample};
 use kernsim::vm::Pager;
 
 use super::tables::ROW_ORDER;
 use super::RunConfig;
+use crate::gate::{Cmp, Gate};
 use crate::manager::GraftManager;
 
 /// Resident frames the churn pager holds.
@@ -43,6 +44,11 @@ pub const FRAMES: usize = 64;
 pub const PAGES: usize = 512;
 /// Pages on the application's hot list.
 pub const HOT_PAGES: u64 = 16;
+/// Fewest accesses in the workload stream. A phase's untimed warm-up
+/// walks the stream before its timed runs do; a stream that touches no
+/// more pages than the pager holds leaves them all resident, and then
+/// no timed access evicts, so none runs the graft.
+pub const STREAM_MIN: usize = 8 * FRAMES;
 
 /// One technology's churn measurements.
 #[derive(Debug, Clone)]
@@ -53,6 +59,10 @@ pub struct Table7Row {
     pub baseline: Sample,
     /// ns per pager access after the saboteur is quarantined.
     pub post: Sample,
+    /// Tenant invocations during the baseline's timed runs.
+    pub baseline_invocations: u64,
+    /// Tenant invocations during the post-quarantine timed runs.
+    pub post_invocations: u64,
     /// `post / baseline` mean ratio — 1.0 is perfect containment.
     pub post_over_baseline: f64,
     /// Whether the supervisor detached the saboteur.
@@ -94,6 +104,19 @@ impl Table7 {
     pub fn chain_overhead_ns(&self) -> f64 {
         self.hosted.mean_ns - self.direct.mean_ns
     }
+
+    /// One gate per row: both timed phases ran the tenant's graft. A
+    /// row whose accesses all hit times the pager, not the graft.
+    pub fn gates(&self) -> Vec<Gate> {
+        self.rows
+            .iter()
+            .map(|r| {
+                let fewest = r.baseline_invocations.min(r.post_invocations);
+                let name = format!("{} invocations per timed phase", r.tech.paper_name());
+                Gate::new(&name, Some(fewest as f64), Cmp::Ge, 1.0)
+            })
+            .collect()
+    }
 }
 
 /// The saboteur: same region/entry ABI as the eviction graft, but its
@@ -134,6 +157,19 @@ fn accesses_for(cfg: &RunConfig, tech: Technology) -> usize {
     }
 }
 
+/// The churn pager and its place in the workload stream.
+struct Rig {
+    pager: Pager<HostedEviction<ShardHandle>>,
+    idx: usize,
+}
+
+/// Invocations of `id` so far: the merged ledger plus what `shard` has
+/// not flushed yet.
+fn invocations(host: &ShardedHost, shard: &ShardHandle, id: GraftId) -> u64 {
+    let merged = host.ledger(id).map_or(0, |l| l.invocations);
+    merged + shard.local_ledger(id).map_or(0, |l| l.invocations)
+}
+
 fn churn_row(
     cfg: &RunConfig,
     manager: &GraftManager,
@@ -143,28 +179,34 @@ fn churn_row(
     let saboteur_engine = manager.load(&hostile_spec(), tech)?;
 
     let (host, handle) = one_shard();
-    let _tenant = host.install(AttachPoint::VmEvict, "tenant", good)?;
+    let tenant = host.install(AttachPoint::VmEvict, "tenant", good)?;
     let mut policy = HostedEviction::new(handle);
     policy.set_hot((0..HOT_PAGES).collect());
-    let mut pager = Pager::new(FRAMES, policy);
+    let mut rig = Rig {
+        pager: Pager::new(FRAMES, policy),
+        idx: 0,
+    };
 
     let accesses = accesses_for(cfg, tech);
-    let workload: Vec<u64> = logdisk::workload::skewed(PAGES, accesses as u64, 42).collect();
+    let stream = accesses.max(STREAM_MIN) as u64;
+    let workload: Vec<u64> = logdisk::workload::skewed(PAGES, stream, 42).collect();
     let runs = cfg.runs.clamp(1, 3);
-    let mut idx = 0usize;
+    let step = |rig: &mut Rig| {
+        rig.pager.access(workload[rig.idx % workload.len()]);
+        rig.idx += 1;
+    };
+    let tenant_calls = |rig: &Rig| invocations(&host, rig.pager.policy().host(), tenant);
 
     // Fill the frames with throwaway pages so every phase runs at
     // steady state: from the first measured access on, a miss is an
     // eviction, and an eviction is a dispatch through the chain.
     for p in 0..FRAMES as u64 {
-        pager.access(2 * PAGES as u64 + p);
+        rig.pager.access(2 * PAGES as u64 + p);
     }
 
     // Phase 1 — baseline throughput with the tenant serving.
-    let baseline = measure_per_iter(runs, accesses, || {
-        pager.access(workload[idx % workload.len()]);
-        idx += 1;
-    });
+    let (baseline, baseline_invocations) =
+        measure_counted(runs, accesses, &mut rig, step, tenant_calls);
 
     // Phase 2 — the saboteur arrives at the front of the chain. The
     // churn stream is a burst of cold misses (pages outside the skewed
@@ -176,7 +218,7 @@ fn churn_row(
     let mut churn_accesses = 0u64;
     let bound = (FRAMES as u64) + 2 * u64::from(host.config().trap_threshold) + 8;
     while !host.is_quarantined(bad) && churn_accesses < bound {
-        pager.access(PAGES as u64 + churn_accesses);
+        rig.pager.access(PAGES as u64 + churn_accesses);
         churn_accesses += 1;
     }
     let quarantine_latency = start.elapsed();
@@ -190,16 +232,15 @@ fn churn_row(
     };
 
     // Phase 3 — throughput with the saboteur detached.
-    let post = measure_per_iter(runs, accesses, || {
-        pager.access(workload[idx % workload.len()]);
-        idx += 1;
-    });
+    let (post, post_invocations) = measure_counted(runs, accesses, &mut rig, step, tenant_calls);
 
     Ok(Table7Row {
         tech,
         post_over_baseline: post.mean_ns / baseline.mean_ns,
         baseline,
         post,
+        baseline_invocations,
+        post_invocations,
         quarantined,
         quarantined_by,
         trapped_invocations,
@@ -311,6 +352,25 @@ mod tests {
                 row.post_over_baseline
             );
         }
+    }
+
+    #[test]
+    fn every_timed_phase_runs_the_graft() {
+        let mut t = table7(&tiny()).unwrap();
+        for row in &t.rows {
+            assert!(
+                row.baseline_invocations > 0,
+                "{}: baseline ran no graft",
+                row.tech
+            );
+            assert!(row.post_invocations > 0, "{}: post ran no graft", row.tech);
+        }
+        assert!(t.gates().iter().all(Gate::passes), "{:?}", t.gates());
+        // A row whose timed accesses all hit fails its gate.
+        t.rows[4].post_invocations = 0;
+        let failed: Vec<Gate> = t.gates().into_iter().filter(|g| !g.passes()).collect();
+        assert_eq!(failed.len(), 1, "{failed:?}");
+        assert!(failed[0].name.starts_with(t.rows[4].tech.paper_name()));
     }
 
     #[test]

@@ -330,6 +330,7 @@ pub fn render_table7(t: &Table7) -> String {
         "  chain overhead vs direct: {:.0}ns/dispatch",
         t.chain_overhead_ns()
     );
+    render_gates(&mut out, &t.gates());
     out
 }
 

@@ -202,15 +202,12 @@ impl Scenario {
     /// Marshals both lists into the engine's regions. Returns the
     /// `(lru_head, hot_head)` argument pair for `select_victim`.
     pub fn marshal(&self, engine: &mut dyn ExtensionEngine) -> Result<(i64, i64), GraftError> {
-        let lru = linked_words(&self.queue, MAX_QUEUE);
-        let hot = linked_words(&self.hot, MAX_HOT);
-        // Two-phase ABI: resolve region names to handles, then bulk-load
-        // by id (one upcall each under the user-level technology).
-        let lru_id = engine.bind_region("lru")?;
-        let hot_id = engine.bind_region("hot")?;
-        engine.load_region_id(lru_id, 0, &lru)?;
-        engine.load_region_id(hot_id, 0, &hot)?;
-        Ok((head_ptr(&self.queue), head_ptr(&self.hot)))
+        marshal_lists(
+            engine,
+            self.queue.len(),
+            self.queue.iter().copied(),
+            &self.hot,
+        )
     }
 
     /// What the graft should answer: the first queue page not on the
@@ -225,29 +222,62 @@ impl Scenario {
     }
 }
 
-fn head_ptr(items: &[u64]) -> i64 {
-    if items.is_empty() {
-        0
-    } else {
-        1
-    }
+/// Marshals the first `queue_len` pages of `queue` (the LRU queue,
+/// head first) and the hot list into the engine's `lru` and `hot`
+/// regions, as [`Scenario::marshal`] does. Both images are laid out in
+/// one buffer this thread reuses, so a decision allocates nothing.
+/// Returns the `(lru_head, hot_head)` argument pair for
+/// `select_victim`.
+///
+/// Panics if a list outgrows its region ([`MAX_QUEUE`], [`MAX_HOT`]) or
+/// `queue` yields fewer than `queue_len` pages.
+pub fn marshal_lists(
+    engine: &mut dyn ExtensionEngine,
+    queue_len: usize,
+    queue: impl IntoIterator<Item = u64>,
+    hot: &[u64],
+) -> Result<(i64, i64), GraftError> {
+    assert!(
+        queue_len <= MAX_QUEUE && hot.len() <= MAX_HOT,
+        "too many items for the region"
+    );
+    let lru_len = 1 + 2 * queue_len;
+    let hot_len = 1 + 2 * hot.len();
+    let mut words = crate::Scratch::take(lru_len + hot_len);
+    let (lru, rest) = words.split_at_mut(lru_len);
+    let hot_words = &mut rest[..hot_len];
+    link(lru, queue);
+    link(hot_words, hot.iter().copied());
+    // Two-phase ABI: resolve region names to handles, then bulk-load
+    // by id (one upcall each under the user-level technology).
+    let lru_id = engine.bind_region("lru")?;
+    let hot_id = engine.bind_region("hot")?;
+    engine.load_region_id(lru_id, 0, lru)?;
+    engine.load_region_id(hot_id, 0, hot_words)?;
+    // Node 0 sits at pointer 1; an empty list's head is NIL.
+    Ok((i64::from(queue_len > 0), i64::from(!hot.is_empty())))
 }
 
-/// Lays out `items` as linked records: node `i` at pointer `1 + 2i`,
-/// `[page, next]`, 0-terminated. Word 0 is the NIL sentinel.
-fn linked_words(items: &[u64], capacity: usize) -> Vec<i64> {
-    assert!(items.len() <= capacity, "too many items for the region");
-    let mut words = vec![0i64; 1 + 2 * items.len()];
-    for (i, &page) in items.iter().enumerate() {
-        let p = 1 + 2 * i;
-        words[p] = page as i64;
-        words[p + 1] = if i + 1 < items.len() {
-            (1 + 2 * (i + 1)) as i64
-        } else {
-            0
-        };
+/// Fills `image` (`1 + 2n` words) with the first `n` of `pages` as
+/// linked records: word 0 is the NIL sentinel, node `i` sits at pointer
+/// `1 + 2i` as `[page, next]`, `next = 3 + 2i`, and the last node's
+/// next is 0. Every word is written, so the image never shows what an
+/// earlier, longer list left in the buffer.
+fn link(image: &mut [i64], pages: impl IntoIterator<Item = u64>) {
+    let (nil, nodes) = image
+        .split_first_mut()
+        .expect("an image starts with its NIL word");
+    *nil = 0;
+    let mut linked = 0;
+    for (node, page) in nodes.chunks_exact_mut(2).zip(pages) {
+        linked += 1;
+        node[0] = page as i64;
+        node[1] = (1 + 2 * linked) as i64;
     }
-    words
+    assert_eq!(2 * linked, nodes.len(), "fewer pages than the image holds");
+    if let Some(next) = nodes.last_mut() {
+        *next = 0;
+    }
 }
 
 #[cfg(test)]
@@ -256,17 +286,23 @@ mod tests {
     use engine_bytecode::BytecodeEngine;
     use engine_native::{load_grail, SafetyMode};
     use engine_script::ScriptEngine;
+    use kernsim::upcall::UpcallEngine;
 
     fn run(engine: &mut dyn ExtensionEngine, sc: &Scenario) -> i64 {
         let (lru, hot) = sc.marshal(engine).unwrap();
         engine.invoke("select_victim", &[lru, hot]).unwrap()
     }
 
+    /// One engine per technology row, plus the second Omniware mode:
+    /// C, Modula-3, Omniware (write-only and read masks), Java, Tcl,
+    /// in-kernel native, and Modula-3 behind the user-level upcall.
     fn all_engines() -> Vec<Box<dyn ExtensionEngine>> {
         let spec = spec();
         let regions = &spec.regions;
         let grail = spec.grail.as_ref().unwrap();
         let tickle = spec.tickle.as_ref().unwrap();
+        let safe = SafetyMode::Safe { nil_checks: true };
+        let upcalled = load_grail(grail, regions, safe).unwrap();
         vec![
             Box::new(load_grail(grail, regions, SafetyMode::Unchecked).unwrap()),
             Box::new(load_grail(grail, regions, SafetyMode::Safe { nil_checks: true }).unwrap()),
@@ -280,6 +316,7 @@ mod tests {
                 graft_api::NativeEngine::new(regions, (spec.native.as_ref().unwrap())())
                     .unwrap(),
             ),
+            Box::new(UpcallEngine::new(Box::new(upcalled))),
         ]
     }
 
@@ -332,33 +369,118 @@ mod tests {
         assert_eq!(sc.reference_victim(), 5_000_000);
     }
 
-    #[test]
-    fn linked_layout_is_one_based_and_nil_terminated() {
-        let words = linked_words(&[7, 8], 4);
-        assert_eq!(words, vec![0, 7, 3, 8, 0]);
+    /// The reference layout, built from scratch: node `i` at pointer
+    /// `1 + 2i`, `[page, next]`, 0-terminated, word 0 the NIL sentinel.
+    fn linked_words(items: &[u64]) -> Vec<i64> {
+        let mut words = vec![0i64; 1 + 2 * items.len()];
+        for (i, &page) in items.iter().enumerate() {
+            let p = 1 + 2 * i;
+            words[p] = page as i64;
+            words[p + 1] = if i + 1 < items.len() {
+                (1 + 2 * (i + 1)) as i64
+            } else {
+                0
+            };
+        }
+        words
     }
 
-    /// Property: on random scenarios, Grail-under-Safe and the native
-    /// oracle never disagree.
     #[test]
-    fn prop_grail_matches_oracle_on_random_scenarios() {
-        let spec = spec();
-        let mut engine = load_grail(
-            spec.grail.as_ref().unwrap(),
-            &spec.regions,
-            SafetyMode::Safe { nil_checks: true },
-        )
-        .unwrap();
-        let mut rng = SmallRng::seed_from_u64(99);
-        for _ in 0..200 {
-            let qlen = rng.gen_range(1..40);
-            let hlen = rng.gen_range(0..30);
-            let queue: Vec<u64> = (0..qlen).map(|_| rng.gen_range(0..50)).collect();
-            let hot: Vec<u64> = (0..hlen).map(|_| rng.gen_range(0..50)).collect();
-            let sc = Scenario { queue, hot };
-            let (lru, hotp) = sc.marshal(&mut engine).unwrap();
-            let got = engine.invoke("select_victim", &[lru, hotp]).unwrap();
-            assert_eq!(got, sc.reference_victim() as i64, "{sc:?}");
+    fn linked_layout_is_one_based_and_nil_terminated() {
+        let mut words = vec![-1; 5];
+        link(&mut words, [7, 8]);
+        assert_eq!(words, vec![0, 7, 3, 8, 0]);
+        assert_eq!(words, linked_words(&[7, 8]));
+        let mut empty = vec![-1];
+        link(&mut empty, []);
+        assert_eq!(empty, vec![0]);
+    }
+
+    /// A random scenario of at most `max_queue` queue pages, with pages
+    /// drawn from a domain small enough that the hot list often covers
+    /// the queue's head.
+    fn random_scenario(rng: &mut SmallRng, max_queue: usize) -> Scenario {
+        let qlen = rng.gen_range(1..max_queue + 1);
+        let hlen = rng.gen_range(0..MAX_HOT.min(2 * qlen) + 1);
+        let domain = 2 * (qlen as u64 + 1);
+        let queue = (0..qlen).map(|_| rng.gen_range(0..domain)).collect();
+        let hot = (0..hlen).map(|_| rng.gen_range(0..domain)).collect();
+        Scenario { queue, hot }
+    }
+
+    /// Marshals `sc` into `engine`, checks both region images word for
+    /// word against the reference layout, and returns the victim.
+    fn marshal_checked(engine: &mut dyn ExtensionEngine, sc: &Scenario) -> i64 {
+        let (lru, hot) = sc.marshal(engine).unwrap();
+        assert_eq!((lru, hot), (1, i64::from(!sc.hot.is_empty())));
+        for (name, items) in [("lru", &sc.queue), ("hot", &sc.hot)] {
+            let want = linked_words(items);
+            let id = engine.bind_region(name).unwrap();
+            let mut got = vec![0; want.len()];
+            engine.read_region_slice_id(id, 0, &mut got).unwrap();
+            assert_eq!(got, want, "{:?}: {name} image", engine.technology());
         }
+        engine.invoke("select_victim", &[lru, hot]).unwrap()
+    }
+
+    /// Property: scenarios marshalled back to back into one engine, long
+    /// then shorter then long again, each lay out exactly the reference
+    /// images and get the reference victim from every technology. A
+    /// shorter list must not inherit the longer one's tail.
+    #[test]
+    fn prop_back_to_back_marshals_match_the_reference() {
+        let mut rng = SmallRng::seed_from_u64(2207);
+        let mut scenarios = vec![
+            Scenario {
+                queue: (0..MAX_QUEUE as u64).rev().collect(),
+                hot: (0..MAX_HOT as u64).collect(),
+            },
+            Scenario {
+                queue: vec![3],
+                hot: vec![],
+            },
+            Scenario {
+                queue: vec![5],
+                hot: vec![5],
+            },
+        ];
+        for _ in 0..24 {
+            scenarios.push(random_scenario(&mut rng, 300));
+            scenarios.push(random_scenario(&mut rng, 12));
+            scenarios.push(random_scenario(&mut rng, 3));
+        }
+        for engine in all_engines().iter_mut() {
+            for sc in &scenarios {
+                let got = marshal_checked(engine.as_mut(), sc);
+                let want = sc.reference_victim() as i64;
+                assert_eq!(got, want, "{:?} on {sc:?}", engine.technology());
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "too many items for the region")]
+    fn an_overlong_queue_is_refused() {
+        let spec = spec();
+        let grail = spec.grail.as_ref().unwrap();
+        let mut engine = BytecodeEngine::load_grail(grail, &spec.regions).unwrap();
+        let sc = Scenario {
+            queue: vec![1; MAX_QUEUE + 1],
+            hot: vec![],
+        };
+        let _ = sc.marshal(&mut engine);
+    }
+
+    #[test]
+    #[should_panic(expected = "too many items for the region")]
+    fn an_overlong_hot_list_is_refused() {
+        let spec = spec();
+        let grail = spec.grail.as_ref().unwrap();
+        let mut engine = BytecodeEngine::load_grail(grail, &spec.regions).unwrap();
+        let sc = Scenario {
+            queue: vec![1],
+            hot: vec![2; MAX_HOT + 1],
+        };
+        let _ = sc.marshal(&mut engine);
     }
 }

@@ -28,6 +28,52 @@ pub mod readahead;
 pub mod schedule;
 pub mod stream;
 
+use std::cell::Cell;
+use std::ops::{Deref, DerefMut};
+
+thread_local! {
+    static SCRATCH: Cell<Vec<i64>> = const { Cell::new(Vec::new()) };
+}
+
+/// This thread's marshalling words: taken for one use and put back on
+/// drop, so a steady stream of marshals allocates nothing. A use that
+/// starts while another holds the buffer finds the slot empty and
+/// allocates its own, so taking never panics.
+struct Scratch(Vec<i64>);
+
+impl Scratch {
+    /// The buffer, at least `len` words long. Words past those a
+    /// previous use wrote hold whatever it left there.
+    fn take(len: usize) -> Scratch {
+        let mut words = SCRATCH.try_with(Cell::take).unwrap_or_default();
+        if words.len() < len {
+            words.resize(len, 0);
+        }
+        Scratch(words)
+    }
+}
+
+impl Deref for Scratch {
+    type Target = [i64];
+    fn deref(&self) -> &[i64] {
+        &self.0
+    }
+}
+
+impl DerefMut for Scratch {
+    fn deref_mut(&mut self) -> &mut [i64] {
+        &mut self.0
+    }
+}
+
+impl Drop for Scratch {
+    fn drop(&mut self) {
+        // At thread exit the slot may be gone already; the words are
+        // then simply freed.
+        let _ = SCRATCH.try_with(|slot| slot.set(std::mem::take(&mut self.0)));
+    }
+}
+
 /// The id of region `name`, looked up on a native graft's first call
 /// and kept in `slot` after: the compiled rows settle their region
 /// indexes at load, so the native rows should not hash a name per call.

@@ -369,7 +369,9 @@ pub struct Md5Graft<'e> {
     engine: &'e mut dyn ExtensionEngine,
     /// Tail bytes not yet forming a whole 64-byte block.
     pending: Vec<u8>,
-    words: Vec<i64>,
+    /// Staging for `msg`, one byte per word: this thread's reused
+    /// buffer, held until the digest is dropped.
+    words: crate::Scratch,
     /// Pre-bound handles (two-phase ABI): names are resolved once in
     /// [`Md5Graft::start`]; the streaming hot path below is entirely
     /// id-based — no string lookup per chunk.
@@ -391,7 +393,7 @@ impl<'e> Md5Graft<'e> {
         Ok(Md5Graft {
             engine,
             pending: Vec::with_capacity(64),
-            words: vec![0i64; CHUNK],
+            words: crate::Scratch::take(CHUNK),
             msg,
             e_blocks,
             e_final,
@@ -408,8 +410,10 @@ impl<'e> Md5Graft<'e> {
             self.pending.extend_from_slice(&rest[..take]);
             rest = &rest[take..];
             if self.pending.len() == 64 {
-                let block: Vec<u8> = std::mem::take(&mut self.pending);
+                let block = std::mem::take(&mut self.pending);
                 self.feed_blocks(&block)?;
+                self.pending = block;
+                self.pending.clear();
             } else {
                 return Ok(());
             }
@@ -427,22 +431,26 @@ impl<'e> Md5Graft<'e> {
 
     fn feed_blocks(&mut self, bytes: &[u8]) -> Result<(), GraftError> {
         debug_assert!(bytes.len().is_multiple_of(64) && bytes.len() <= CHUNK);
-        for (w, &b) in self.words.iter_mut().zip(bytes) {
-            *w = b as i64;
-        }
-        self.engine
-            .load_region_id(self.msg, 0, &self.words[..bytes.len()])?;
+        self.load(bytes)?;
         self.engine
             .invoke_id(self.e_blocks, &[(bytes.len() / 64) as i64])
             .map(|_| ())
     }
 
+    /// Stages `bytes` one per word and loads them at `msg[0..]`.
+    fn load(&mut self, bytes: &[u8]) -> Result<(), GraftError> {
+        let words = &mut self.words[..bytes.len()];
+        for (w, &b) in words.iter_mut().zip(bytes) {
+            *w = b as i64;
+        }
+        self.engine.load_region_id(self.msg, 0, words)
+    }
+
     /// Pads, finishes, and returns the 16-byte fingerprint.
-    pub fn finish(self) -> Result<[u8; 16], GraftError> {
-        let rem = self.pending.len();
-        let tail: Vec<i64> = self.pending.iter().map(|&b| b as i64).collect();
-        self.engine.load_region_id(self.msg, 0, &tail)?;
-        self.engine.invoke_id(self.e_final, &[rem as i64])?;
+    pub fn finish(mut self) -> Result<[u8; 16], GraftError> {
+        let tail = std::mem::take(&mut self.pending);
+        self.load(&tail)?;
+        self.engine.invoke_id(self.e_final, &[tail.len() as i64])?;
         let mut out = [0u8; 16];
         for i in 0..4 {
             let w = self.engine.invoke_id(self.e_state, &[i as i64])? as u32;

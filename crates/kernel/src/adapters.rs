@@ -18,7 +18,7 @@
 //! shard's thread-confined engine replicas.
 
 use graft_api::Verdict;
-use grafts::eviction::{Scenario, MAX_HOT, MAX_QUEUE};
+use grafts::eviction::{self, MAX_HOT, MAX_QUEUE};
 use grafts::schedule::MAX_CANDS;
 use kernsim::cache::ReadAhead;
 use kernsim::sched::{Candidate, SchedPolicy};
@@ -55,6 +55,11 @@ impl<D: ChainDispatch> HostedEviction<D> {
         }
     }
 
+    /// The host this adapter dispatches through.
+    pub fn host(&self) -> &D {
+        &self.host
+    }
+
     /// Publishes the application's hot list (pages it will need soon).
     pub fn set_hot(&mut self, mut hot: Vec<u64>) {
         hot.truncate(MAX_HOT);
@@ -64,16 +69,13 @@ impl<D: ChainDispatch> HostedEviction<D> {
 
 impl<D: ChainDispatch> EvictionPolicy for HostedEviction<D> {
     fn select_victim(&mut self, queue: &LruQueue) -> Option<PageId> {
-        let resident: Vec<u64> = queue.iter_lru().take(MAX_QUEUE).collect();
-        if resident.is_empty() {
+        if queue.is_empty() {
             return None;
         }
-        let sc = Scenario {
-            queue: resident,
-            hot: self.hot.clone(),
-        };
+        let resident = queue.len().min(MAX_QUEUE);
+        let hot = &self.hot;
         match self.host.dispatch_chain(self.point, &mut |engine| {
-            let (lru, hot) = sc.marshal(engine)?;
+            let (lru, hot) = eviction::marshal_lists(engine, resident, queue.iter_lru(), hot)?;
             Ok(vec![lru, hot])
         }) {
             // The substrate validates the victim is resident and falls
@@ -339,6 +341,74 @@ mod tests {
         }
         drop(pager); // the handle flushes its statistics
         assert!(host.stats().overrides > 0);
+    }
+
+    /// What a from-scratch marshal of this decision should evict.
+    fn oracle_victim(queue: &LruQueue, hot: &[u64]) -> u64 {
+        grafts::eviction::Scenario {
+            queue: queue.iter_lru().take(MAX_QUEUE).collect(),
+            hot: hot.to_vec(),
+        }
+        .reference_victim()
+    }
+
+    /// Property: at every decision, the hosted graft evicts exactly what
+    /// the reference picks from a scenario rebuilt from scratch. The hot
+    /// list and (in the second half) the queue grow and shrink from one
+    /// decision to the next, so a list that inherited a longer
+    /// predecessor's tail would change some verdict.
+    #[test]
+    fn hosted_eviction_matches_a_from_scratch_oracle_at_every_decision() {
+        use graft_rng::{Rng, SmallRng};
+        const FRAMES: usize = 24;
+        let (host, handle) = one_shard(HostConfig::default());
+        host.install(AttachPoint::VmEvict, "eviction", eviction_engine())
+            .unwrap();
+        let mut rng = SmallRng::seed_from_u64(2207);
+        let domain = 3 * FRAMES as u64;
+        let random_hot = |rng: &mut SmallRng| -> Vec<u64> {
+            let len = rng.gen_range(0..2 * FRAMES);
+            (0..len).map(|_| rng.gen_range(0..domain)).collect()
+        };
+
+        let mut pager = Pager::new(FRAMES, HostedEviction::new(handle));
+        let mut hot = Vec::new();
+        let mut decisions = 0;
+        for step in 0..3000 {
+            if step % 5 == 0 {
+                hot = random_hot(&mut rng);
+                pager.policy_mut().set_hot(hot.clone());
+            }
+            let page = rng.gen_range(0..domain);
+            let queue = pager.queue();
+            let want = (queue.len() == FRAMES && !queue.contains(page))
+                .then(|| oracle_victim(queue, &hot));
+            assert_eq!(
+                pager.access(page),
+                want,
+                "decision {decisions} (step {step})"
+            );
+            decisions += usize::from(want.is_some());
+        }
+        assert!(decisions > 1000, "only {decisions} decisions");
+
+        let policy = pager.policy_mut();
+        for round in 0..600 {
+            let len = match round % 3 {
+                0 if round == 0 => MAX_QUEUE + 50,
+                0 => rng.gen_range(100..400),
+                1 => rng.gen_range(10..100),
+                _ => rng.gen_range(1..10),
+            };
+            let mut queue = LruQueue::new();
+            while queue.len() < len {
+                queue.insert(rng.gen_range(0..2 * len as u64 + 2));
+            }
+            hot = random_hot(&mut rng);
+            policy.set_hot(hot.clone());
+            let want = oracle_victim(&queue, &hot);
+            assert_eq!(policy.select_victim(&queue), Some(want), "round {round}");
+        }
     }
 
     #[test]

@@ -127,24 +127,46 @@ pub fn measure<F: FnMut()>(runs: usize, mut f: F) -> Sample {
 /// structure. One untimed warm-up run precedes the timed ones so cold
 /// caches and branch predictors do not contaminate the first sample.
 pub fn measure_per_iter<F: FnMut()>(runs: usize, iters: usize, mut f: F) -> Sample {
+    measure_counted(runs, iters, &mut (), |_| f(), |_| 0).0
+}
+
+/// [`measure_per_iter`] over a `state` the iterations advance, also
+/// returning how far `count(state)` grew during the timed runs alone
+/// (say, graft invocations): the warm-up's share is left out, so a
+/// phase whose timed iterations never reach the work it names reads 0.
+pub fn measure_counted<S>(
+    runs: usize,
+    iters: usize,
+    state: &mut S,
+    mut f: impl FnMut(&mut S),
+    count: impl Fn(&S) -> u64,
+) -> (Sample, u64) {
     assert!(runs > 0 && iters > 0);
     for _ in 0..iters.min(1_000) {
-        f();
+        f(state);
     }
+    let before = count(state);
     let mut samples = Vec::with_capacity(runs);
     for _ in 0..runs {
         let start = Instant::now();
         for _ in 0..iters {
-            f();
+            f(state);
         }
         samples.push(start.elapsed() / iters as u32);
     }
-    Sample::from_runs(&samples)
+    (Sample::from_runs(&samples), count(state) - before)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn measure_counted_counts_only_the_timed_runs() {
+        let (sample, timed) = measure_counted(3, 10, &mut 0u64, |n| *n += 1, |n| *n);
+        assert_eq!(sample.runs, 3);
+        assert_eq!(timed, 30, "the 10 warm-up iterations are not timed");
+    }
 
     #[test]
     fn constant_runs_have_zero_deviation() {

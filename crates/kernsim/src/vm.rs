@@ -240,6 +240,11 @@ impl<P: EvictionPolicy> Pager<P> {
         &self.queue
     }
 
+    /// The eviction policy.
+    pub fn policy(&self) -> &P {
+        &self.policy
+    }
+
     /// Mutable policy access (to feed application hints to a graft).
     pub fn policy_mut(&mut self) -> &mut P {
         &mut self.policy

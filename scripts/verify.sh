@@ -52,12 +52,39 @@ cargo test -q --offline --workspace
 # perfbench, the wall-clock benchmark BENCHMARK.json declares, is a
 # workspace of its own, so the steps above never compile it: build it,
 # run its unit tests, and run one short traced grafts smoke. The smoke
-# exits nonzero when an oracle or a layer breakdown fails.
+# exits nonzero when an oracle or a layer breakdown fails; its last
+# line is the JSON result, which explains the failure.
 perf() { CARGO_TARGET_DIR=.bench_build cargo "$1" --offline --manifest-path perfbench/Cargo.toml "${@:2}"; }
+
+# Prints `correct`, `failed` and every `breakdown.*` ratio outside
+# 1 +- 0.5 (perfbench's tolerance) from a perfbench result line.
+# perfbench prints plain decimals, so each ratio is compared in units
+# of 1e-12 with shell arithmetic.
+smoke_failures() {
+    grep -o '"correct": [a-z]*' <<<"$1" || echo "no result line"
+    grep -o '"failed": [0-9]*' <<<"$1" || true
+    { grep -o '"breakdown\.[^"]*": {"value": -\?[0-9.]*' <<<"$1" || true; } | while IFS= read -r kv; do
+        local name=${kv%%\":*} value=${kv##* }
+        local whole=${value%%.*} frac=${value#*.}000000000000
+        local units=$((10#${whole#-} * 10 ** 12 + 10#${frac:0:12}))
+        if [[ $value == -* ]]; then
+            units=$((-units))
+        fi
+        if ((units < 5 * 10 ** 11 || units > 15 * 10 ** 11)); then
+            echo "${name#\"} = $value (outside 1 +- 0.5)"
+        fi
+    done
+}
+
 echo "==> perfbench: build, unit tests, 3 s traced grafts smoke"
 perf build --release
 perf test -q --release
-perf run --release -q -- --workload grafts --seed 1 --seconds 3 --trace 1 > /dev/null
+if ! SMOKE=$(perf run --release -q -- --workload grafts --seed 1 --seconds 3 --trace 1 | tail -n 1); then
+    echo "perfbench smoke failed:" >&2
+    smoke_failures "$SMOKE" >&2
+    exit 1
+fi
+smoke_failures "$SMOKE"
 
 # Threaded-server conformance: the live worker plane must be
 # indistinguishable from the deterministic single-threaded replay, and
