@@ -423,6 +423,30 @@ mod tests {
         engine.invoke("select_victim", &[lru, hot]).unwrap()
     }
 
+    /// Property: on random scenarios, Grail-under-Safe and the native
+    /// oracle never disagree.
+    #[test]
+    fn prop_grail_matches_oracle_on_random_scenarios() {
+        let spec = spec();
+        let mut engine = load_grail(
+            spec.grail.as_ref().unwrap(),
+            &spec.regions,
+            SafetyMode::Safe { nil_checks: true },
+        )
+        .unwrap();
+        let mut rng = SmallRng::seed_from_u64(99);
+        for _ in 0..200 {
+            let qlen = rng.gen_range(1..40);
+            let hlen = rng.gen_range(0..30);
+            let queue: Vec<u64> = (0..qlen).map(|_| rng.gen_range(0..50)).collect();
+            let hot: Vec<u64> = (0..hlen).map(|_| rng.gen_range(0..50)).collect();
+            let sc = Scenario { queue, hot };
+            let (lru, hotp) = sc.marshal(&mut engine).unwrap();
+            let got = engine.invoke("select_victim", &[lru, hotp]).unwrap();
+            assert_eq!(got, sc.reference_victim() as i64, "{sc:?}");
+        }
+    }
+
     /// Property: scenarios marshalled back to back into one engine, long
     /// then shorter then long again, each lay out exactly the reference
     /// images and get the reference victim from every technology. A
