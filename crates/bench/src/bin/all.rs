@@ -38,14 +38,6 @@ fn main() {
     println!("{}", report::render_table7(&t7));
     art.add_table("table7", artifact::table7_json(&t7));
 
-    let ladder: Vec<usize> = match cli.shards {
-        Some(s) => vec![s],
-        None => experiment::LADDER.to_vec(),
-    };
-    let t8 = experiment::table8(&cfg, &ladder).expect("table 8");
-    println!("{}", report::render_table8(&t8));
-    art.add_table("table8", artifact::table8_json(&t8));
-
     let t9 = experiment::table9(&cfg).expect("table 9");
     println!("{}", report::render_table9(&t9));
     art.add_table("table9", artifact::table9_json(&t9));
@@ -79,7 +71,7 @@ fn main() {
         Some(s) => vec![s],
         None => experiment::Skew::ALL.to_vec(),
     };
-    let t13 = experiment::table13_with(&cfg, &ladder13, &skews, cli.steal).expect("table 13");
+    let t13 = experiment::table13_with(&cfg, &ladder13, &skews).expect("table 13");
     println!("{}", report::render_table13(&t13));
     art.add_table("table13", artifact::table13_json(&t13));
 

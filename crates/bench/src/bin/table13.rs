@@ -1,9 +1,8 @@
-//! Regenerates Table 13: adaptive sharded dispatch under skewed load —
-//! static hash placement vs the work-stealing run-queue plane across
-//! the shard ladder (1/2/4/8/16 by default, or a single count via
-//! `--shards N`). `--skew` restricts the run to one key distribution;
-//! `--steal` skips the static baseline and prices the adaptive plane
-//! alone (see `docs/kernel.md`, "Adaptive dispatch").
+//! Regenerates Table 13: sharded dispatch scaling and adaptive dispatch
+//! under skewed load — static hash placement vs the work-stealing
+//! run-queue plane across the shard ladder (1/2/4/8/16 by default, or a
+//! single count via `--shards N`). `--skew` restricts the run to one
+//! key distribution (see `docs/kernel.md`, "Adaptive dispatch").
 
 use graft_core::artifact::{self, RunArtifact};
 use graft_core::experiment::{Skew, LADDER13};
@@ -18,8 +17,8 @@ fn main() {
         Some(s) => vec![s],
         None => Skew::ALL.to_vec(),
     };
-    let t = graft_core::experiment::table13_with(&cli.config, &ladder, &skews, cli.steal)
-        .expect("table 13 runs");
+    let t =
+        graft_core::experiment::table13_with(&cli.config, &ladder, &skews).expect("table 13 runs");
     print!("{}", graft_core::report::render_table13(&t));
     let mut art = RunArtifact::begin(&cli.config);
     art.add_table("table13", artifact::table13_json(&t));

@@ -11,11 +11,10 @@
 //! | `table5` | Table 5 (MD5 fingerprinting) |
 //! | `table6` | Table 6 (Logical Disk) |
 //! | `table7` | Table 7 (ours: multi-tenant churn under graft-host) |
-//! | `table8` | Table 8 (ours: sharded multi-core dispatch scaling) |
 //! | `table9` | Table 9 (ours: graft recovery under fault injection) |
 //! | `table11` | Table 11 (ours: graft-server multi-tenant service benchmark) |
 //! | `table12` | Table 12 (ours: flight-recorder overhead + postmortem drill) |
-//! | `table13` | Table 13 (ours: adaptive dispatch under skewed load) |
+//! | `table13` | Table 13 (ours: sharded dispatch scaling and adaptive dispatch under skewed load) |
 //! | `table14` | Table 14 (ours: durable logdisk — scrub, bit-rot drills, restore) |
 //! | `figure1` | Figure 1 (break-even vs upcall time, CSV) |
 //! | `all` | everything, in paper order |
@@ -41,7 +40,7 @@ use graft_core::artifact::RunArtifact;
 use graft_core::experiment::RunConfig;
 
 /// Usage string shared by `--help` and error reporting.
-pub const USAGE: &str = "usage: [--quick|--full] [--offline] [--json <path>] [--no-telemetry] [--trace] [--shards <n>] [--steal] [--skew <uniform|8020|9901>] [--tenants <n>] [--conns <n>] [--arrival <uniform|8020|9901>] [--faults <seed>] [--fault-rate <permille>]";
+pub const USAGE: &str = "usage: [--quick|--full] [--offline] [--json <path>] [--no-telemetry] [--trace] [--shards <n>] [--skew <uniform|8020|9901>] [--tenants <n>] [--conns <n>] [--arrival <uniform|8020|9901>] [--faults <seed>] [--fault-rate <permille>]";
 
 /// Parsed command line: the run configuration plus artifact options.
 #[derive(Debug, Clone, PartialEq)]
@@ -56,16 +55,13 @@ pub struct Cli {
     /// `--trace`: arm the flight recorder so every dispatch appends
     /// causal trace events (a no-op in noop-telemetry builds).
     pub trace: bool,
-    /// `--shards <n>`: pin the sharded-dispatch experiments (Tables 8
-    /// and 13) to one shard count instead of their default ladders.
+    /// `--shards <n>`: pin the sharded experiments (Tables 11 and 13)
+    /// to one shard count instead of their default ladders.
     /// Validated at parse time — 0 and counts beyond what the machine
     /// could plausibly run (`max(available_parallelism, 16)`) are
     /// rejected as [`CliError::BadValue`] instead of panicking inside
     /// `ShardedHost` construction.
     pub shards: Option<usize>,
-    /// `--steal`: run the adaptive dispatch plane only (Table 13 skips
-    /// its static-placement baseline; speedups are then unmeasured).
-    pub steal: bool,
     /// `--skew <uniform|8020|9901>`: restrict Table 13 to one key
     /// skew instead of all three.
     pub skew: Option<graft_core::experiment::Skew>,
@@ -138,7 +134,6 @@ pub fn parse_cli_with_parallelism(args: &[String], parallelism: usize) -> Result
         telemetry: true,
         trace: false,
         shards: None,
-        steal: false,
         skew: None,
         tenants: None,
         conns: None,
@@ -152,7 +147,6 @@ pub fn parse_cli_with_parallelism(args: &[String], parallelism: usize) -> Result
             "--offline" => cli.config.live = false,
             "--no-telemetry" => cli.telemetry = false,
             "--trace" => cli.trace = true,
-            "--steal" => cli.steal = true,
             "--json" => {
                 let path = it
                     .next()
@@ -405,13 +399,10 @@ mod tests {
     }
 
     #[test]
-    fn steal_and_skew_flags_parse() {
+    fn skew_flag_parses() {
         use graft_core::experiment::Skew;
-        let cli = parse_cli(&[]).unwrap();
-        assert!(!cli.steal);
-        assert_eq!(cli.skew, None);
-        let cli = parse_cli(&strings(&["--steal", "--skew", "99-1"])).unwrap();
-        assert!(cli.steal);
+        assert_eq!(parse_cli(&[]).unwrap().skew, None);
+        let cli = parse_cli(&strings(&["--skew", "99-1"])).unwrap();
         assert_eq!(cli.skew, Some(Skew::Skew9901));
         assert_eq!(
             parse_cli(&strings(&["--skew", "uniform"])).unwrap().skew,

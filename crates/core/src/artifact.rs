@@ -20,7 +20,7 @@ use kernsim::stats::Sample;
 
 use crate::experiment::{
     CompileCost, Figure1, RunConfig, Table1, Table11, Table12, Table13, Table14, Table2, Table3,
-    Table4, Table5, Table6, Table7, Table8, Table9,
+    Table4, Table5, Table6, Table7, Table9,
 };
 use crate::gate::{gates_json, Gate};
 
@@ -591,42 +591,6 @@ pub fn table7_json(t: &Table7) -> Json {
     obj
 }
 
-/// Table 8 as JSON. Each technology row carries one object per ladder
-/// rung keyed `s<N>`, whose `per_access` sample (critical-path ns per
-/// aggregate access) lands in the flattened sample index; `gates`
-/// holds [`Table8::gates`].
-pub fn table8_json(t: &Table8) -> Json {
-    let rows: Vec<Json> = t
-        .rows
-        .iter()
-        .map(|r| {
-            let mut row = Json::object();
-            row.set("tech", r.tech.paper_name());
-            for c in &r.cells {
-                let mut cell = Json::object();
-                cell.set("shards", c.shards)
-                    .set("per_access", sample_json(&c.per_access))
-                    .set("throughput_m", c.throughput_m)
-                    .set("efficiency", c.efficiency)
-                    .set("accesses", c.accesses);
-                row.set(&format!("s{}", c.shards), cell);
-            }
-            let top = *t.ladder.last().expect("non-empty ladder");
-            row.set("top_speedup", r.speedup(top).unwrap_or(f64::NAN));
-            row
-        })
-        .collect();
-    let mut obj = Json::object();
-    obj.set("rows", rows)
-        .set(
-            "ladder",
-            t.ladder.iter().map(|&s| Json::from(s as u64)).collect::<Vec<_>>(),
-        )
-        .set("runs", t.runs)
-        .set("gates", gates_json(&t.gates()));
-    obj
-}
-
 /// Table 9 as JSON. Each row's `snapshot`/`salvage_detach`/`restore`
 /// samples land in the flattened index; `gates` holds
 /// [`Table9::gates`].
@@ -831,19 +795,10 @@ pub fn table13_json(t: &Table13) -> Json {
                 .set("skew", r.skew.name());
             for c in &r.cells {
                 let mut cell = Json::object();
-                cell.set("shards", c.shards);
-                match &c.static_ {
-                    Some(m) => cell.set("static", mode_json(m)),
-                    None => cell.set("static", Json::Null),
-                };
-                match &c.steal {
-                    Some(m) => cell.set("steal", mode_json(m)),
-                    None => cell.set("steal", Json::Null),
-                };
-                match c.speedup() {
-                    Some(s) => cell.set("speedup", s),
-                    None => cell.set("speedup", Json::Null),
-                };
+                cell.set("shards", c.shards)
+                    .set("static", mode_json(&c.static_))
+                    .set("steal", mode_json(&c.steal))
+                    .set("speedup", c.speedup());
                 row.set(&format!("s{}", c.shards), cell);
             }
             row

@@ -11,7 +11,6 @@ pub mod table12;
 pub mod table13;
 pub mod table14;
 pub mod table7;
-pub mod table8;
 pub mod table9;
 pub mod tables;
 
@@ -30,7 +29,6 @@ pub use table14::{
     table14, RestorePoint, RotDrill, ScrubBench, Table14, Table14Row, BITROT_PERMILLE, ROT_SEEDS,
 };
 pub use table7::{table7, Table7, Table7Row};
-pub use table8::{table8, Table8, Table8Cell, Table8Row, LADDER};
 pub use table9::{table9, Table9, Table9Crash, Table9Row};
 pub use tables::{
     table2, table5, table6, CompileCost, Table2, Table2Row, Table5, Table5Row, Table6, Table6Row,

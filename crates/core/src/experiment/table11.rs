@@ -15,9 +15,9 @@
 //! **Worker-ladder pricing.** The threaded server splits work between
 //! one *pump* thread (framing, admission, the serial completion reap)
 //! and one *drain worker* per shard (take a batch, invoke, push
-//! completions). A 1-core container cannot time that plane wall-clock,
-//! so each rung is priced on the critical path, exactly like Table 8:
-//! the serve phase separately accumulates the serial front-end
+//! completions). The rungs run past the host's cores, so each rung is
+//! priced on the critical path, as Table 13 prices its shards: the
+//! serve phase separately accumulates the serial front-end
 //! (`ingest` + `pump` + `reap`) and each shard's busy time
 //! (`drain_invoke`, the very function a worker thread loops on), and a
 //! rep's critical path is `max(pump + reap, busiest shard)` — the wall
@@ -75,7 +75,7 @@ use crate::manager::GraftManager;
 pub const LADDER11: [usize; 4] = [1, 2, 4, 8];
 
 /// Technologies served: the cheapest dispatch and the headline safe
-/// technology, as in Tables 8 and 13.
+/// technology, as in Table 13.
 pub const TECHS11: [Technology; 2] = [Technology::RustNative, Technology::SafeCompiled];
 
 /// Arrival skews driven by default: uniform and 80-20 (`--arrival`

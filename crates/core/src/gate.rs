@@ -1,6 +1,6 @@
 //! Typed pass/fail gates over experiment results.
 //!
-//! A gated table (7, 8, 9, 11, 12, 13, 14) returns its verdict inputs as
+//! A gated table (7, 9, 11, 12, 13, 14) returns its verdict inputs as
 //! [`Gate`] records computed from its struct. The report prints them,
 //! the artifact stores them under `tables/<name>/gates`, and `graftstat
 //! check` evaluates them: no gate reads report text. A gate whose cell

@@ -10,7 +10,7 @@ use kernsim::stats::fmt_ns;
 
 use crate::experiment::{
     CompileCost, Figure1, Table1, Table11, Table12, Table13, Table14, Table2, Table3, Table4,
-    Table5, Table6, Table7, Table8, Table9,
+    Table5, Table6, Table7, Table9,
 };
 use crate::gate::Gate;
 
@@ -334,54 +334,6 @@ pub fn render_table7(t: &Table7) -> String {
     out
 }
 
-/// Renders Table 8: per-technology aggregate dispatch throughput (in
-/// million accesses/second over the critical path) across the shard
-/// ladder, with the top rung's speedup and scaling efficiency, plus
-/// its speedup gate.
-pub fn render_table8(t: &Table8) -> String {
-    let mut out = String::new();
-    let top = *t.ladder.last().expect("non-empty ladder");
-    let _ = writeln!(
-        out,
-        "Table 8. Sharded Dispatch Throughput (M accesses/s over the critical path; {} runs/cell)",
-        t.runs
-    );
-    let mut widths = vec![20usize];
-    widths.extend(t.ladder.iter().map(|_| 12usize));
-    widths.extend([12usize, 12usize]);
-    let shard_headers: Vec<String> = t.ladder.iter().map(|s| format!("{s} shard(s)")).collect();
-    let mut headers: Vec<&str> = vec!["technology"];
-    headers.extend(shard_headers.iter().map(String::as_str));
-    let speedup_h = format!("x{top}/x{}", t.ladder[0]);
-    headers.push(&speedup_h);
-    headers.push("efficiency");
-    line(&mut out, &headers, &widths);
-    for row in &t.rows {
-        let cells: Vec<String> = row
-            .cells
-            .iter()
-            .map(|c| format!("{:.3}", c.throughput_m))
-            .collect();
-        let speedup = row.speedup(top).unwrap_or(f64::NAN);
-        let eff = row
-            .cell(top)
-            .map(|c| c.efficiency)
-            .unwrap_or(f64::NAN);
-        let mut cols: Vec<&str> = vec![row.tech.paper_name()];
-        cols.extend(cells.iter().map(String::as_str));
-        let speedup_s = format!("{speedup:.2}x");
-        let eff_s = format!("{:.0}%", eff * 100.0);
-        cols.push(&speedup_s);
-        cols.push(&eff_s);
-        line(&mut out, &cols, &widths);
-    }
-    render_gates(&mut out, &t.gates());
-    out.push_str(
-        "  (shards measured one at a time; critical path = slowest shard, i.e. the wall\n   clock on a machine with enough idle cores. See docs/kernel.md.)\n",
-    );
-    out
-}
-
 /// Renders Table 9: per-technology recovery costs plus the
 /// fault-injected crash drill and its zero-loss and hand-off gates.
 pub fn render_table9(t: &Table9) -> String {
@@ -611,7 +563,7 @@ pub fn render_table12(t: &Table12) -> String {
 }
 
 /// Renders Table 13: static vs stealing dispatch across key skews and
-/// the shard ladder, plus its steal gates.
+/// the shard ladder, plus its gates.
 pub fn render_table13(t: &Table13) -> String {
     let mut out = String::new();
     let top = *t.ladder.last().expect("non-empty ladder");
@@ -633,30 +585,15 @@ pub fn render_table13(t: &Table13) -> String {
         let speedups: Vec<String> = row
             .cells
             .iter()
-            .map(|c| match c.speedup() {
-                Some(s) => format!("{s:.2}x"),
-                None => "-".into(),
-            })
+            .map(|c| format!("{:.2}x", c.speedup()))
             .collect();
         let Some(tc) = row.cell(top) else { continue };
         let mut cols: Vec<&str> = vec![row.tech.paper_name(), row.skew.name()];
         cols.extend(speedups.iter().map(String::as_str));
-        let fmt_thr = |m: &Option<crate::experiment::ModeResult>| match m {
-            Some(m) => format!("{:.3}", m.throughput_m),
-            None => "-".into(),
-        };
-        let fmt_imb = |m: &Option<crate::experiment::ModeResult>| match m {
-            Some(m) => format!("{:.1}%", m.imbalance_pct),
-            None => "-".into(),
-        };
-        let thr_s = fmt_thr(&tc.steal);
-        let imb_st = fmt_imb(&tc.static_);
-        let imb_ad = fmt_imb(&tc.steal);
-        let steals_s = tc
-            .steal
-            .as_ref()
-            .map(|m| m.steals.to_string())
-            .unwrap_or_else(|| "-".into());
+        let thr_s = format!("{:.3}", tc.steal.throughput_m);
+        let imb_st = format!("{:.1}%", tc.static_.imbalance_pct);
+        let imb_ad = format!("{:.1}%", tc.steal.imbalance_pct);
+        let steals_s = tc.steal.steals.to_string();
         cols.extend([thr_s.as_str(), imb_st.as_str(), imb_ad.as_str(), steals_s.as_str()]);
         line(&mut out, &cols, &widths);
     }
