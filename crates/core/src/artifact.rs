@@ -63,7 +63,8 @@ fn host_json() -> Json {
             "profile",
             if cfg!(debug_assertions) { "debug" } else { "release" },
         )
-        .set("telemetry", graft_telemetry::enabled());
+        .set("telemetry", graft_telemetry::enabled())
+        .set("checksum_kernel", logdisk::checksum::kernel());
     host
 }
 

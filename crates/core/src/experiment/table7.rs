@@ -360,13 +360,15 @@ mod tests {
             assert_eq!(row.quarantined_by, Some(TrapKind::DivByZero), "{}", row.tech);
             assert!(row.quarantine_latency > Duration::ZERO);
             // Containment: post-quarantine throughput is in the same
-            // regime as the baseline (tiny runs are noisy; the real
-            // gate is graftstat's over the committed artifact).
+            // regime as the baseline. Tiny runs are noisy, so compare
+            // each phase's fastest run, which one preempted run cannot
+            // move (the real gate is graftstat's over the committed
+            // artifact).
+            let fastest = row.post.min_ns / row.baseline.min_ns;
             assert!(
-                row.post_over_baseline < 3.0,
-                "{}: post/baseline = {:.2}",
-                row.tech,
-                row.post_over_baseline
+                fastest < 3.0,
+                "{}: fastest post/baseline = {fastest:.2}",
+                row.tech
             );
             assert!(
                 row.baseline_invocations > 0,

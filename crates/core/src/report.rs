@@ -439,11 +439,12 @@ pub fn render_table14(t: &Table14) -> String {
     }
     let _ = writeln!(
         out,
-        "  scrub: {} segments / {} entries audited in {} = {:.1}M entries/s",
+        "  scrub: {} segments / {} entries audited in {} = {:.1}M entries/s ({} checksum kernel)",
         t.scrub.segments,
         t.scrub.entries,
         t.scrub.scrub.robust_style(),
-        t.scrub.throughput_m
+        t.scrub.throughput_m,
+        logdisk::checksum::kernel()
     );
     let _ = writeln!(
         out,

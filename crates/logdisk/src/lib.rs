@@ -23,6 +23,8 @@
 //! native — live in the `grafts` crate and are checked against this
 //! implementation as an oracle.
 
+#![warn(unsafe_op_in_unsafe_fn, clippy::undocumented_unsafe_blocks)]
+
 pub mod checksum;
 pub mod cleaner;
 pub mod pitr;
@@ -95,7 +97,11 @@ pub struct SegmentFlush {
 
 /// One durable mapping record: the write with sequence number `lsn`
 /// put logical block `logical` at physical block `physical`.
+///
+/// `repr(C)`: three `u64`s in declaration order, no padding, so a
+/// payload slice reads as the words the checksum covers.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[repr(C)]
 pub struct MapEntry {
     /// Write sequence number (0-based; the disk's log clock).
     pub lsn: u64,
@@ -104,6 +110,8 @@ pub struct MapEntry {
     /// Physical block it landed on.
     pub physical: u64,
 }
+
+const _: () = assert!(std::mem::size_of::<MapEntry>() == 3 * std::mem::size_of::<u64>());
 
 /// A sealed on-disk segment record: the mapping payload plus the
 /// summary block, checksummed together at flush time.
@@ -145,11 +153,15 @@ impl SealedSegment {
         c.word(self.physical_start);
         c.word(self.merged as u64);
         c.word(self.entries.len() as u64);
-        for e in &self.entries {
-            c.word(e.lsn);
-            c.word(e.logical);
-            c.word(e.physical);
-        }
+        // SAFETY: `MapEntry` is `repr(C)` with three `u64` fields, so it
+        // is 24 bytes at `u64` alignment with no padding: `n` entries are
+        // exactly `3n` initialised words, (lsn, logical, physical) each,
+        // borrowed for as long as `self.entries`.
+        let payload = unsafe {
+            let words = self.entries.len() * 3;
+            std::slice::from_raw_parts(self.entries.as_ptr().cast::<u64>(), words)
+        };
+        c.words(payload);
         c.finish()
     }
 
@@ -574,18 +586,15 @@ impl LogicalDisk {
         self.open_segment.clear();
         let mut replayer = Replayer::new(self.config.blocks);
         let mut replayed = 0u64;
+        let mut high = 0;
         for s in &self.segments {
-            replayed += replayer.apply_segment(s);
+            for e in &s.entries {
+                replayed += replayer.apply(e) as u64;
+                high = high.max(e.physical + 1);
+            }
         }
         self.map = replayer.into_map();
         let sb = self.config.segment_blocks as u64;
-        let high = self
-            .segments
-            .iter()
-            .flat_map(|s| s.entries.iter())
-            .map(|e| e.physical + 1)
-            .max()
-            .unwrap_or(0);
         self.next_physical = high.div_ceil(sb) * sb;
         lap(clock, graft_telemetry::histogram!("ld.rebuild.map_ns"));
         self.stats.rebuilds += 1;

@@ -104,11 +104,15 @@ impl MergeReport {
 /// prefix — or resuming a replay that crashed halfway — changes
 /// nothing. This is the engine under [`LogicalDisk::rebuild_map`] and
 /// [`LogicalDisk::restore_to_lsn`].
+///
+/// A block's guard sits beside its physical address in one 16-byte
+/// slot: entries land on random blocks, so each applied entry touches
+/// one cache line instead of one in a guard array and one in a map.
 #[derive(Debug, Clone)]
 pub struct Replayer {
-    map: Vec<i64>,
-    /// Per-slot guard: `lsn + 1` of the entry that set it (0 = never).
-    applied: Vec<u64>,
+    /// Per block: `[guard, physical]`, the guard being `lsn + 1` of the
+    /// entry that set the slot (0 = never, physical then unread).
+    slots: Vec<[u64; 2]>,
     advanced: u64,
 }
 
@@ -116,8 +120,7 @@ impl Replayer {
     /// A fresh replayer over a disk of `blocks` logical blocks.
     pub fn new(blocks: usize) -> Self {
         Replayer {
-            map: vec![UNMAPPED; blocks],
-            applied: vec![0; blocks],
+            slots: vec![[0; 2]; blocks],
             advanced: 0,
         }
     }
@@ -127,14 +130,13 @@ impl Replayer {
     /// logical block is out of range).
     #[inline]
     pub fn apply(&mut self, e: &MapEntry) -> bool {
-        let Some(guard) = self.applied.get_mut(e.logical as usize) else {
+        let Some(slot) = self.slots.get_mut(e.logical as usize) else {
             return false;
         };
-        if e.lsn < *guard {
+        if e.lsn < slot[0] {
             return false;
         }
-        *guard = e.lsn + 1;
-        self.map[e.logical as usize] = e.physical as i64;
+        *slot = [e.lsn + 1, e.physical];
         self.advanced += 1;
         true
     }
@@ -153,14 +155,18 @@ impl Replayer {
         self.advanced
     }
 
-    /// The replayed map (read-only view).
-    pub fn map(&self) -> &[i64] {
-        &self.map
-    }
-
     /// Consumes the replayer, yielding the replayed map.
     pub fn into_map(self) -> Vec<i64> {
-        self.map
+        self.slots
+            .iter()
+            .map(|&[guard, physical]| {
+                if guard == 0 {
+                    UNMAPPED
+                } else {
+                    physical as i64
+                }
+            })
+            .collect()
     }
 }
 
@@ -642,7 +648,7 @@ mod tests {
                 blind.apply_segment(s);
             }
             assert!(
-                planted(blind.map()),
+                planted(&blind.into_map()),
                 "{what}: an unaudited replay shows the rot"
             );
 
@@ -738,8 +744,8 @@ mod tests {
         for s in segs {
             twice.apply_segment(s);
         }
-        assert_eq!(once.map(), twice.map());
         assert_eq!(once.advanced(), twice.advanced());
+        assert_eq!(once.into_map(), twice.into_map());
     }
 
     #[test]

@@ -3,7 +3,7 @@
 
 use std::collections::HashMap;
 
-use graft_rng::{Rng, SmallRng};
+use graft_rng::{Rng, SliceRandom, SmallRng};
 use logdisk::checksum::{checksum_words, Checksummer};
 use logdisk::{
     cleaner::CleaningDisk, workload, LdConfig, LogicalDisk, MapEntry, Replayer, SealedSegment,
@@ -154,6 +154,7 @@ fn replay_is_idempotent_under_repeats_and_mid_replay_crashes() {
         for s in segments {
             clean.apply_segment(s);
         }
+        let clean = clean.into_map();
 
         // Replaying every prefix twice never moves the map backwards.
         let mut twice = Replayer::new(config.blocks);
@@ -163,7 +164,7 @@ fn replay_is_idempotent_under_repeats_and_mid_replay_crashes() {
             twice.apply_segment(s);
             assert_eq!(twice.advanced(), advanced_before, "re-replay must no-op");
         }
-        assert_eq!(twice.map(), clean.map());
+        assert_eq!(twice.into_map(), clean);
 
         // Crash mid-replay: apply a random prefix of entries, then
         // restart the full replay over the same half-applied state.
@@ -175,8 +176,64 @@ fn replay_is_idempotent_under_repeats_and_mid_replay_crashes() {
         for s in segments {
             crashed.apply_segment(s);
         }
-        assert_eq!(crashed.map(), clean.map(), "restarted replay diverged");
+        assert_eq!(crashed.into_map(), clean, "restarted replay diverged");
     }
+}
+
+/// The replayer is order-blind: a history's entries replayed shuffled,
+/// or segment by segment newest first, give the map of a plain
+/// overwrite in LSN order. The history includes merged segments, whose
+/// entries skip LSNs.
+#[test]
+fn replay_in_any_order_matches_an_overwrite_in_lsn_order() {
+    let mut rng = SmallRng::seed_from_u64(0x0DE7);
+    let mut merged = 0;
+    for case in 0..16 {
+        let config = LdConfig {
+            blocks: 128,
+            segment_blocks: 8,
+        };
+        let mut ld = LogicalDisk::new(config);
+        for i in 0..rng.gen_range(8usize..600) {
+            ld.write(rng.gen_range(0u64..128));
+            if i % 128 == 127 {
+                ld.merge_below_watermark(ld.durable_lsn() / 2);
+            }
+        }
+        let segments = ld.segments();
+        merged += segments.iter().filter(|s| s.merged).count();
+        let mut entries: Vec<MapEntry> = segments
+            .iter()
+            .flat_map(|s| s.entries.iter().copied())
+            .collect();
+
+        let mut in_order = entries.clone();
+        in_order.sort_by_key(|e| e.lsn);
+        let mut oracle = vec![UNMAPPED; config.blocks];
+        for e in &in_order {
+            oracle[e.logical as usize] = e.physical as i64;
+        }
+
+        entries.shuffle(&mut rng);
+        let mut shuffled = Replayer::new(config.blocks);
+        for e in &entries {
+            shuffled.apply(e);
+        }
+        assert_eq!(shuffled.into_map(), oracle, "case {case}: shuffled entries");
+
+        // `advanced()` depends on the order (newest first skips every
+        // superseded entry it meets later), so only the map is compared.
+        let mut newest_first = Replayer::new(config.blocks);
+        for s in segments.iter().rev() {
+            newest_first.apply_segment(s);
+        }
+        assert_eq!(
+            newest_first.into_map(),
+            oracle,
+            "case {case}: newest segment first"
+        );
+    }
+    assert!(merged > 0, "no history held a merged segment");
 }
 
 /// Point-in-time restore is exact at every retained LSN, before and
