@@ -484,6 +484,9 @@ fn check(base_path: &str, run_path: &str, base: &RunArtifact, run: &RunArtifact)
         out,
         "# graftstat check: {run_path} against {base_path} (envelope {ENVELOPE_PCT}% on min_ns)"
     );
+    if let Some(warning) = host_mismatch(base, run) {
+        let _ = writeln!(out, "  !! WARN: {warning}");
+    }
     let gates = run.gates();
     for (table, gate) in &gates {
         match gate {
@@ -530,6 +533,35 @@ fn check(base_path: &str, run_path: &str, base: &RunArtifact, run: &RunArtifact)
         report.samples.len(),
     );
     (out, failures == 0)
+}
+
+/// The host facts that decide whether two runs' timings compare.
+const HOST_KEYS: [&str; 4] = ["os", "arch", "cores", "cpu_model"];
+
+/// A warning naming each [`HOST_KEYS`] fact the baseline and the run
+/// disagree on (a fact one side did not record counts as a
+/// difference), or `None` when they ran on the same kind of host.
+/// Samples from different machines still get compared; the warning
+/// says why they may drift.
+fn host_mismatch(base: &RunArtifact, run: &RunArtifact) -> Option<String> {
+    let fact = |a: &RunArtifact, key: &str| match a.host.get(key) {
+        Some(Json::Str(s)) => s.clone(),
+        Some(j) => j.to_string_compact(),
+        None => "unrecorded".into(),
+    };
+    let diffs: Vec<String> = HOST_KEYS
+        .iter()
+        .filter_map(|key| {
+            let (b, r) = (fact(base, key), fact(run, key));
+            (b != r).then(|| format!("{key} {b} -> {r}"))
+        })
+        .collect();
+    (!diffs.is_empty()).then(|| {
+        format!(
+            "baseline and run hosts differ ({}); timings compare across machines",
+            diffs.join(", ")
+        )
+    })
 }
 
 fn load(path: &str) -> RunArtifact {
@@ -770,6 +802,35 @@ mod tests {
         table.set("gates", gates.into_iter().map(flip).collect::<Vec<_>>());
         let text = checked(&base, &flipped, false);
         assert!(text.contains("gate table9/lost mappings total = 1 (== 0) FAIL"), "{text}");
+    }
+
+    #[test]
+    fn check_warns_but_does_not_fail_when_the_hosts_differ() {
+        let base = offline_artifact();
+        let text = checked(&base, &base, true);
+        assert!(!text.contains("!! WARN"), "{text}");
+        let model = base.host.get("cpu_model").and_then(Json::as_str);
+        assert!(model.is_some_and(|m| !m.is_empty()), "{:?}", base.host);
+
+        // The committed baseline's shape: one core, no model recorded.
+        let mut old = base.clone();
+        old.host.set("cores", 1u64);
+        if let Json::Obj(map) = &mut old.host {
+            map.remove("cpu_model");
+        }
+        let mut run = base.clone();
+        run.host.set("cores", 2u64).set("cpu_model", "Example CPU");
+        let text = checked(&old, &run, true);
+        let warn = text
+            .lines()
+            .find(|l| l.contains("!! WARN"))
+            .unwrap_or_else(|| panic!("{text}"));
+        assert!(warn.contains("cores 1 -> 2"), "{warn}");
+        assert!(
+            warn.contains("cpu_model unrecorded -> Example CPU"),
+            "{warn}"
+        );
+        assert!(!warn.contains("arch"), "{warn}");
     }
 
     #[test]

@@ -30,7 +30,8 @@ pub const SCHEMA: &str = "graft-run-artifact/v1";
 /// One run's worth of results, ready to serialize.
 #[derive(Debug, Clone)]
 pub struct RunArtifact {
-    /// Host facts: os, arch, cores, build profile, telemetry state.
+    /// Host facts: os, arch, cores, CPU model, build profile, telemetry
+    /// state.
     pub host: Json,
     /// The configuration the run used.
     pub config: RunConfig,
@@ -64,8 +65,24 @@ fn host_json() -> Json {
             if cfg!(debug_assertions) { "debug" } else { "release" },
         )
         .set("telemetry", graft_telemetry::enabled())
-        .set("checksum_kernel", logdisk::checksum::kernel());
+        .set("checksum_kernel", logdisk::checksum::kernel())
+        .set("cpu_model", cpu_model());
     host
+}
+
+/// The CPU's `model name` from /proc/cpuinfo, or `"unknown"` where there
+/// is none (another OS, a hidden /proc).
+fn cpu_model() -> String {
+    std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .filter_map(|l| l.split_once(':'))
+                .find(|(k, _)| k.trim() == "model name")
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .filter(|m| !m.is_empty())
+        .unwrap_or_else(|| "unknown".into())
 }
 
 impl RunArtifact {

@@ -110,21 +110,6 @@ impl ExtensionEngine for BytecodeEngine {
         result
     }
 
-    fn invoke_id_traced(
-        &mut self,
-        entry: EntryId,
-        args: &[i64],
-        trace: graft_telemetry::TraceId,
-    ) -> Result<i64, GraftError> {
-        // Hosts route through this seam only in recording mode, so the
-        // extra clock read never taxes the untraced fast path.
-        let _ = trace;
-        let started = std::time::Instant::now();
-        let out = self.invoke_id(entry, args);
-        graft_telemetry::histogram!("vm.invoke_ns").record_duration(started.elapsed());
-        out
-    }
-
     fn invoke_batch(
         &mut self,
         entry: EntryId,

@@ -68,4 +68,4 @@ pub use shard::{
     AtomicLedger, BatchMarshalFn, ChainDispatch, MarshalFn, ShardHandle, ShardedHost,
     VirtualShards,
 };
-pub use steal::{QueueStats, RunQueues, StealPolicy, WorkItem};
+pub use steal::{QueueStats, RunQueues, Staged, StealPolicy, WorkItem};

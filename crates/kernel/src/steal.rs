@@ -36,8 +36,10 @@
 //! [`VirtualShards`]: crate::shard::VirtualShards
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::Thread;
+use std::time::{Duration, Instant};
 
 /// Tuning knobs for a [`RunQueues`] plane.
 #[derive(Debug, Clone, Copy)]
@@ -113,7 +115,7 @@ struct QueueCounters {
 /// A read-only snapshot of a plane's counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct QueueStats {
-    /// Items accepted by `submit`.
+    /// Items pushed onto the plane (`submit` or `push_staged`).
     pub enqueued: u64,
     /// Items placed away from their home shard (home queue full).
     pub diverted: u64,
@@ -133,6 +135,10 @@ struct ShardQueue<T> {
     /// Mirror of `items.len()`, readable without the lock for victim
     /// selection and load probes.
     depth: AtomicUsize,
+    /// Set while an executor of this shard is parked in `idle_wait`.
+    asleep: AtomicBool,
+    /// The thread that last parked on this shard; a push unparks it.
+    sleeper: Mutex<Option<Thread>>,
 }
 
 impl<T> Default for ShardQueue<T> {
@@ -140,8 +146,18 @@ impl<T> Default for ShardQueue<T> {
         ShardQueue {
             items: Mutex::new(VecDeque::new()),
             depth: AtomicUsize::new(0),
+            asleep: AtomicBool::new(false),
+            sleeper: Mutex::new(None),
         }
     }
+}
+
+/// Work placed on a plane but not yet pushed: one run per shard. A
+/// submitter stages a pass's items with [`RunQueues::stage`] and hands
+/// each run over with one [`RunQueues::push_staged`], so the queue
+/// lock, depth store and counters are paid per run, not per item.
+pub struct Staged<T> {
+    runs: Vec<Vec<WorkItem<T>>>,
 }
 
 struct Inner<T> {
@@ -242,66 +258,182 @@ impl<T> RunQueues<T> {
         graft != 0 && self.inner.warm[shard].load(Ordering::Acquire) & warm_bit(graft) != 0
     }
 
-    /// Submits one item to its home shard's bounded queue.
-    ///
-    /// When the home queue is full: with stealing on, the item is
-    /// *diverted* to the least-loaded shard that is warm for its graft
-    /// (least-loaded overall when none is), which is what flattens a
-    /// skewed key distribution at submit time; with stealing off — the
-    /// static plane — or with every queue at capacity, the item comes
-    /// back as `Err` and the submitter must drain before retrying
-    /// (backpressure, never silent loss). `Ok` carries the shard the
-    /// item landed on.
-    pub fn submit(&self, item: WorkItem<T>) -> Result<usize, WorkItem<T>> {
-        let home = self.home(item.key);
-        let item = match self.try_push(home, item) {
-            Ok(()) => {
-                self.inner.counters.enqueued.fetch_add(1, Ordering::Relaxed);
-                return Ok(home);
-            }
-            Err(item) => item,
-        };
-        if !self.inner.policy.stealing {
-            return Err(item);
-        }
-        // Divert: least-loaded warm shard for this graft, else
-        // least-loaded overall. Ties break to the lowest index, so the
-        // choice is deterministic given the queue depths.
+    /// Where an item keyed `key` for `graft` goes, given `staged(s)`
+    /// items already placed on shard `s` but not yet pushed: its home
+    /// shard while `depth + staged` there is under capacity. When the
+    /// home is full: with stealing on, the item is *diverted* to the
+    /// least-loaded shard that is warm for its graft (least-loaded
+    /// overall when none is), which is what flattens a skewed key
+    /// distribution at submit time; with stealing off — the static
+    /// plane — or with every queue at capacity, `None` (backpressure).
+    /// Otherwise `Some((shard, diverted))`.
+    fn place(
+        &self,
+        key: u64,
+        graft: u64,
+        staged: impl Fn(usize) -> usize,
+    ) -> Option<(usize, bool)> {
         let cap = self.inner.policy.queue_cap;
+        let load = |s: usize| self.depth(s) + staged(s);
+        let home = self.home(key);
+        if load(home) < cap {
+            return Some((home, false));
+        }
+        if !self.inner.policy.stealing {
+            return None;
+        }
+        // Ties break to the lowest index, so the choice is
+        // deterministic given the queue depths.
         let pick = |warm_only: bool| -> Option<usize> {
             (0..self.inner.queues.len())
-                .filter(|&s| s != home && (!warm_only || self.is_warm(s, item.graft)))
-                .map(|s| (self.depth(s), s))
+                .filter(|&s| s != home && (!warm_only || self.is_warm(s, graft)))
+                .map(|s| (load(s), s))
                 .filter(|&(d, _)| d < cap)
                 .min()
                 .map(|(_, s)| s)
         };
-        let Some(target) = pick(true).or_else(|| pick(false)) else {
-            return Err(item); // every queue full: backpressure
+        pick(true).or_else(|| pick(false)).map(|s| (s, true))
+    }
+
+    /// Submits one item: the one-item case of [`stage`] followed by
+    /// [`push_staged`]. `Ok` carries the shard the item landed on; `Err`
+    /// hands it back on backpressure (never silent loss), and the
+    /// submitter must drain before retrying.
+    ///
+    /// [`stage`]: RunQueues::stage
+    /// [`push_staged`]: RunQueues::push_staged
+    pub fn submit(&self, item: WorkItem<T>) -> Result<usize, WorkItem<T>> {
+        let Some((shard, diverted)) = self.place(item.key, item.graft, |_| 0) else {
+            return Err(item);
         };
-        match self.try_push(target, item) {
-            Ok(()) => {
-                self.inner.counters.enqueued.fetch_add(1, Ordering::Relaxed);
-                self.inner.counters.diverted.fetch_add(1, Ordering::Relaxed);
-                Ok(target)
-            }
-            // Lost a race to another submitter between the probe and
-            // the push; report backpressure rather than looping.
-            Err(item) => Err(item),
+        // A second submitter can fill the queue between the probe and
+        // the push; report backpressure rather than looping.
+        self.push(shard, std::iter::once(item))
+            .map_err(|mut back| back.next().expect("the refused item"))?;
+        self.note_divert(diverted);
+        Ok(shard)
+    }
+
+    /// An empty staging area for this plane: one run per shard.
+    pub fn staging(&self) -> Staged<T> {
+        Staged {
+            runs: (0..self.inner.queues.len()).map(|_| Vec::new()).collect(),
         }
     }
 
-    /// Pushes onto `shard` unless its queue is at capacity (the item
-    /// comes back in `Err`).
-    fn try_push(&self, shard: usize, item: WorkItem<T>) -> Result<(), WorkItem<T>> {
-        let q = &self.inner.queues[shard];
-        let mut items = q.items.lock().expect("queue lock");
-        if items.len() >= self.inner.policy.queue_cap {
+    /// Places `item` as [`submit`](RunQueues::submit) would, counting
+    /// `staged`'s runs as already queued, and appends it to its shard's
+    /// run. Nothing reaches the plane until
+    /// [`push_staged`](RunQueues::push_staged); `Err` is the same
+    /// backpressure `submit` reports.
+    pub fn stage(&self, staged: &mut Staged<T>, item: WorkItem<T>) -> Result<usize, WorkItem<T>> {
+        let Some((shard, diverted)) = self.place(item.key, item.graft, |s| staged.runs[s].len())
+        else {
             return Err(item);
+        };
+        staged.runs[shard].push(item);
+        // Counted at placement: a staged item is always pushed.
+        self.note_divert(diverted);
+        Ok(shard)
+    }
+
+    /// Hands every staged run to its shard: one lock, one depth store
+    /// and one counter add per shard with work, in staging order, and a
+    /// wake for that shard's parked executor. `staged` is left empty,
+    /// its buffers kept for the next pass.
+    ///
+    /// Panics if a run no longer fits. Placement counted every staged
+    /// item against its queue's capacity and executors only shrink
+    /// queues, so a run can only overflow when a second thread submitted
+    /// to the plane between `stage` and this push.
+    pub fn push_staged(&self, staged: &mut Staged<T>) {
+        for (shard, run) in staged.runs.iter_mut().enumerate() {
+            if run.is_empty() {
+                continue;
+            }
+            if self.push(shard, run.drain(..)).is_err() {
+                panic!("a staged run overflowed shard {shard}: the plane has a second submitter");
+            }
         }
-        items.push_back(item);
-        q.depth.store(items.len(), Ordering::Release);
+    }
+
+    /// Appends `run` to `shard`'s queue under one lock, unless it would
+    /// overfill the queue (the run comes back untouched in `Err`), then
+    /// wakes the shard's executor if it is parked in
+    /// [`idle_wait`](RunQueues::idle_wait).
+    fn push<I: ExactSizeIterator<Item = WorkItem<T>>>(
+        &self,
+        shard: usize,
+        run: I,
+    ) -> Result<(), I> {
+        let q = &self.inner.queues[shard];
+        let n = run.len() as u64;
+        {
+            let mut items = q.items.lock().expect("queue lock");
+            if items.len() + run.len() > self.inner.policy.queue_cap {
+                return Err(run);
+            }
+            items.extend(run);
+            q.depth.store(items.len(), Ordering::Release);
+        }
+        self.inner.counters.enqueued.fetch_add(n, Ordering::Relaxed);
+        // Pairs with the fence in `park`: either the executor's last
+        // probe saw this push, or this load sees it asleep.
+        fence(Ordering::SeqCst);
+        if q.asleep.load(Ordering::Relaxed) {
+            if let Some(t) = q.sleeper.lock().expect("sleeper lock").as_ref() {
+                t.unpark();
+            }
+        }
         Ok(())
+    }
+
+    fn note_divert(&self, diverted: bool) {
+        if diverted {
+            self.inner.counters.diverted.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Whether `shard`'s executor has anything to take: its own queue,
+    /// or with stealing on, any queue. Lock-free and write-free.
+    pub fn has_work(&self, shard: usize) -> bool {
+        if self.inner.policy.stealing {
+            self.total_depth() > 0
+        } else {
+            self.depth(shard) > 0
+        }
+    }
+
+    /// Waits on the calling thread until `shard`'s executor may have
+    /// work: spins on [`has_work`](RunQueues::has_work) (`pause`, no
+    /// lock, no counter write) for `spin`, then parks until a push
+    /// lands on `shard` or another thread unparks this one. Returns
+    /// whether it parked. A return does not promise work; callers loop.
+    pub fn idle_wait(&self, shard: usize, spin: Duration) -> bool {
+        let start = Instant::now();
+        let mut probes = 0u32;
+        while !self.has_work(shard) {
+            std::hint::spin_loop();
+            probes = probes.wrapping_add(1);
+            if probes.is_multiple_of(64) && start.elapsed() >= spin {
+                self.park(shard);
+                return true;
+            }
+        }
+        false
+    }
+
+    fn park(&self, shard: usize) {
+        let q = &self.inner.queues[shard];
+        *q.sleeper.lock().expect("sleeper lock") = Some(std::thread::current());
+        q.asleep.store(true, Ordering::Relaxed);
+        // Pairs with the fence in `push`: a push after this point sees
+        // `asleep` and unparks; one before it shows in this probe.
+        fence(Ordering::SeqCst);
+        if !self.has_work(shard) {
+            std::thread::park();
+        }
+        q.asleep.store(false, Ordering::Relaxed);
     }
 
     /// Drains one adaptively sized batch for `shard` into `out`;
@@ -722,6 +854,50 @@ mod tests {
         assert_eq!(q.stats().enqueued, submitted);
         assert_eq!(drained, submitted);
         assert_eq!(q.total_depth(), 0);
+    }
+
+    #[test]
+    fn staging_a_pass_places_exactly_as_submitting_each_item() {
+        for policy in [
+            StealPolicy {
+                queue_cap: 5,
+                ..StealPolicy::default()
+            },
+            StealPolicy {
+                queue_cap: 5,
+                ..StealPolicy::static_plane()
+            },
+        ] {
+            let direct: RunQueues<u64> = RunQueues::new(3, policy);
+            let staged: RunQueues<u64> = RunQueues::new(3, policy);
+            direct.mark_warm(2, 4);
+            staged.mark_warm(2, 4);
+            let mut pass = staged.staging();
+            let mut buf = Vec::new();
+            for k in 0..40u64 {
+                let it = item(k % 4, 1 + k % 5);
+                let a = direct.submit(it.clone()).map_err(|w| w.payload);
+                let b = staged.stage(&mut pass, it).map_err(|w| w.payload);
+                assert_eq!(a, b, "item {k}");
+                if k % 10 == 9 {
+                    let held: usize = pass.runs.iter().map(Vec::len).sum();
+                    assert_eq!(staged.total_depth() + held, direct.total_depth());
+                    staged.push_staged(&mut pass);
+                    assert!(pass.runs.iter().all(Vec::is_empty));
+                    for s in 0..3 {
+                        assert_eq!(direct.depth(s), staged.depth(s), "shard {s} after item {k}");
+                        let mut got = Vec::new();
+                        buf.clear();
+                        direct.take(s, &mut buf);
+                        got.extend(buf.iter().map(|w| w.payload));
+                        buf.clear();
+                        staged.take(s, &mut buf);
+                        assert_eq!(got, buf.iter().map(|w| w.payload).collect::<Vec<_>>());
+                    }
+                }
+            }
+            assert_eq!(direct.stats(), staged.stats());
+        }
     }
 
     #[test]

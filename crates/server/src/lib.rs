@@ -13,12 +13,13 @@
 //!   budget, in-flight cap), weighted admission classes, and the PR 5
 //!   backoff ladder as *tenant* isolation;
 //! * [`server`] — the transport-agnostic protocol core + admission
-//!   control, with the data plane keyed into `ShardedHost::enqueue`
-//!   so the work-stealing shards serve requests. Serving is split
+//!   control, with admitted work staged per shard and handed to the
+//!   work-stealing run queues once per pump pass. Serving is split
 //!   into an invoke half and a serial completion half joined by the
 //!   lock-free [`cq::CompletionQueue`];
 //! * [`workers`] — the drain-worker plane: one real thread per shard
-//!   behind `ShardedHost::take_handles`, joined loss-free;
+//!   behind `ShardedHost::take_handles`, spinning then parking when
+//!   idle, joined loss-free;
 //! * [`client`] — frame building and reply re-association, plus the
 //!   deterministic in-process [`VirtualTransport`];
 //! * [`pipe`] — the live front-ends: `poll(2)` readiness loops over
@@ -48,4 +49,4 @@ pub use pipe::{serve_pipes, serve_pipes_threaded, PipeServeStats};
 pub use server::{GraftServer, ServerConfig, ServerStats, SpecLoader};
 pub use tenant::{class_share, QuotaClass, Standing, Tenant, TenantQuotas, MAX_CLASSES};
 pub use wire::{FrameBuf, Reply, Request, WireError, MAX_FRAME};
-pub use workers::{WorkerPlane, WorkerStats};
+pub use workers::{WorkerPlane, WorkerStats, SPIN_WINDOW};

@@ -6,8 +6,12 @@
 //! transport flush — the server cannot tell), [`GraftServer::pump`]
 //! decodes frames and runs the *control plane* inline (hello, install,
 //! bind, uninstall — cheap, namespace-local), and admitted *data
-//! plane* requests (invoke, batch) are keyed into
-//! [`ShardedHost::enqueue`] so the work-stealing shards serve them.
+//! plane* requests (invoke, batch) are placed on the work-stealing
+//! [`RunQueues`] so the shards serve them. Admission stages each job
+//! on its shard ([`RunQueues::stage`]); every `pump`/`pump_conn` ends
+//! by handing each shard its staged run in one push
+//! ([`RunQueues::push_staged`]), so the queue lock, depth store and
+//! counters are paid once per shard per pass, not per request.
 //!
 //! Serving is split in two halves so it can run on real threads:
 //!
@@ -47,7 +51,8 @@ use crate::tenant::{class_share, QuotaClass, Standing, Tenant, TenantQuotas, MAX
 use crate::wire::{Reply, Request, WireError};
 use graft_api::{ExtensionEngine, GraftError, Technology};
 use graft_kernel::{
-    AttachPoint, GraftId, HostConfig, RunQueues, ShardHandle, ShardedHost, StealPolicy,
+    AttachPoint, GraftId, HostConfig, RunQueues, ShardHandle, ShardedHost, Staged, StealPolicy,
+    WorkItem,
 };
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -155,26 +160,28 @@ pub(crate) struct Completion {
 }
 
 /// The invoke half of the executor: takes one steal-aware batch for
-/// `shard`, invokes each item on `handle`, and pushes one
-/// [`Completion`] per job. This is exactly what a drain-worker thread
-/// runs in a loop; the single-threaded [`GraftServer::drain`] calls it
-/// inline with the resident handle. Returns the number of jobs
-/// invoked.
+/// `shard` into `batch` (an empty buffer the caller reuses), invokes
+/// each item on `handle`, and pushes one [`Completion`] per job. This
+/// is exactly what a drain-worker thread runs in a loop; the
+/// single-threaded [`GraftServer::drain`] calls it inline with the
+/// resident handle. Returns the number of jobs invoked.
 ///
-/// A full completion queue is transient by construction (capacity is
-/// sized at 2× the plane's queue capacity and the consumer side always
-/// reaps between waves), so the push spins rather than dropping —
-/// a dropped completion would leak a tenant's in-flight slot forever.
+/// The completion queue cannot fill: it holds at most the admitted
+/// in-flight jobs, which the class shares cap at the plane's capacity
+/// (one slot more per class at most, from rounding), and it is sized
+/// at twice that and at least 4096. The push still retries rather
+/// than drops — a dropped completion would leak a tenant's in-flight
+/// slot forever.
 pub(crate) fn invoke_shard(
     shard: usize,
     handle: &mut ShardHandle,
     queues: &RunQueues<Job>,
     completions: &CompletionQueue<Completion>,
+    batch: &mut Vec<WorkItem<Job>>,
 ) -> usize {
-    let mut batch = Vec::new();
-    queues.take(shard, &mut batch);
+    queues.take(shard, batch);
     let n = batch.len();
-    for item in batch {
+    for item in batch.drain(..) {
         let gid = GraftId(item.graft);
         let job = item.payload;
         // Invoke on this shard's replica. A batch job shares the
@@ -209,7 +216,7 @@ pub(crate) fn invoke_shard(
         };
         while let Err(back) = completions.push(completion) {
             completion = back;
-            std::thread::yield_now();
+            std::hint::spin_loop();
         }
     }
     n
@@ -239,6 +246,11 @@ pub struct GraftServer {
     /// single-threaded executor paths assert residency.
     handles: Vec<ShardHandle>,
     queues: RunQueues<Job>,
+    /// Jobs admitted in the current pump pass, not yet pushed. Empty
+    /// whenever a public call returns.
+    staged: Staged<Job>,
+    /// The inline executor's reused batch buffer.
+    batch: Vec<WorkItem<Job>>,
     completions: Arc<CompletionQueue<Completion>>,
     config: ServerConfig,
     conns: Vec<Conn>,
@@ -282,6 +294,8 @@ impl GraftServer {
         GraftServer {
             host,
             handles,
+            staged: queues.staging(),
+            batch: Vec::new(),
             queues,
             completions: Arc::new(CompletionQueue::with_capacity(cq_cap)),
             config,
@@ -374,15 +388,25 @@ impl GraftServer {
             .unwrap_or_default()
     }
 
-    /// Decodes and processes every complete frame on every connection.
+    /// Decodes and processes every complete frame on every connection,
+    /// then hands the admitted jobs to the plane.
     pub fn pump(&mut self) {
         for conn in 0..self.conns.len() {
-            self.pump_conn(conn);
+            self.pump_frames(conn);
         }
+        self.queues.push_staged(&mut self.staged);
     }
 
-    /// Decodes and processes every complete frame on one connection.
+    /// Decodes and processes every complete frame on one connection,
+    /// then hands the admitted jobs to the plane.
     pub fn pump_conn(&mut self, conn: usize) {
+        self.pump_frames(conn);
+        self.queues.push_staged(&mut self.staged);
+    }
+
+    /// The frame loop of one connection. Admitted jobs stay staged; the
+    /// public caller pushes them.
+    fn pump_frames(&mut self, conn: usize) {
         loop {
             let Some(c) = self.conns.get_mut(conn) else {
                 return;
@@ -717,10 +741,15 @@ impl GraftServer {
         };
         // Key by tenant: a tenant's requests hash to a home shard
         // (cache affinity), and the stealing plane rebalances skew.
-        match self
-            .host
-            .enqueue(&self.queues, tenant_id, Some(GraftId(graft)), job)
-        {
+        // Staged work counts as queued, so this refusal is the one the
+        // push would have made, in the same reply order.
+        let item = WorkItem {
+            key: tenant_id,
+            graft,
+            epoch: self.host.epoch(),
+            payload: job,
+        };
+        match self.queues.stage(&mut self.staged, item) {
             Ok(_shard) => {
                 let t = self.tenants.get_mut(&tenant_id).expect("tenant exists");
                 t.admitted();
@@ -758,7 +787,13 @@ impl GraftServer {
             !self.handles.is_empty(),
             "drain_invoke needs resident handles (worker plane active?)"
         );
-        invoke_shard(shard, &mut self.handles[shard], &self.queues, &self.completions)
+        invoke_shard(
+            shard,
+            &mut self.handles[shard],
+            &self.queues,
+            &self.completions,
+            &mut self.batch,
+        )
     }
 
     /// The executor: serves one steal-aware batch on `shard` and
@@ -974,6 +1009,18 @@ impl GraftServer {
     /// A tenant's quarantine-trip count (None = never connected).
     pub fn tenant_trips(&self, tenant: u64) -> Option<u32> {
         self.tenants.get(&tenant).map(|t| t.quarantines)
+    }
+
+    /// A tenant's admitted requests whose completion is not yet
+    /// processed (None = never connected).
+    pub fn tenant_in_flight(&self, tenant: u64) -> Option<usize> {
+        self.tenants.get(&tenant).map(|t| t.in_flight)
+    }
+
+    /// Admitted requests of admission class `class` whose completion is
+    /// not yet processed.
+    pub fn class_in_flight(&self, class: usize) -> u64 {
+        self.class_in_flight[class]
     }
 
     /// A tenant's admission ledger `(accepted, rejected, in_flight_peak)`.
