@@ -360,7 +360,10 @@ impl<T> RunQueues<T> {
     /// Appends `run` to `shard`'s queue under one lock, unless it would
     /// overfill the queue (the run comes back untouched in `Err`), then
     /// wakes the shard's executor if it is parked in
-    /// [`idle_wait`](RunQueues::idle_wait).
+    /// [`idle_wait`](RunQueues::idle_wait). With stealing on, a push
+    /// that leaves more than one item queued also wakes one parked
+    /// executor of another shard, which steals from the backlog as a
+    /// spinning one would.
     fn push<I: ExactSizeIterator<Item = WorkItem<T>>>(
         &self,
         shard: usize,
@@ -368,24 +371,38 @@ impl<T> RunQueues<T> {
     ) -> Result<(), I> {
         let q = &self.inner.queues[shard];
         let n = run.len() as u64;
-        {
+        let depth = {
             let mut items = q.items.lock().expect("queue lock");
             if items.len() + run.len() > self.inner.policy.queue_cap {
                 return Err(run);
             }
             items.extend(run);
             q.depth.store(items.len(), Ordering::Release);
-        }
+            items.len()
+        };
         self.inner.counters.enqueued.fetch_add(n, Ordering::Relaxed);
         // Pairs with the fence in `park`: either the executor's last
         // probe saw this push, or this load sees it asleep.
         fence(Ordering::SeqCst);
+        self.wake(shard);
+        if self.inner.policy.stealing && depth > 1 {
+            let asleep =
+                |s: &usize| *s != shard && self.inner.queues[*s].asleep.load(Ordering::Relaxed);
+            if let Some(thief) = (0..self.inner.queues.len()).find(asleep) {
+                self.wake(thief);
+            }
+        }
+        Ok(())
+    }
+
+    /// Unparks `shard`'s executor if it is parked.
+    fn wake(&self, shard: usize) {
+        let q = &self.inner.queues[shard];
         if q.asleep.load(Ordering::Relaxed) {
             if let Some(t) = q.sleeper.lock().expect("sleeper lock").as_ref() {
                 t.unpark();
             }
         }
-        Ok(())
     }
 
     fn note_divert(&self, diverted: bool) {
@@ -898,6 +915,30 @@ mod tests {
             }
             assert_eq!(direct.stats(), staged.stats());
         }
+    }
+
+    #[test]
+    fn a_backlog_wakes_a_parked_executor_of_another_shard() {
+        let q: RunQueues<u64> = RunQueues::new(2, StealPolicy::default());
+        let key = (0..).find(|&k| q.home(k) == 0).expect("a key homed on shard 0");
+        let (tx, rx) = std::sync::mpsc::channel();
+        let thief = {
+            let q = q.clone();
+            std::thread::spawn(move || {
+                while !q.idle_wait(1, Duration::ZERO) {}
+                tx.send(()).expect("test waits");
+            })
+        };
+        while !q.inner.queues[1].asleep.load(Ordering::SeqCst) {
+            std::thread::yield_now();
+        }
+        // One queued item is its home executor's to take; a second is
+        // a backlog another executor can steal from.
+        q.submit(item(key, 1)).expect("room");
+        q.submit(item(key, 1)).expect("room");
+        rx.recv_timeout(Duration::from_secs(10))
+            .expect("shard 1's executor woke for the backlog on shard 0");
+        thief.join().expect("thief thread");
     }
 
     #[test]

@@ -49,4 +49,4 @@ pub use pipe::{serve_pipes, serve_pipes_threaded, PipeServeStats};
 pub use server::{GraftServer, ServerConfig, ServerStats, SpecLoader};
 pub use tenant::{class_share, QuotaClass, Standing, Tenant, TenantQuotas, MAX_CLASSES};
 pub use wire::{FrameBuf, Reply, Request, WireError, MAX_FRAME};
-pub use workers::{WorkerPlane, WorkerStats, SPIN_WINDOW};
+pub use workers::{WorkerPlane, WorkerStats};

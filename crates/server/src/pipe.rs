@@ -157,8 +157,10 @@ pub fn serve_pipes_threaded(server: &mut GraftServer, ends: Vec<PipeEnd>) -> Pip
                 match end.read(&mut buf) {
                     Some(0) => {
                         eof[i] = true;
-                        // Abrupt close (no Bye): orphan what remains.
+                        // Abrupt close (no Bye): admit the frames that
+                        // arrived before it, then orphan what remains.
                         if server.is_open(conns[i]) {
+                            server.pump_conn(conns[i]);
                             server.disconnect(conns[i]);
                         }
                         pending[i].clear();
@@ -190,7 +192,12 @@ pub fn serve_pipes_threaded(server: &mut GraftServer, ends: Vec<PipeEnd>) -> Pip
                     pending[i].drain(..n);
                 }
                 None => {
-                    // Peer churned away mid-write.
+                    // Peer churned away mid-write: admit the frames it
+                    // sent before it went, then orphan what remains.
+                    while let Some(n) = end.read(&mut buf).filter(|&n| n > 0) {
+                        server.ingest(conns[i], &buf[..n]);
+                    }
+                    server.pump_conn(conns[i]);
                     pending[i].clear();
                     server.disconnect(conns[i]);
                     eof[i] = true;

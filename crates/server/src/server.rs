@@ -491,7 +491,12 @@ impl GraftServer {
             }
             Request::Install {
                 point, tech, spec, ..
-            } => Some(self.install(tenant_id, point, tech, &spec, seq)),
+            } => {
+                // A compile is slow: hand over what this pass admitted
+                // so far, so those jobs do not wait behind it.
+                self.queues.push_staged(&mut self.staged);
+                Some(self.install(tenant_id, point, tech, &spec, seq))
+            }
             Request::Bind { graft, entry, .. } => {
                 let meta = match self.tenant_graft(tenant_id, graft) {
                     Ok(meta) => meta,
@@ -1009,18 +1014,6 @@ impl GraftServer {
     /// A tenant's quarantine-trip count (None = never connected).
     pub fn tenant_trips(&self, tenant: u64) -> Option<u32> {
         self.tenants.get(&tenant).map(|t| t.quarantines)
-    }
-
-    /// A tenant's admitted requests whose completion is not yet
-    /// processed (None = never connected).
-    pub fn tenant_in_flight(&self, tenant: u64) -> Option<usize> {
-        self.tenants.get(&tenant).map(|t| t.in_flight)
-    }
-
-    /// Admitted requests of admission class `class` whose completion is
-    /// not yet processed.
-    pub fn class_in_flight(&self, class: usize) -> u64 {
-        self.class_in_flight[class]
     }
 
     /// A tenant's admission ledger `(accepted, rejected, in_flight_peak)`.

@@ -20,10 +20,12 @@
 //!   warm state), and everything else in `GraftServer` on the pump.
 //!
 //! An idle worker spins on the plane's lock-free depth probes for
-//! [`SPIN_WINDOW`], then parks ([`RunQueues::idle_wait`]). The pump's
-//! push of a staged run unparks the worker of the shard it filled, so
-//! a parked worker costs nothing until work arrives, and a worker that
-//! is still spinning picks up the next request without a wake.
+//! `SPIN_WINDOW`, then parks ([`RunQueues::idle_wait`]). The pump's
+//! push of a staged run unparks the worker of the shard it filled (and,
+//! with stealing on, one parked worker of another shard when it leaves
+//! a backlog to steal from), so a parked worker costs nothing until
+//! work arrives, and a worker that is still spinning picks up the next
+//! request without a wake.
 //!
 //! Shutdown is cooperative and loss-free: [`WorkerPlane::join`] raises
 //! the flag and unparks every worker, and a worker exits only once the
@@ -43,7 +45,7 @@ use std::time::Duration;
 /// stream, so a steadily fed worker never parks, and it is short
 /// enough that workers outnumbering cores hand the pump its core back
 /// soon after the work runs out.
-pub const SPIN_WINDOW: Duration = Duration::from_micros(50);
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
 
 /// Counters one drain worker publishes when it exits.
 #[derive(Debug, Clone, Copy, Default)]

@@ -9,7 +9,9 @@
 use graft_api::{
     EntryPoint, ExtensionEngine, NativeEngine, RegionSpec, RegionStore, Technology, Trap,
 };
-use graft_server::{serve_pipes, GraftClient, GraftServer, Reply, ServerConfig, TenantQuotas};
+use graft_server::{
+    serve_pipes, serve_pipes_threaded, GraftClient, GraftServer, Reply, ServerConfig, TenantQuotas,
+};
 use kernsim::netpipe::PipeEnd;
 use std::sync::Arc;
 
@@ -129,4 +131,51 @@ fn pipe_readiness_loop_serves_concurrent_clients() {
     }
     assert_eq!(server.stats().served, CLIENTS * INVOKES as u64);
     assert_eq!(server.stats().tenants, CLIENTS);
+}
+
+#[test]
+fn frames_sent_before_an_abrupt_close_are_admitted() {
+    if !kernsim::netpipe::AVAILABLE {
+        return;
+    }
+    let mut server = GraftServer::new(ServerConfig::default());
+    server.register_spec("tag", Box::new(|_t: Technology| Ok(tagging())));
+    // Install over a direct connection to learn the graft id.
+    let conn = server.connect();
+    let mut direct = GraftClient::new(conn);
+    server.ingest(conn, &direct.hello(5));
+    server.ingest(conn, &direct.install(0, 0, "tag"));
+    server.pump_conn(conn);
+    let graft = direct
+        .on_bytes(&server.take_outbound(conn))
+        .unwrap()
+        .into_iter()
+        .find_map(|r| match r {
+            Reply::Installed { graft, .. } => Some(graft),
+            _ => None,
+        })
+        .expect("installed");
+
+    // The pipe client sends a hello and a burst, then drops its end
+    // before the loop starts: the loop reads the burst and the close in
+    // the same pass, and must admit the burst before it disconnects.
+    const K: i64 = 16;
+    let (server_end, client_end) = PipeEnd::pair().expect("pipes available");
+    let mut c = GraftClient::new(0);
+    assert!(client_end.write_all(&c.hello(5)));
+    for k in 1..=K {
+        let (_, bytes) = c.invoke(graft, 0, &[5, k]);
+        assert!(client_end.write_all(&bytes));
+    }
+    drop(client_end);
+
+    let stats = serve_pipes_threaded(&mut server, vec![server_end]);
+    assert_eq!(stats.closed, 1);
+    assert_eq!(
+        server.tenant_ledger(5).map(|(a, r, _)| (a, r)),
+        Some((K as u64, 0))
+    );
+    assert_eq!(server.stats().served, K as u64);
+    assert_eq!(server.stats().orphaned, K as u64);
+    assert_eq!(server.in_flight(), 0);
 }

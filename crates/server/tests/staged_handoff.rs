@@ -14,35 +14,49 @@
 //!   immediate push would have refused, at the same seqs, and leaves no
 //!   in-flight slot behind;
 //! * **nothing left staged**: once a public call returns, every
-//!   admitted job is on the plane.
+//!   admitted job is on the plane;
+//! * **parked thieves wake**: with stealing on, a backlog on one shard
+//!   wakes a parked worker of another to steal from it.
 
 use graft_api::{EntryPoint, ExtensionEngine, NativeEngine, RegionSpec, RegionStore, Technology};
-use graft_kernel::StealPolicy;
+use graft_kernel::{RunQueues, StealPolicy};
 use graft_rng::SmallRng;
-use graft_server::{
-    GraftClient, GraftServer, Reply, ServerConfig, TenantQuotas, WireError, SPIN_WINDOW,
-};
+use graft_server::{GraftClient, GraftServer, Reply, ServerConfig, TenantQuotas, WireError};
 use std::time::{Duration, Instant};
 
 const POINT: u8 = 0;
 const TECH: u8 = 0;
+/// How long an idle drain worker spins before it parks (the server's
+/// own window).
+const SPIN_WINDOW: Duration = Duration::from_micros(50);
 
-fn tagging() -> Box<dyn ExtensionEngine> {
+/// The tag graft, `tenant * 31 + x`, busy for `work` per invoke.
+fn tagging(work: Duration) -> Box<dyn ExtensionEngine> {
     let specs = [RegionSpec::data("scratch", 8)];
     let entries = [EntryPoint {
         name: "select_victim".into(),
         arity: 2,
     }];
-    let factory: graft_api::spec::SharedNativeFactory = std::sync::Arc::new(|| {
-        Box::new(|_: &str, args: &[i64], _: &mut RegionStore| Ok(args[0] * 31 + args[1]))
+    let factory: graft_api::spec::SharedNativeFactory = std::sync::Arc::new(move || {
+        Box::new(move |_: &str, args: &[i64], _: &mut RegionStore| {
+            let start = Instant::now();
+            while start.elapsed() < work {
+                std::hint::spin_loop();
+            }
+            Ok(args[0] * 31 + args[1])
+        })
     });
     Box::new(NativeEngine::from_factory(&specs, &entries, factory).unwrap())
 }
 
-fn build_server(config: ServerConfig) -> GraftServer {
+fn build_server_with(config: ServerConfig, work: Duration) -> GraftServer {
     let mut s = GraftServer::new(config);
-    s.register_spec("tag", Box::new(|_tech: Technology| Ok(tagging())));
+    s.register_spec("tag", Box::new(move |_tech: Technology| Ok(tagging(work))));
     s
+}
+
+fn build_server(config: ServerConfig) -> GraftServer {
+    build_server_with(config, Duration::ZERO)
 }
 
 /// Hello + install on a fresh connection; returns the client and the
@@ -154,6 +168,56 @@ fn three_workers_answer_every_invoke_across_the_spin_window() {
 }
 
 #[test]
+fn a_parked_worker_wakes_to_steal_a_backlog_homed_on_another_shard() {
+    // Every tenant hashes to shard 0, and no request ever lands on shard
+    // 1. Its worker parks before the work arrives; only the wake on
+    // shard 0's backlog brings it back to steal.
+    let mut server = build_server_with(
+        ServerConfig {
+            shards: 2,
+            ..ServerConfig::default()
+        },
+        Duration::from_micros(100),
+    );
+    let probe: RunQueues<()> = RunQueues::new(2, StealPolicy::default());
+    let mut sessions: Vec<(GraftClient, u64, i64)> = (1..)
+        .filter(|&t| probe.home(t) == 0)
+        .take(4)
+        .map(|t| {
+            let (client, graft) = session(&mut server, t);
+            (client, graft, t as i64)
+        })
+        .collect();
+    let plane = server.spawn_workers();
+    std::thread::sleep(SPIN_WINDOW * 20);
+    let mut expected = 0;
+    for (client, graft, tenant) in &mut sessions {
+        for x in 1..=50 {
+            let (_, bytes) = client.invoke(*graft, 0, &[*tenant, x]);
+            server.ingest(client.conn, &bytes);
+            expected += 1;
+        }
+    }
+    server.pump();
+    assert_eq!(server.queue_stats().diverted, 0, "the backlog stays homed");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let mut answered = 0;
+    while answered < expected {
+        server.reap();
+        for (client, _, _) in &mut sessions {
+            answered += replies(&mut server, client).len();
+        }
+        assert!(Instant::now() < deadline, "{answered} of {expected} answered");
+        // Leave both cores to the workers while they serve.
+        std::thread::sleep(Duration::from_micros(200));
+    }
+    let stats = plane.join(&mut server);
+    let thief = stats.iter().find(|s| s.shard == 1).expect("shard 1 worker");
+    assert!(thief.served > 0, "shard 1's worker stole nothing: {stats:?}");
+    assert_eq!(server.queue_stats().steals, thief.served);
+}
+
+#[test]
 fn join_returns_for_a_plane_that_never_saw_work() {
     let mut server = build_server(ServerConfig {
         shards: 4,
@@ -165,9 +229,10 @@ fn join_returns_for_a_plane_that_never_saw_work() {
     assert!(stats.iter().all(|s| s.served == 0));
 }
 
-/// Sends `4 + k` invokes from one tenant in one pass and returns each
-/// seq with whether it was refused `Overloaded`.
-fn one_pass(server: &mut GraftServer, k: usize) -> (Vec<u32>, Vec<u32>, GraftClient) {
+/// Sends `4 + k` invokes from a new session of tenant 7 in one pass;
+/// returns every seq, the seqs refused `Overloaded`, the client and its
+/// graft.
+fn one_pass(server: &mut GraftServer, k: usize) -> (Vec<u32>, Vec<u32>, GraftClient, u64) {
     let (mut client, graft) = session(server, 7);
     let mut seqs = Vec::new();
     for x in 0..(4 + k) as i64 {
@@ -186,13 +251,13 @@ fn one_pass(server: &mut GraftServer, k: usize) -> (Vec<u32>, Vec<u32>, GraftCli
             other => panic!("only Overloaded replies before any drain: {other:?}"),
         })
         .collect();
-    (seqs, refused, client)
+    (seqs, refused, client, graft)
 }
 
 fn assert_exact_refusals(config: ServerConfig) {
     for k in [0, 1, 3, 9] {
         let mut server = build_server(config);
-        let (seqs, refused, mut client) = one_pass(&mut server, k);
+        let (seqs, refused, mut client, graft) = one_pass(&mut server, k);
         // The last k, exactly as an immediate push per request refuses.
         assert_eq!(refused, seqs[4..].to_vec(), "k = {k}");
         assert_eq!(server.stats().rejected_overloaded, k as u64);
@@ -208,8 +273,17 @@ fn assert_exact_refusals(config: ServerConfig) {
             .collect();
         assert_eq!(served.len(), 4);
         assert!(served.iter().all(|s| seqs[..4].contains(s)));
-        assert_eq!(server.tenant_in_flight(7), Some(0));
-        assert_eq!(server.class_in_flight(0), 0);
+        assert_eq!(server.in_flight(), 0);
+        let (accepted, rejected, _) = server.tenant_ledger(7).expect("tenant 7 connected");
+        assert_eq!((accepted, rejected), (4, k as u64), "k = {k}");
+        // Every slot came back: a second full pass is admitted whole.
+        for x in 0..4 {
+            let (_, bytes) = client.invoke(graft, 0, &[7, x + 1]);
+            server.ingest(client.conn, &bytes);
+        }
+        server.pump();
+        assert_eq!(server.stats().rejected_overloaded, k as u64, "k = {k}");
+        assert_eq!(server.drain_all(), 4);
         assert_eq!(server.in_flight(), 0);
     }
 }
@@ -269,7 +343,7 @@ fn a_full_home_queue_diverts_staged_work_like_pushed_work() {
         quotas,
         ..ServerConfig::default()
     });
-    let (seqs, refused, _client) = one_pass(&mut server, 5);
+    let (seqs, refused, _client, _) = one_pass(&mut server, 5);
     assert_eq!(refused, seqs[8..].to_vec());
     assert_eq!(server.shard_depth(0), 4);
     assert_eq!(server.shard_depth(1), 4);
