@@ -165,7 +165,9 @@ impl VirtualTransport {
         self.server.pump();
         self.server.drain_all();
         let out = self.server.take_outbound(client.conn);
-        client.on_bytes(&out).expect("server emits well-formed frames")
+        client
+            .on_bytes(&out)
+            .expect("server emits well-formed frames")
     }
 
     /// One-request convenience: send, serve, return the single reply.

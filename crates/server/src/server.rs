@@ -421,8 +421,13 @@ impl GraftServer {
                     // The length prefix itself is untrustworthy: answer
                     // once, then close — the only protocol tear-down.
                     self.stats.fatal_frames += 1;
-                    c.outbox
-                        .extend(Reply::Error { seq: 0, error: fatal }.encode());
+                    c.outbox.extend(
+                        Reply::Error {
+                            seq: 0,
+                            error: fatal,
+                        }
+                        .encode(),
+                    );
                     c.open = false;
                     return;
                 }
@@ -510,9 +515,9 @@ impl GraftServer {
                 } else {
                     Some(Reply::Error {
                         seq,
-                        error: WireError::from(&GraftError::Trap(
-                            graft_api::Trap::NoSuchFunction(entry),
-                        )),
+                        error: WireError::from(&GraftError::Trap(graft_api::Trap::NoSuchFunction(
+                            entry,
+                        ))),
                     })
                 }
             }
@@ -869,8 +874,7 @@ impl GraftServer {
         // parked and does not strike again.
         let clean = error.is_none();
         if let Some(e) = &error {
-            let trapped = e.as_trap().is_some()
-                || matches!(e, GraftError::Unavailable { .. });
+            let trapped = e.as_trap().is_some() || matches!(e, GraftError::Unavailable { .. });
             if trapped {
                 // Find the job's graft: it is the one the tenant owns
                 // that the host now reports quarantined.
@@ -942,8 +946,7 @@ impl GraftServer {
             self.parked = still_parked;
             for gid in readmit {
                 self.host.readmit(gid);
-                self.stats.tenants_quarantined =
-                    self.stats.tenants_quarantined.saturating_sub(1);
+                self.stats.tenants_quarantined = self.stats.tenants_quarantined.saturating_sub(1);
             }
         }
 

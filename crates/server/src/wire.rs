@@ -260,7 +260,10 @@ impl fmt::Display for WireError {
                 write!(f, "overloaded: {in_flight} in flight (cap {cap})")
             }
             WireError::Quarantined { backoff_remaining } => {
-                write!(f, "tenant quarantined ({backoff_remaining} to re-admission)")
+                write!(
+                    f,
+                    "tenant quarantined ({backoff_remaining} to re-admission)"
+                )
             }
             WireError::Unavailable(m) => write!(f, "unavailable: {m}"),
             WireError::BadArity { expected, got } => {
@@ -374,8 +377,7 @@ impl<'a> Cursor<'a> {
     fn string(&mut self) -> Result<String, WireError> {
         let len = self.u16()? as usize;
         let raw = self.bytes(len)?;
-        String::from_utf8(raw.to_vec())
-            .map_err(|_| WireError::Malformed("non-UTF-8 string".into()))
+        String::from_utf8(raw.to_vec()).map_err(|_| WireError::Malformed("non-UTF-8 string".into()))
     }
 
     fn i64_vec(&mut self, count: usize) -> Result<Vec<i64>, WireError> {
@@ -634,11 +636,7 @@ fn read_wire_error(c: &mut Cursor<'_>) -> Result<WireError, WireError> {
             expected: c.u32()?,
             got: c.u32()?,
         },
-        other => {
-            return Err(WireError::Malformed(format!(
-                "unknown error tag {other}"
-            )))
-        }
+        other => return Err(WireError::Malformed(format!("unknown error tag {other}"))),
     })
 }
 
@@ -792,9 +790,7 @@ impl FrameBuf {
         if avail < 4 {
             return Ok(None);
         }
-        let len = u32::from_le_bytes(
-            self.buf[self.pos..self.pos + 4].try_into().unwrap(),
-        ) as usize;
+        let len = u32::from_le_bytes(self.buf[self.pos..self.pos + 4].try_into().unwrap()) as usize;
         if len > MAX_FRAME {
             return Err(WireError::Malformed(format!(
                 "declared frame length {len} exceeds maximum {MAX_FRAME}"

@@ -52,10 +52,7 @@ fn tagging() -> Box<dyn ExtensionEngine> {
 
 fn server(config: ServerConfig) -> GraftServer {
     let mut s = GraftServer::new(config);
-    s.register_spec(
-        "tag",
-        Box::new(|_tech: Technology| Ok(tagging())),
-    );
+    s.register_spec("tag", Box::new(|_tech: Technology| Ok(tagging())));
     s
 }
 
@@ -75,7 +72,10 @@ fn hello_install_invoke_round_trip() {
     };
 
     let bind = c.bind(graft, "select_victim");
-    assert!(matches!(vt.rpc(&mut c, &bind), Reply::Bound { entry: 0, .. }));
+    assert!(matches!(
+        vt.rpc(&mut c, &bind),
+        Reply::Bound { entry: 0, .. }
+    ));
 
     let (seq, invoke) = c.invoke(graft, 0, &[10, 3]);
     assert_eq!(
@@ -289,7 +289,10 @@ fn quota_exhaustion_is_typed_never_silent() {
             matches!(
                 r,
                 Reply::Error {
-                    error: WireError::Overloaded { in_flight: 2, cap: 2 },
+                    error: WireError::Overloaded {
+                        in_flight: 2,
+                        cap: 2
+                    },
                     ..
                 }
             )
@@ -391,10 +394,13 @@ fn saboteur_quarantine_isolates_and_ladder_matches_the_kernel_host() {
             other => panic!("{other:?}"),
         }
     }
-    assert_eq!(vt.server.tenant_standing(2), Some(Standing::Parked {
-        graft: graft_kernel::GraftId(sg),
-        remaining: base, // trip 1: window = base << 0
-    }));
+    assert_eq!(
+        vt.server.tenant_standing(2),
+        Some(Standing::Parked {
+            graft: graft_kernel::GraftId(sg),
+            remaining: base, // trip 1: window = base << 0
+        })
+    );
 
     // Parked tenant is refused with the typed wire error…
     let (_, invoke) = sab.invoke(sg, 0, &[1, 1]);

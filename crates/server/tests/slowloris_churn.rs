@@ -486,10 +486,7 @@ fn a_slow_reader_parks_replies_without_blocking_the_pump() {
     // one of its replies once it started reading.
     assert_eq!(fast.join().expect("fast client"), FAST_INVOKES as u64);
     assert_eq!(slow.join().expect("slow reader"), SLOW_INVOKES as u64);
-    assert_eq!(
-        server.stats().served,
-        (SLOW_INVOKES + FAST_INVOKES) as u64
-    );
+    assert_eq!(server.stats().served, (SLOW_INVOKES + FAST_INVOKES) as u64);
     assert_eq!(server.stats().orphaned, 0);
     assert_eq!(server.in_flight(), 0);
 }

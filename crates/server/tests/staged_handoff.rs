@@ -207,13 +207,19 @@ fn a_parked_worker_wakes_to_steal_a_backlog_homed_on_another_shard() {
         for (client, _, _) in &mut sessions {
             answered += replies(&mut server, client).len();
         }
-        assert!(Instant::now() < deadline, "{answered} of {expected} answered");
+        assert!(
+            Instant::now() < deadline,
+            "{answered} of {expected} answered"
+        );
         // Leave both cores to the workers while they serve.
         std::thread::sleep(Duration::from_micros(200));
     }
     let stats = plane.join(&mut server);
     let thief = stats.iter().find(|s| s.shard == 1).expect("shard 1 worker");
-    assert!(thief.served > 0, "shard 1's worker stole nothing: {stats:?}");
+    assert!(
+        thief.served > 0,
+        "shard 1's worker stole nothing: {stats:?}"
+    );
     assert_eq!(server.queue_stats().steals, thief.served);
 }
 

@@ -35,8 +35,8 @@
 use graft_api::{
     EntryPoint, ExtensionEngine, NativeEngine, RegionSpec, RegionStore, Technology, Trap,
 };
-use graft_rng::SmallRng;
 use graft_kernel::StealPolicy;
+use graft_rng::SmallRng;
 use graft_server::{FrameBuf, GraftClient, GraftServer, Reply, ServerConfig, Standing};
 use std::collections::BTreeMap;
 

@@ -188,7 +188,10 @@ fn mutated_frames_answer_typed_or_close_without_leaking_tenant_state() {
                 match blast {
                     Blast::Oversize => {
                         clean_oversize += 1;
-                        assert!(!open, "seed {seed} step {step}: oversized prefix left conn open");
+                        assert!(
+                            !open,
+                            "seed {seed} step {step}: oversized prefix left conn open"
+                        );
                         assert_eq!(replies.len(), 1, "seed {seed} step {step}: {replies:?}");
                         assert!(
                             matches!(replies[0], Reply::Error { seq: 0, .. }),

@@ -147,11 +147,27 @@ fn a_trap_on_one_shard_strikes_once_while_another_shard_serves_the_queue() {
     assert_eq!(replies.len(), 6, "every stranded request was answered");
     let traps = replies
         .values()
-        .filter(|r| matches!(r, Reply::Error { error: WireError::Trap { .. }, .. }))
+        .filter(|r| {
+            matches!(
+                r,
+                Reply::Error {
+                    error: WireError::Trap { .. },
+                    ..
+                }
+            )
+        })
         .count();
     let stranded = replies
         .values()
-        .filter(|r| matches!(r, Reply::Error { error: WireError::Unavailable(_), .. }))
+        .filter(|r| {
+            matches!(
+                r,
+                Reply::Error {
+                    error: WireError::Unavailable(_),
+                    ..
+                }
+            )
+        })
         .count();
     let served = replies
         .values()
@@ -190,9 +206,8 @@ fn a_banning_saboteur_on_live_workers_strikes_once_and_victims_never_notice() {
         };
         let mut server = build_server(config);
         let (mut sab, sab_graft) = session(&mut server, 999);
-        let mut victims: Vec<(GraftClient, u64)> = (1..=VICTIMS)
-            .map(|t| session(&mut server, t))
-            .collect();
+        let mut victims: Vec<(GraftClient, u64)> =
+            (1..=VICTIMS).map(|t| session(&mut server, t)).collect();
 
         let plane = server.spawn_workers();
 
