@@ -160,9 +160,11 @@ pub(crate) struct Program {
 /// Plain (non-atomic) words bumped only by the four SFI-only ops — in
 /// the decoded loop's arms, or in registers by the machine code — so
 /// the Unchecked and Safe modes never touch them and pay nothing.
-/// [`CompiledEngine::invoke`] zeroes the tally before each run and
-/// flushes it to `graft-telemetry` counters afterwards — one flush per
-/// invocation, no atomics while graft code runs.
+/// [`CompiledEngine::invoke`] zeroes the tally before each run. While
+/// telemetry is enabled the engine sums the tallies and adds the sum to
+/// the `sfi.*` counters every [`SFI_FLUSH_EVERY`] invocations and when
+/// it drops — no atomics while graft code runs, and four counter adds
+/// per [`SFI_FLUSH_EVERY`] invocations rather than per invocation.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct SfiTally {
     /// `Mask` instructions executed (address sandboxing ops).
@@ -173,6 +175,19 @@ pub struct SfiTally {
     pub masked_stores: u64,
     /// Fused `ArenaLoad`s executed (read protection off).
     pub arena_loads: u64,
+}
+
+/// Invocations whose [`SfiTally`]s an SFI engine sums before it adds
+/// them to the `sfi.*` counters.
+pub const SFI_FLUSH_EVERY: u32 = 64;
+
+impl SfiTally {
+    fn add(&mut self, t: &SfiTally) {
+        self.masks += t.masks;
+        self.masked_loads += t.masked_loads;
+        self.masked_stores += t.masked_stores;
+        self.arena_loads += t.arena_loads;
+    }
 }
 
 /// A graft module loaded under one of the compiled technologies.
@@ -189,6 +204,10 @@ pub struct CompiledEngine {
     fuel_limit: u64,
     last_fuel_used: u64,
     sfi_tally: SfiTally,
+    /// Tallies of recorded invocations not yet added to the counters,
+    /// and how many invocations they sum.
+    sfi_unflushed: SfiTally,
+    sfi_unflushed_calls: u32,
     /// Register frames of the running call chain.
     stack: Vec<i64>,
     /// Return addresses of the decoded loop's running call chain.
@@ -277,6 +296,8 @@ impl CompiledEngine {
             fuel_limit: 0,
             last_fuel_used: 0,
             sfi_tally: SfiTally::default(),
+            sfi_unflushed: SfiTally::default(),
+            sfi_unflushed_calls: 0,
             stack: Vec::new(),
             calls: Vec::new(),
             bases: Vec::new(),
@@ -324,6 +345,16 @@ impl CompiledEngine {
     /// and the code-expansion report.
     pub fn module(&self) -> &Module {
         &self.module
+    }
+
+    /// Adds the unflushed SFI tallies to the `sfi.*` counters.
+    fn flush_sfi(&mut self) {
+        let t = std::mem::take(&mut self.sfi_unflushed);
+        self.sfi_unflushed_calls = 0;
+        graft_telemetry::counter!("sfi.mask_ops").add(t.masks);
+        graft_telemetry::counter!("sfi.masked_loads").add(t.masked_loads);
+        graft_telemetry::counter!("sfi.masked_stores").add(t.masked_stores);
+        graft_telemetry::counter!("sfi.arena_loads").add(t.arena_loads);
     }
 
     /// Validates a pre-bound region handle and returns its raw index
@@ -389,15 +420,15 @@ impl ExtensionEngine for CompiledEngine {
         } else {
             0
         };
-        // Telemetry flush point: graft code only bumps plain words on
-        // the engine; the counter atomics happen once per
-        // invocation, and only under the SFI technology.
+        // Graft code only bumps plain words on the engine; under the
+        // SFI technology the engine sums them and the counter atomics
+        // happen once per `SFI_FLUSH_EVERY` recorded invocations.
         if matches!(self.mode, SafetyMode::Sfi { .. }) && graft_telemetry::enabled() {
-            let t = self.sfi_tally;
-            graft_telemetry::counter!("sfi.mask_ops").add(t.masks);
-            graft_telemetry::counter!("sfi.masked_loads").add(t.masked_loads);
-            graft_telemetry::counter!("sfi.masked_stores").add(t.masked_stores);
-            graft_telemetry::counter!("sfi.arena_loads").add(t.arena_loads);
+            self.sfi_unflushed.add(&self.sfi_tally);
+            self.sfi_unflushed_calls += 1;
+            if self.sfi_unflushed_calls == SFI_FLUSH_EVERY {
+                self.flush_sfi();
+            }
         }
         result
     }
@@ -511,10 +542,20 @@ impl ExtensionEngine for CompiledEngine {
             fuel_limit: 0,
             last_fuel_used: 0,
             sfi_tally: SfiTally::default(),
+            sfi_unflushed: SfiTally::default(),
+            sfi_unflushed_calls: 0,
             stack: Vec::new(),
             calls: Vec::new(),
             bases: Vec::new(),
         }))
+    }
+}
+
+impl Drop for CompiledEngine {
+    fn drop(&mut self) {
+        if self.sfi_unflushed_calls > 0 {
+            self.flush_sfi();
+        }
     }
 }
 

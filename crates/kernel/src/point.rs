@@ -48,12 +48,27 @@ impl AttachPoint {
     }
 
     /// The arity of that entry point.
-    pub fn arity(&self) -> usize {
+    pub const fn arity(&self) -> usize {
         match self {
             AttachPoint::VmEvict | AttachPoint::CacheEvict => 2,
             AttachPoint::CacheReadAhead | AttachPoint::SchedPick | AttachPoint::DiskWrite => 1,
         }
     }
+
+    /// The largest [`arity`](Self::arity) of any point: the most
+    /// arguments a graft attached anywhere accepts.
+    pub const MAX_ARITY: usize = {
+        let mut max = 0;
+        let mut i = 0;
+        while i < AttachPoint::COUNT {
+            let arity = AttachPoint::ALL[i].arity();
+            if arity > max {
+                max = arity;
+            }
+            i += 1;
+        }
+        max
+    };
 
     /// A short stable name, used as a telemetry/report label.
     pub fn name(&self) -> &'static str {

@@ -17,7 +17,7 @@
 //! only the readiness loop is elided.
 
 use crate::server::GraftServer;
-use crate::wire::{FrameBuf, Reply, Request, WireError};
+use crate::wire::{self, FrameBuf, Reply, Request, WireError};
 
 /// Protocol-side connection state for one client.
 #[derive(Debug)]
@@ -79,16 +79,9 @@ impl GraftClient {
     /// can match the eventual (possibly reordered) reply.
     pub fn invoke(&mut self, graft: u64, entry: u32, args: &[i64]) -> (u32, Vec<u8>) {
         let seq = self.seq();
-        (
-            seq,
-            Request::Invoke {
-                seq,
-                graft,
-                entry,
-                args: args.to_vec(),
-            }
-            .encode(),
-        )
+        let mut frame = Vec::with_capacity(wire::invoke_frame_len(args.len()));
+        wire::framed(&mut frame, |b| wire::put_invoke(b, seq, graft, entry, args));
+        (seq, frame)
     }
 
     /// Encoded `InvokeBatch` frame; returns `(seq, bytes)`.
@@ -100,17 +93,11 @@ impl GraftClient {
         args: &[i64],
     ) -> (u32, Vec<u8>) {
         let seq = self.seq();
-        (
-            seq,
-            Request::InvokeBatch {
-                seq,
-                graft,
-                entry,
-                arity,
-                args: args.to_vec(),
-            }
-            .encode(),
-        )
+        let mut frame = Vec::with_capacity(wire::invoke_frame_len(args.len()) + 4);
+        wire::framed(&mut frame, |b| {
+            wire::put_invoke_batch(b, seq, graft, entry, arity, args)
+        });
+        (seq, frame)
     }
 
     /// Encoded `Uninstall` frame.
@@ -133,7 +120,7 @@ impl GraftClient {
         self.frames.extend(bytes);
         let mut replies = Vec::new();
         while let Some(body) = self.frames.next_frame()? {
-            replies.push(Reply::decode(&body)?);
+            replies.push(Reply::decode(body)?);
         }
         Ok(replies)
     }

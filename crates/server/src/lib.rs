@@ -48,5 +48,5 @@ pub use cq::CompletionQueue;
 pub use pipe::{serve_pipes, serve_pipes_threaded, PipeServeStats};
 pub use server::{GraftServer, ServerConfig, ServerStats, SpecLoader};
 pub use tenant::{class_share, QuotaClass, Standing, Tenant, TenantQuotas, MAX_CLASSES};
-pub use wire::{FrameBuf, Reply, Request, WireError, MAX_FRAME};
+pub use wire::{FrameBuf, InvokeArgs, Reply, Request, WireError, MAX_FRAME};
 pub use workers::{WorkerPlane, WorkerStats};

@@ -48,7 +48,7 @@
 
 use crate::cq::CompletionQueue;
 use crate::tenant::{class_share, QuotaClass, Standing, Tenant, TenantQuotas, MAX_CLASSES};
-use crate::wire::{Reply, Request, WireError};
+use crate::wire::{InvokeArgs, Reply, Request, WireError};
 use graft_api::{ExtensionEngine, GraftError, Technology};
 use graft_kernel::{
     AttachPoint, GraftId, HostConfig, RunQueues, ShardHandle, ShardedHost, Staged, StealPolicy,
@@ -143,8 +143,18 @@ pub(crate) struct Job {
     tenant: u64,
     /// Per-call arity when this is a batch; `None` = single invoke.
     batch: Option<usize>,
-    args: Vec<i64>,
+    args: InvokeArgs,
     t0: Instant,
+}
+
+/// What a job's invoke produced.
+#[derive(Debug)]
+pub(crate) enum Outcome {
+    /// A single invoke's value, or the error it raised.
+    Single(Result<i64, GraftError>),
+    /// A batch's values for the calls that ran, then the error that
+    /// stopped it, if one did.
+    Batch(Vec<i64>, Option<GraftError>),
 }
 
 /// A finished invoke travelling back from a worker (or the inline
@@ -155,8 +165,7 @@ pub(crate) struct Completion {
     /// in single-threaded mode).
     pub(crate) shard: usize,
     pub(crate) job: Job,
-    pub(crate) values: Vec<i64>,
-    pub(crate) error: Option<GraftError>,
+    pub(crate) outcome: Outcome,
 }
 
 /// The invoke half of the executor: takes one steal-aware batch for
@@ -187,14 +196,11 @@ pub(crate) fn invoke_shard(
         // Invoke on this shard's replica. A batch job shares the
         // engine's prefix-on-trap contract: values for the calls that
         // ran, then the error that stopped it.
-        let mut values = Vec::new();
-        let mut error = None;
-        match job.batch {
-            None => match handle.invoke(gid, &job.args) {
-                Ok(v) => values.push(v),
-                Err(e) => error = Some(e),
-            },
+        let outcome = match job.batch {
+            None => Outcome::Single(handle.invoke(gid, &job.args)),
             Some(arity) => {
+                let mut values = Vec::new();
+                let mut error = None;
                 for call in job.args.chunks(arity) {
                     match handle.invoke(gid, call) {
                         Ok(v) => values.push(v),
@@ -204,15 +210,15 @@ pub(crate) fn invoke_shard(
                         }
                     }
                 }
+                Outcome::Batch(values, error)
             }
-        }
+        };
         // Tell the plane this shard now has the graft hot.
         queues.mark_warm(shard, item.graft);
         let mut completion = Completion {
             shard,
             job,
-            values,
-            error,
+            outcome,
         };
         while let Err(back) = completions.push(completion) {
             completion = back;
@@ -381,11 +387,16 @@ impl GraftServer {
     }
 
     /// Takes whatever reply bytes the connection has accumulated.
+    ///
+    /// An open connection's outbox is refilled at the size just taken,
+    /// so the next pass encodes its replies in place without growing
+    /// the buffer step by step.
     pub fn take_outbound(&mut self, conn: usize) -> Vec<u8> {
-        self.conns
-            .get_mut(conn)
-            .map(|c| std::mem::take(&mut c.outbox))
-            .unwrap_or_default()
+        let Some(c) = self.conns.get_mut(conn) else {
+            return Vec::new();
+        };
+        let refill = if c.open { c.outbox.len() } else { 0 };
+        std::mem::replace(&mut c.outbox, Vec::with_capacity(refill))
     }
 
     /// Decodes and processes every complete frame on every connection,
@@ -414,42 +425,42 @@ impl GraftServer {
             if !c.open {
                 return;
             }
-            let body = match c.inbox.next_frame() {
-                Ok(Some(body)) => body,
+            let decoded = match c.inbox.next_frame() {
+                // Echo the seq of a bad body if its prefix still has one.
+                Ok(Some(body)) => Request::decode(body).map_err(|err| {
+                    let seq = body
+                        .get(1..5)
+                        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
+                        .unwrap_or(0);
+                    (seq, err)
+                }),
                 Ok(None) => return,
                 Err(fatal) => {
                     // The length prefix itself is untrustworthy: answer
                     // once, then close — the only protocol tear-down.
                     self.stats.fatal_frames += 1;
-                    c.outbox.extend(
-                        Reply::Error {
-                            seq: 0,
-                            error: fatal,
-                        }
-                        .encode(),
-                    );
+                    Reply::Error {
+                        seq: 0,
+                        error: fatal,
+                    }
+                    .encode_into(&mut c.outbox);
                     c.open = false;
                     return;
                 }
             };
-            let reply = match Request::decode(&body) {
+            let reply = match decoded {
                 Ok(req) => self.handle(conn, req),
-                Err(err) => {
+                Err((seq, err)) => {
                     // A bad body is the *client's* problem, not the
-                    // connection's: reply typed and keep framing. Echo
-                    // the seq if the prefix of the body still has one.
+                    // connection's: reply typed and keep framing.
                     self.stats.malformed += 1;
                     graft_telemetry::counter!("server.malformed").add(1);
-                    let seq = body
-                        .get(1..5)
-                        .map(|b| u32::from_le_bytes(b.try_into().unwrap()))
-                        .unwrap_or(0);
                     Some(Reply::Error { seq, error: err })
                 }
             };
             if let Some(reply) = reply {
                 if let Some(c) = self.conns.get_mut(conn) {
-                    c.outbox.extend(reply.encode());
+                    reply.encode_into(&mut c.outbox);
                 }
             }
         }
@@ -547,7 +558,7 @@ impl GraftServer {
                 graft,
                 entry,
                 Some(arity as usize),
-                args,
+                args.into(),
             ),
         }
     }
@@ -651,7 +662,7 @@ impl GraftServer {
         graft: u64,
         entry: u32,
         batch: Option<usize>,
-        args: Vec<i64>,
+        args: InvokeArgs,
     ) -> Option<Reply> {
         if let Err(error) = self.tenant_graft(tenant_id, graft) {
             let t = self.tenants.get_mut(&tenant_id).expect("tenant exists");
@@ -853,8 +864,7 @@ impl GraftServer {
         let Completion {
             shard,
             job,
-            values,
-            error,
+            outcome,
         } = completion;
         let service_ns = job.t0.elapsed().as_nanos() as u64;
         graft_telemetry::histogram!("server.service_ns").record(service_ns);
@@ -872,8 +882,12 @@ impl GraftServer {
         // (e.g. a queued request another worker served as
         // `Unavailable` after the detach) finds the tenant already
         // parked and does not strike again.
+        let error = match &outcome {
+            Outcome::Single(Err(e)) | Outcome::Batch(_, Some(e)) => Some(e),
+            _ => None,
+        };
         let clean = error.is_none();
-        if let Some(e) = &error {
+        if let Some(e) = error {
             let trapped = e.as_trap().is_some() || matches!(e, GraftError::Unavailable { .. });
             if trapped {
                 // Find the job's graft: it is the one the tenant owns
@@ -907,17 +921,16 @@ impl GraftServer {
         let t = self.tenants.get(&job.tenant).expect("tenant exists");
         let quotas = self.quotas_for(t);
         if quotas.fuel_budget.is_some() && t.accepted.is_multiple_of(self.config.fuel_refresh) {
-            let grafts = t.grafts.clone();
             if let Some(handle) = self.handles.get_mut(shard) {
                 handle.flush();
             }
-            let charged: u64 = grafts
+            let t = self.tenants.get_mut(&job.tenant).expect("tenant exists");
+            t.fuel_charged = t
+                .grafts
                 .iter()
                 .filter_map(|g| self.host.ledger(*g))
                 .map(|l| l.fuel_used)
                 .sum();
-            let t = self.tenants.get_mut(&job.tenant).expect("tenant exists");
-            t.fuel_charged = charged;
         }
 
         let t = self.tenants.get_mut(&job.tenant).expect("tenant exists");
@@ -929,44 +942,42 @@ impl GraftServer {
         // server-wide analog of the scalar host's "dispatches served
         // without the graft".
         if clean && !self.parked.is_empty() {
-            let mut still_parked = Vec::with_capacity(self.parked.len());
+            let tenants = &mut self.tenants;
             let mut readmit = Vec::new();
-            for id in std::mem::take(&mut self.parked) {
-                let t = self.tenants.get_mut(&id).expect("tenant exists");
+            self.parked.retain(|id| {
+                let t = tenants.get_mut(id).expect("tenant exists");
                 match t.tick() {
-                    Some(gid) => readmit.push(gid),
-                    None => {
-                        if matches!(t.standing, Standing::Parked { .. }) {
-                            still_parked.push(id);
-                        }
-                        // Banned tenants fall off the tick list.
+                    Some(gid) => {
+                        readmit.push(gid);
+                        false
                     }
+                    // Banned tenants fall off the tick list.
+                    None => matches!(t.standing, Standing::Parked { .. }),
                 }
-            }
-            self.parked = still_parked;
+            });
             for gid in readmit {
                 self.host.readmit(gid);
                 self.stats.tenants_quarantined = self.stats.tenants_quarantined.saturating_sub(1);
             }
         }
 
-        let reply = match (job.batch, error) {
-            (None, None) => Reply::Value {
+        let reply = match outcome {
+            Outcome::Single(Ok(value)) => Reply::Value {
                 seq: job.seq,
-                value: values[0],
+                value,
             },
-            (None, Some(e)) => Reply::Error {
+            Outcome::Single(Err(e)) => Reply::Error {
                 seq: job.seq,
                 error: WireError::from(&e),
             },
-            (Some(_), e) => Reply::Batch {
+            Outcome::Batch(values, e) => Reply::Batch {
                 seq: job.seq,
                 values,
                 error: e.as_ref().map(WireError::from),
             },
         };
         match self.conns.get_mut(job.conn) {
-            Some(c) if c.open => c.outbox.extend(reply.encode()),
+            Some(c) if c.open => reply.encode_into(&mut c.outbox),
             _ => {
                 // The client churned away mid-flight: the accounting
                 // above still ran (slots released, strikes recorded),

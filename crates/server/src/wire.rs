@@ -25,12 +25,80 @@
 //! in-process engines behave.
 
 use graft_api::{GraftError, Trap};
+use graft_kernel::AttachPoint;
 use std::fmt;
+use std::ops::Deref;
 
 /// Largest body a frame may declare. Generous for batched invokes
 /// (8-byte args × thousands) while keeping a corrupted length prefix
 /// from ballooning the connection buffer.
 pub const MAX_FRAME: usize = 1 << 16;
+
+/// Arguments an [`InvokeArgs`] holds without the heap: the largest
+/// attach-point arity, so every invoke a graft can accept decodes in
+/// place.
+pub const INLINE_ARGS: usize = AttachPoint::MAX_ARITY;
+
+/// An `Invoke`'s argument list. Up to [`INLINE_ARGS`] words live
+/// inline, so a single invoke crosses decode, admission and the run
+/// queue without an allocation; a longer list (which no attach point
+/// accepts, and which the engine answers `BadArity`) is kept on the
+/// heap. Compares and prints as the slice it holds.
+#[derive(Clone)]
+pub struct InvokeArgs(ArgWords);
+
+#[derive(Clone)]
+enum ArgWords {
+    Inline { len: u8, words: [i64; INLINE_ARGS] },
+    Heap(Vec<i64>),
+}
+
+impl InvokeArgs {
+    /// `args` held inline; at most [`INLINE_ARGS`] of them.
+    fn inline(args: &[i64]) -> Self {
+        let mut words = [0; INLINE_ARGS];
+        words[..args.len()].copy_from_slice(args);
+        InvokeArgs(ArgWords::Inline {
+            len: args.len() as u8,
+            words,
+        })
+    }
+}
+
+impl From<Vec<i64>> for InvokeArgs {
+    fn from(args: Vec<i64>) -> Self {
+        if args.len() > INLINE_ARGS {
+            InvokeArgs(ArgWords::Heap(args))
+        } else {
+            InvokeArgs::inline(&args)
+        }
+    }
+}
+
+impl Deref for InvokeArgs {
+    type Target = [i64];
+
+    fn deref(&self) -> &[i64] {
+        match &self.0 {
+            ArgWords::Inline { len, words } => &words[..*len as usize],
+            ArgWords::Heap(args) => args,
+        }
+    }
+}
+
+impl PartialEq for InvokeArgs {
+    fn eq(&self, other: &Self) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for InvokeArgs {}
+
+impl fmt::Debug for InvokeArgs {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        (**self).fmt(f)
+    }
+}
 
 /// Request opcodes (first body byte, client → server).
 mod op {
@@ -94,7 +162,7 @@ pub enum Request {
         /// Entry id from `Bound`.
         entry: u32,
         /// Arguments.
-        args: Vec<i64>,
+        args: InvokeArgs,
     },
     /// Invoke one entry `calls` times with packed `arity`-wide args —
     /// the wire image of `ExtensionEngine::invoke_batch`, with the same
@@ -391,6 +459,17 @@ impl<'a> Cursor<'a> {
         (0..count).map(|_| self.i64()).collect()
     }
 
+    fn invoke_args(&mut self, count: usize) -> Result<InvokeArgs, WireError> {
+        if count > INLINE_ARGS {
+            return Ok(InvokeArgs(ArgWords::Heap(self.i64_vec(count)?)));
+        }
+        let mut words = [0; INLINE_ARGS];
+        for word in &mut words[..count] {
+            *word = self.i64()?;
+        }
+        Ok(InvokeArgs::inline(&words[..count]))
+    }
+
     fn done(&self) -> Result<(), WireError> {
         if self.pos != self.buf.len() {
             return Err(WireError::Malformed(format!(
@@ -402,23 +481,66 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn frame(body: Vec<u8>) -> Vec<u8> {
-    debug_assert!(body.len() <= MAX_FRAME);
-    let mut out = Vec::with_capacity(4 + body.len());
-    put_u32(&mut out, body.len() as u32);
-    out.extend_from_slice(&body);
-    out
+/// Appends one frame to `out`: a length placeholder, the body `body`
+/// writes after it, then the body's real length over the placeholder.
+pub(crate) fn framed(out: &mut Vec<u8>, body: impl FnOnce(&mut Vec<u8>)) {
+    let at = out.len();
+    put_u32(out, 0);
+    body(out);
+    let len = out.len() - at - 4;
+    debug_assert!(len <= MAX_FRAME);
+    out[at..at + 4].copy_from_slice(&(len as u32).to_le_bytes());
+}
+
+/// Bytes of an `Invoke` frame with `args` arguments, prefix included
+/// (an `InvokeBatch` frame adds a 4-byte count).
+pub(crate) const fn invoke_frame_len(args: usize) -> usize {
+    4 + 1 + 4 + 8 + 4 + 2 + 8 * args
+}
+
+/// Writes an `Invoke` body from borrowed arguments.
+pub(crate) fn put_invoke(b: &mut Vec<u8>, seq: u32, graft: u64, entry: u32, args: &[i64]) {
+    b.push(op::INVOKE);
+    put_u32(b, seq);
+    put_u64(b, graft);
+    put_u32(b, entry);
+    put_u16(b, args.len() as u16);
+    args.iter().for_each(|a| put_i64(b, *a));
+}
+
+/// Writes an `InvokeBatch` body from borrowed arguments.
+pub(crate) fn put_invoke_batch(
+    b: &mut Vec<u8>,
+    seq: u32,
+    graft: u64,
+    entry: u32,
+    arity: u16,
+    args: &[i64],
+) {
+    b.push(op::INVOKE_BATCH);
+    put_u32(b, seq);
+    put_u64(b, graft);
+    put_u32(b, entry);
+    put_u16(b, arity);
+    put_u32(b, args.len() as u32);
+    args.iter().for_each(|a| put_i64(b, *a));
 }
 
 impl Request {
     /// Encodes this request as one length-prefixed frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        match self {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends this request to `out` as one length-prefixed frame.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        framed(out, |b| match self {
             Request::Hello { seq, tenant } => {
                 b.push(op::HELLO);
-                put_u32(&mut b, *seq);
-                put_u64(&mut b, *tenant);
+                put_u32(b, *seq);
+                put_u64(b, *tenant);
             }
             Request::Install {
                 seq,
@@ -427,56 +549,40 @@ impl Request {
                 spec,
             } => {
                 b.push(op::INSTALL);
-                put_u32(&mut b, *seq);
+                put_u32(b, *seq);
                 b.push(*point);
                 b.push(*tech);
-                put_str(&mut b, spec);
+                put_str(b, spec);
             }
             Request::Bind { seq, graft, entry } => {
                 b.push(op::BIND);
-                put_u32(&mut b, *seq);
-                put_u64(&mut b, *graft);
-                put_str(&mut b, entry);
+                put_u32(b, *seq);
+                put_u64(b, *graft);
+                put_str(b, entry);
             }
             Request::Invoke {
                 seq,
                 graft,
                 entry,
                 args,
-            } => {
-                b.push(op::INVOKE);
-                put_u32(&mut b, *seq);
-                put_u64(&mut b, *graft);
-                put_u32(&mut b, *entry);
-                put_u16(&mut b, args.len() as u16);
-                args.iter().for_each(|a| put_i64(&mut b, *a));
-            }
+            } => put_invoke(b, *seq, *graft, *entry, args),
             Request::InvokeBatch {
                 seq,
                 graft,
                 entry,
                 arity,
                 args,
-            } => {
-                b.push(op::INVOKE_BATCH);
-                put_u32(&mut b, *seq);
-                put_u64(&mut b, *graft);
-                put_u32(&mut b, *entry);
-                put_u16(&mut b, *arity);
-                put_u32(&mut b, args.len() as u32);
-                args.iter().for_each(|a| put_i64(&mut b, *a));
-            }
+            } => put_invoke_batch(b, *seq, *graft, *entry, *arity, args),
             Request::Uninstall { seq, graft } => {
                 b.push(op::UNINSTALL);
-                put_u32(&mut b, *seq);
-                put_u64(&mut b, *graft);
+                put_u32(b, *seq);
+                put_u64(b, *graft);
             }
             Request::Bye { seq } => {
                 b.push(op::BYE);
-                put_u32(&mut b, *seq);
+                put_u32(b, *seq);
             }
-        }
-        frame(b)
+        });
     }
 
     /// Decodes one frame *body* (length prefix already stripped).
@@ -508,7 +614,7 @@ impl Request {
                     seq,
                     graft,
                     entry,
-                    args: c.i64_vec(argc)?,
+                    args: c.invoke_args(argc)?,
                 }
             }
             op::INVOKE_BATCH => {
@@ -643,52 +749,57 @@ fn read_wire_error(c: &mut Cursor<'_>) -> Result<WireError, WireError> {
 impl Reply {
     /// Encodes this reply as one length-prefixed frame.
     pub fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        match self {
+        let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends this reply to `out` as one length-prefixed frame.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        framed(out, |b| match self {
             Reply::Welcome { seq, tenant } => {
                 b.push(rop::WELCOME);
-                put_u32(&mut b, *seq);
-                put_u64(&mut b, *tenant);
+                put_u32(b, *seq);
+                put_u64(b, *tenant);
             }
             Reply::Installed { seq, graft } => {
                 b.push(rop::INSTALLED);
-                put_u32(&mut b, *seq);
-                put_u64(&mut b, *graft);
+                put_u32(b, *seq);
+                put_u64(b, *graft);
             }
             Reply::Bound { seq, entry } => {
                 b.push(rop::BOUND);
-                put_u32(&mut b, *seq);
-                put_u32(&mut b, *entry);
+                put_u32(b, *seq);
+                put_u32(b, *entry);
             }
             Reply::Value { seq, value } => {
                 b.push(rop::VALUE);
-                put_u32(&mut b, *seq);
-                put_i64(&mut b, *value);
+                put_u32(b, *seq);
+                put_i64(b, *value);
             }
             Reply::Batch { seq, values, error } => {
                 b.push(rop::BATCH);
-                put_u32(&mut b, *seq);
-                put_u32(&mut b, values.len() as u32);
-                values.iter().for_each(|v| put_i64(&mut b, *v));
+                put_u32(b, *seq);
+                put_u32(b, values.len() as u32);
+                values.iter().for_each(|v| put_i64(b, *v));
                 match error {
                     None => b.push(0),
                     Some(e) => {
                         b.push(1);
-                        put_wire_error(&mut b, e);
+                        put_wire_error(b, e);
                     }
                 }
             }
             Reply::Gone { seq } => {
                 b.push(rop::GONE);
-                put_u32(&mut b, *seq);
+                put_u32(b, *seq);
             }
             Reply::Error { seq, error } => {
                 b.push(rop::ERROR);
-                put_u32(&mut b, *seq);
-                put_wire_error(&mut b, error);
+                put_u32(b, *seq);
+                put_wire_error(b, error);
             }
-        }
-        frame(b)
+        });
     }
 
     /// Decodes one frame *body* (length prefix already stripped).
@@ -772,20 +883,26 @@ impl FrameBuf {
 
     /// Appends raw transport bytes.
     pub fn extend(&mut self, bytes: &[u8]) {
-        // Compact before growing: drop the consumed prefix once it
-        // dominates the buffer so a long-lived connection stays O(frame).
-        if self.pos > 4096 && self.pos * 2 > self.buf.len() {
+        // Every frame consumed: start over at the front of the same
+        // allocation. Otherwise compact before growing: drop the
+        // consumed prefix once it dominates the buffer so a long-lived
+        // connection stays O(frame).
+        if self.pos == self.buf.len() {
+            self.buf.clear();
+            self.pos = 0;
+        } else if self.pos > 4096 && self.pos * 2 > self.buf.len() {
             self.buf.drain(..self.pos);
             self.pos = 0;
         }
         self.buf.extend_from_slice(bytes);
     }
 
-    /// Pops the next complete frame body, if one has fully arrived.
+    /// Pops the next complete frame body, if one has fully arrived. The
+    /// body is borrowed from the buffer until the next call.
     ///
     /// `Err` is the fatal oversized-length condition; the caller must
     /// close the connection.
-    pub fn next_frame(&mut self) -> Result<Option<Vec<u8>>, WireError> {
+    pub fn next_frame(&mut self) -> Result<Option<&[u8]>, WireError> {
         let avail = self.buf.len() - self.pos;
         if avail < 4 {
             return Ok(None);
@@ -799,9 +916,9 @@ impl FrameBuf {
         if avail < 4 + len {
             return Ok(None);
         }
-        let body = self.buf[self.pos + 4..self.pos + 4 + len].to_vec();
-        self.pos += 4 + len;
-        Ok(Some(body))
+        let start = self.pos + 4;
+        self.pos = start + len;
+        Ok(Some(&self.buf[start..self.pos]))
     }
 
     /// Bytes buffered but not yet consumed.
@@ -814,49 +931,85 @@ impl FrameBuf {
 mod tests {
     use super::*;
 
-    fn round_trip_req(req: Request) {
-        let framed = req.encode();
-        let mut fb = FrameBuf::new();
-        fb.extend(&framed);
-        let body = fb.next_frame().unwrap().expect("one frame");
-        assert_eq!(Request::decode(&body).unwrap(), req);
-        assert_eq!(fb.next_frame().unwrap(), None);
-    }
-
-    #[test]
-    fn requests_round_trip() {
-        round_trip_req(Request::Hello { seq: 1, tenant: 42 });
-        round_trip_req(Request::Install {
-            seq: 2,
-            point: 0,
-            tech: 3,
-            spec: "tenant_tag".into(),
-        });
-        round_trip_req(Request::Bind {
-            seq: 3,
-            graft: 7,
-            entry: "select_victim".into(),
-        });
-        round_trip_req(Request::Invoke {
-            seq: 4,
+    /// An `Invoke` of `n` distinct arguments.
+    fn invoke_of(n: usize) -> Request {
+        Request::Invoke {
+            seq: 40 + n as u32,
             graft: 7,
             entry: 0,
-            args: vec![-1, i64::MAX, 0],
-        });
-        round_trip_req(Request::InvokeBatch {
-            seq: 5,
-            graft: 7,
-            entry: 0,
-            arity: 2,
-            args: vec![1, 2, 3, 4],
-        });
-        round_trip_req(Request::Uninstall { seq: 6, graft: 7 });
-        round_trip_req(Request::Bye { seq: 7 });
+            args: (0..n as i64)
+                .map(|i| i64::MAX - i * 3)
+                .collect::<Vec<_>>()
+                .into(),
+        }
     }
 
-    #[test]
-    fn replies_round_trip() {
-        for reply in [
+    /// Every request variant, with invokes of 0..=5 arguments (across
+    /// the inline/heap boundary).
+    fn every_request() -> Vec<Request> {
+        let mut all = vec![
+            Request::Hello { seq: 1, tenant: 42 },
+            Request::Install {
+                seq: 2,
+                point: 0,
+                tech: 3,
+                spec: "tenant_tag".into(),
+            },
+            Request::Bind {
+                seq: 3,
+                graft: 7,
+                entry: "select_victim".into(),
+            },
+            Request::InvokeBatch {
+                seq: 5,
+                graft: 7,
+                entry: 0,
+                arity: 2,
+                args: vec![1, 2, 3, 4],
+            },
+            Request::InvokeBatch {
+                seq: 6,
+                graft: 7,
+                entry: 0,
+                arity: 1,
+                args: vec![],
+            },
+            Request::Uninstall { seq: 6, graft: 7 },
+            Request::Bye { seq: 7 },
+        ];
+        all.extend((0..=5).map(invoke_of));
+        all
+    }
+
+    /// Every reply variant, with an `Error` for every wire error.
+    fn every_reply() -> Vec<Reply> {
+        let errors = [
+            WireError::Malformed("truncated body".into()),
+            WireError::Protocol("frame before Hello".into()),
+            WireError::NoSuchGraft(12),
+            WireError::StaleHandle { kind: 0, id: 99 },
+            WireError::Trap {
+                kind: 2,
+                detail: "integer division by zero".into(),
+            },
+            WireError::QuotaExceeded {
+                resource: "grafts".into(),
+                limit: 4,
+            },
+            WireError::Overloaded {
+                in_flight: 64,
+                cap: 64,
+            },
+            WireError::Quarantined {
+                backoff_remaining: 16,
+            },
+            WireError::Unavailable("detached".into()),
+            WireError::BadArity {
+                expected: 2,
+                got: 5,
+            },
+        ];
+        let mut all = vec![
             Reply::Welcome { seq: 1, tenant: 9 },
             Reply::Installed { seq: 2, graft: 3 },
             Reply::Bound { seq: 3, entry: 0 },
@@ -864,10 +1017,7 @@ mod tests {
             Reply::Batch {
                 seq: 5,
                 values: vec![1, 2],
-                error: Some(WireError::Trap {
-                    kind: 2,
-                    detail: "integer division by zero".into(),
-                }),
+                error: Some(errors[4].clone()),
             },
             Reply::Batch {
                 seq: 6,
@@ -875,64 +1025,114 @@ mod tests {
                 error: None,
             },
             Reply::Gone { seq: 7 },
-            Reply::Error {
-                seq: 8,
-                error: WireError::StaleHandle { kind: 0, id: 99 },
-            },
-            Reply::Error {
-                seq: 9,
-                error: WireError::QuotaExceeded {
-                    resource: "grafts".into(),
-                    limit: 4,
-                },
-            },
-            Reply::Error {
-                seq: 10,
-                error: WireError::Overloaded {
-                    in_flight: 64,
-                    cap: 64,
-                },
-            },
-            Reply::Error {
-                seq: 11,
-                error: WireError::Quarantined {
-                    backoff_remaining: 16,
-                },
-            },
-        ] {
+        ];
+        all.extend(
+            errors
+                .into_iter()
+                .enumerate()
+                .map(|(i, error)| Reply::Error {
+                    seq: 8 + i as u32,
+                    error,
+                }),
+        );
+        all
+    }
+
+    /// Prefixes a buffer may already hold when a frame is appended.
+    fn prefixes() -> Vec<Vec<u8>> {
+        vec![
+            vec![],
+            vec![0xab],
+            (0..37u8).map(|i| i.wrapping_mul(97)).collect(),
+            Request::Bye { seq: 9 }.encode(),
+        ]
+    }
+
+    #[test]
+    fn requests_round_trip() {
+        for req in every_request() {
+            let framed = req.encode();
+            let mut fb = FrameBuf::new();
+            fb.extend(&framed);
+            let body = fb.next_frame().unwrap().expect("one frame");
+            assert_eq!(Request::decode(body).unwrap(), req);
+            assert_eq!(fb.next_frame().unwrap(), None);
+            for prefix in prefixes() {
+                let mut out = prefix.clone();
+                req.encode_into(&mut out);
+                assert_eq!(out, [prefix, framed.clone()].concat(), "{req:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn replies_round_trip() {
+        for reply in every_reply() {
             let framed = reply.encode();
             let mut fb = FrameBuf::new();
             fb.extend(&framed);
             let body = fb.next_frame().unwrap().unwrap();
-            assert_eq!(Reply::decode(&body).unwrap(), reply);
+            assert_eq!(Reply::decode(body).unwrap(), reply);
+            for prefix in prefixes() {
+                let mut out = prefix.clone();
+                reply.encode_into(&mut out);
+                assert_eq!(out, [prefix, framed.clone()].concat(), "{reply:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn invoke_args_are_inline_up_to_the_widest_attach_point() {
+        let widest = AttachPoint::ALL.iter().map(AttachPoint::arity).max();
+        assert_eq!(Some(INLINE_ARGS), widest);
+        for n in 0..=5usize {
+            let words: Vec<i64> = (0..n as i64).map(|i| -i - 1).collect();
+            let Request::Invoke { args, .. } =
+                Request::decode(&invoke_of(n).encode()[4..]).unwrap()
+            else {
+                panic!("an invoke decodes as an invoke");
+            };
+            assert_eq!(
+                matches!(args.0, ArgWords::Inline { .. }),
+                n <= INLINE_ARGS,
+                "{n} args"
+            );
+            let from_vec = InvokeArgs::from(words.clone());
+            assert_eq!(*from_vec, words[..]);
+            assert_eq!(
+                matches!(from_vec.0, ArgWords::Inline { .. }),
+                n <= INLINE_ARGS
+            );
+            assert_eq!(format!("{from_vec:?}"), format!("{words:?}"));
         }
     }
 
     #[test]
     fn frames_reassemble_from_arbitrary_chunking() {
-        let a = Request::Invoke {
-            seq: 1,
-            graft: 1,
-            entry: 0,
-            args: vec![10, 20],
-        }
-        .encode();
-        let b = Request::Bye { seq: 2 }.encode();
-        let stream: Vec<u8> = a.iter().chain(b.iter()).copied().collect();
+        let requests: Vec<Request> = (0..=5)
+            .map(invoke_of)
+            .chain([Request::Bye { seq: 2 }])
+            .collect();
+        let frames: Vec<Vec<u8>> = requests.iter().map(Request::encode).collect();
+        let stream = frames.concat();
 
-        // Deliver one byte at a time: exactly two frames pop out,
-        // in order, regardless of chunk boundaries.
-        let mut fb = FrameBuf::new();
-        let mut frames = Vec::new();
-        for byte in stream {
-            fb.extend(&[byte]);
-            while let Some(body) = fb.next_frame().unwrap() {
-                frames.push(Request::decode(&body).unwrap());
+        // Deliver the stream in chunks of every size from one byte up:
+        // each frame pops out whole and in order, its borrowed body the
+        // exact bytes after its prefix, regardless of chunk boundaries.
+        for chunk in 1..=frames[0].len() + 1 {
+            let mut fb = FrameBuf::new();
+            let mut popped = 0;
+            for bytes in stream.chunks(chunk) {
+                fb.extend(bytes);
+                while let Some(body) = fb.next_frame().unwrap() {
+                    assert_eq!(body, &frames[popped][4..], "chunk {chunk}");
+                    assert_eq!(Request::decode(body).unwrap(), requests[popped]);
+                    popped += 1;
+                }
             }
+            assert_eq!(popped, requests.len(), "chunk {chunk}");
+            assert_eq!(fb.pending(), 0);
         }
-        assert_eq!(frames.len(), 2);
-        assert!(matches!(frames[0], Request::Invoke { .. }));
-        assert!(matches!(frames[1], Request::Bye { .. }));
     }
 
     #[test]

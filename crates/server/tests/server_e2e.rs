@@ -85,6 +85,43 @@ fn hello_install_invoke_round_trip() {
             value: 10 * 31 + 3
         }
     );
+
+    // An engine that checks arity answers a wrong argument count
+    // `BadArity`, whether the list travels inline (one argument) or on
+    // the heap (three, more than any attach point takes), and the
+    // connection keeps serving.
+    vt.server.register_spec(
+        "grail-tag",
+        Box::new(|_tech: Technology| {
+            let engine = engine_bytecode::BytecodeEngine::load_grail(
+                "fn select_victim(a: int, b: int) -> int { return a * 31 + b; }",
+                &[],
+            )?;
+            Ok(Box::new(engine) as Box<dyn ExtensionEngine>)
+        }),
+    );
+    let install = c.install(POINT, TECH, "grail-tag");
+    let checked = match vt.rpc(&mut c, &install) {
+        Reply::Installed { graft, .. } => graft,
+        other => panic!("{other:?}"),
+    };
+    for args in [&[10][..], &[10, 3, 4], &[10, 3]] {
+        let (seq, invoke) = c.invoke(checked, 0, args);
+        let expected = match args.len() {
+            2 => Reply::Value {
+                seq,
+                value: 10 * 31 + 3,
+            },
+            got => Reply::Error {
+                seq,
+                error: WireError::BadArity {
+                    expected: 2,
+                    got: got as u32,
+                },
+            },
+        };
+        assert_eq!(vt.rpc(&mut c, &invoke), expected);
+    }
 }
 
 /// A malformed frame gets a typed error and the connection keeps

@@ -79,7 +79,7 @@ fn decode_replies(bytes: &[u8], into: &mut BTreeMap<u32, Reply>) {
     let mut buf = FrameBuf::new();
     buf.extend(bytes);
     while let Some(body) = buf.next_frame().expect("server frames are well-formed") {
-        let reply = Reply::decode(&body).expect("server bodies decode");
+        let reply = Reply::decode(body).expect("server bodies decode");
         let seq = reply.seq();
         assert!(
             into.insert(seq, reply).is_none(),

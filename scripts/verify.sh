@@ -46,6 +46,11 @@ cargo build --release --offline
 echo "==> cargo clippy --workspace (warnings are errors)"
 cargo clippy --offline --workspace --all-targets -- -D warnings
 
+# Only graft-server is held to rustfmt so far; the rest of the tree
+# predates the check.
+echo "==> cargo fmt -p graft-server --check"
+cargo fmt -p graft-server --check
+
 echo "==> cargo test --offline --workspace"
 cargo test -q --offline --workspace
 
